@@ -41,6 +41,10 @@
 #                 test — every TestScale* in internal/integration rides
 #                 the -run pattern), the public GenerateFleet tests,
 #                 and the pinned fleet generator golden
+#   verify-bench - the repository benchmark's own module (bench/, which
+#                 the root ./... does not reach): a smoke run of every
+#                 workload through the public facade, BENCHMARK.json
+#                 validation, and the pinned seed-1 result digests
 #   bench-gate  - regenerate both bench JSONs into .bench/ and diff
 #                 them against the checked-in baselines with
 #                 tools/bench_compare (BENCH_GATE_FLAGS=-report-only
@@ -52,7 +56,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-json verify-obs verify-latency verify-sim-cycle verify-explain verify-scale bench-gate check
+.PHONY: build test race bench bench-smoke bench-json verify-obs verify-latency verify-sim-cycle verify-explain verify-scale verify-bench bench-gate check
 
 build:
 	$(GO) build ./...
@@ -100,6 +104,9 @@ verify-scale:
 	$(GO) test -race -run 'TestScale' ./internal/integration/...
 	$(GO) test -run 'TestGenerateFleet' .
 	$(GO) test -run 'TestGoldenGenTopologies/fleet' ./cmd/disparity-gen/...
+
+verify-bench:
+	cd bench && $(GO) test .
 
 bench-gate:
 	mkdir -p .bench

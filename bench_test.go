@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/timeu"
 	"repro/internal/trace/span"
@@ -248,6 +249,20 @@ func BenchmarkChainIndexFleet(b *testing.B) {
 		}
 		if _, stride := idx.PathMasks(); stride < 2 {
 			b.Fatalf("fleet masks stride = %d, want multi-word", stride)
+		}
+	}
+}
+
+// BenchmarkWCRTFleet times the NP-FP response-time analysis alone on the
+// fleet workload: the per-ECU priority index and the fixed points of all
+// ~2000 tasks. tools/bench_compare divides it by BenchmarkChainIndexFleet,
+// the same graph's trie build.
+func BenchmarkWCRTFleet(b *testing.B) {
+	g, _ := fleetBenchGraph(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := sched.Analyze(g, sched.NonPreemptiveFP); !res.Schedulable {
+			b.Fatalf("fleet workload unschedulable: %v", res.Unschedulable)
 		}
 	}
 }

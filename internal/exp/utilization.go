@@ -107,17 +107,16 @@ func genUtilization(cfg Config, n int, target float64, pi, gi int) *model.Graph 
 // period; BCETs keep their ratio to WCET). Returns false when an ECU has
 // no load to scale.
 func scaleUtilization(g *model.Graph, target float64) bool {
-	for _, ecu := range g.ECUs() {
-		u := sched.Utilization(g, ecu.ID)
-		if u <= 0 {
-			ids := g.TasksOnECU(ecu.ID)
-			if len(ids) == 0 {
-				continue // empty ECU: nothing to scale
-			}
+	util := sched.Utilization(g)
+	for ecu, ids := range g.TasksByECU() {
+		if len(ids) == 0 {
+			continue // empty ECU: nothing to scale
+		}
+		if util[ecu] <= 0 {
 			return false
 		}
-		factor := target / u
-		for _, id := range g.TasksOnECU(ecu.ID) {
+		factor := target / util[ecu]
+		for _, id := range ids {
 			t := g.Task(id)
 			ratio := float64(t.BCET) / float64(t.WCET)
 			w := timeu.Time(float64(t.WCET) * factor)

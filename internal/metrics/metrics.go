@@ -118,9 +118,10 @@ func (t *Timer) Count() int64 { return t.count.Load() }
 // Snapshot returns the accumulated total and count as one coherent
 // pair: the returned values come from the same point in the
 // observation sequence, even under concurrent Observe calls. After a
-// bounded number of retries under sustained writes it falls back to a
-// possibly-torn read (in practice unreachable: the write side holds
-// the sequence odd only for two atomic adds).
+// bounded number of optimistic retries under sustained writes it takes
+// the write side like Observe does and reads under it: a writer
+// preempted while holding the sequence odd can outlast any retry bound,
+// so falling back to an unguarded read would return a torn pair.
 func (t *Timer) Snapshot() (total time.Duration, count int64) {
 	for attempt := 0; attempt < 128; attempt++ {
 		s := t.seq.Load()
@@ -132,7 +133,15 @@ func (t *Timer) Snapshot() (total time.Duration, count int64) {
 			return time.Duration(ns), c
 		}
 	}
-	return time.Duration(t.ns.Load()), t.count.Load()
+	for {
+		s := t.seq.Load()
+		if s&1 == 0 && t.seq.CompareAndSwap(s, s+1) {
+			break
+		}
+	}
+	ns, c := t.ns.Load(), t.count.Load()
+	t.seq.Add(1)
+	return time.Duration(ns), c
 }
 
 // Registry is a named collection of instruments. The zero value is not

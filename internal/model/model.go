@@ -16,7 +16,10 @@
 package model
 
 import (
+	"cmp"
+	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/timeu"
@@ -367,6 +370,48 @@ func (g *Graph) TasksOnECU(ecu ECUID) []TaskID {
 	return out
 }
 
+// TasksByECU groups the scheduled tasks by ECU in one pass: entry e lists
+// the IDs of the tasks mapped to ECU e, in ID order (empty for an ECU
+// without tasks). Unscheduled stimuli and tasks referencing an unknown
+// ECU appear in no entry. The grouping is built fresh on every call, not
+// cached, because the tasks Task returns are mutable; callers may reorder
+// the returned slices.
+func (g *Graph) TasksByECU() [][]TaskID {
+	count := make([]int, len(g.ecus))
+	scheduled := 0
+	for i := range g.tasks {
+		if e := g.tasks[i].ECU; e >= 0 && int(e) < len(g.ecus) {
+			count[e]++
+			scheduled++
+		}
+	}
+	// One backing array, each ECU's entry a capacity-capped window of it.
+	flat := make([]TaskID, scheduled)
+	out := make([][]TaskID, len(g.ecus))
+	off := 0
+	for e, c := range count {
+		out[e] = flat[off : off : off+c]
+		off += c
+	}
+	for i := range g.tasks {
+		if e := g.tasks[i].ECU; e >= 0 && int(e) < len(g.ecus) {
+			out[e] = append(out[e], TaskID(i))
+		}
+	}
+	return out
+}
+
+// SortByPriority sorts task IDs by (Prio, ID): highest priority first,
+// equal priorities in ID order.
+func (g *Graph) SortByPriority(ids []TaskID) {
+	slices.SortFunc(ids, func(a, b TaskID) int {
+		if c := cmp.Compare(g.tasks[a].Prio, g.tasks[b].Prio); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+}
+
 // HigherPriority reports whether task a has higher priority than task b
 // and both live on the same ECU — the hp(·) relation of the paper.
 func (g *Graph) HigherPriority(a, b TaskID) bool {
@@ -382,7 +427,8 @@ func (g *Graph) SameECU(a, b TaskID) bool {
 }
 
 // TopoOrder returns a topological order of the tasks, or an error if the
-// graph has a cycle.
+// graph has a cycle. Among the tasks ready at each step the smallest ID
+// comes first, so the order is deterministic.
 func (g *Graph) TopoOrder() ([]TaskID, error) {
 	g.ensureAdj()
 	n := len(g.tasks)
@@ -390,28 +436,21 @@ func (g *Graph) TopoOrder() ([]TaskID, error) {
 	for _, e := range g.edges {
 		indeg[e.Dst]++
 	}
-	queue := make([]TaskID, 0, n)
+	ready := make(idHeap, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
-			queue = append(queue, TaskID(i))
+			ready = append(ready, TaskID(i))
 		}
 	}
+	// Pushed in increasing ID order, so ready is already a valid heap.
 	order := make([]TaskID, 0, n)
-	for len(queue) > 0 {
-		// Pop the smallest ID for a deterministic order.
-		best := 0
-		for i := 1; i < len(queue); i++ {
-			if queue[i] < queue[best] {
-				best = i
-			}
-		}
-		v := queue[best]
-		queue = append(queue[:best], queue[best+1:]...)
+	for len(ready) > 0 {
+		v := heap.Pop(&ready).(TaskID)
 		order = append(order, v)
 		for _, s := range g.succ[v] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				queue = append(queue, s)
+				heap.Push(&ready, s)
 			}
 		}
 	}
@@ -419,6 +458,20 @@ func (g *Graph) TopoOrder() ([]TaskID, error) {
 		return nil, fmt.Errorf("model: graph has a cycle")
 	}
 	return order, nil
+}
+
+// idHeap is a min-heap of task IDs (container/heap).
+type idHeap []TaskID
+
+func (h idHeap) Len() int           { return len(h) }
+func (h idHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h idHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *idHeap) Push(x any)        { *h = append(*h, x.(TaskID)) }
+func (h *idHeap) Pop() any {
+	old := *h
+	v := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return v
 }
 
 // Validate checks structural invariants: acyclicity, positive periods,
@@ -461,23 +514,25 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
-	// Priorities must totally order the tasks of each ECU.
-	byECU := make(map[ECUID]map[int]TaskID)
-	for i := range g.tasks {
-		t := &g.tasks[i]
-		if t.ECU == NoECU {
-			continue
+	// Priorities must totally order the tasks of each ECU. Sorted by
+	// (Prio, ID), a shared priority shows as adjacent equal entries; of
+	// all such runs, report the one whose second task has the smallest
+	// ID, as a scan in ID order would meet it first.
+	first, dup := TaskID(-1), TaskID(-1)
+	for _, ids := range g.TasksByECU() {
+		g.SortByPriority(ids)
+		for k := 1; k < len(ids); k++ {
+			p := g.tasks[ids[k]].Prio
+			second := p == g.tasks[ids[k-1]].Prio && (k == 1 || p != g.tasks[ids[k-2]].Prio)
+			if second && (dup < 0 || ids[k] < dup) {
+				first, dup = ids[k-1], ids[k]
+			}
 		}
-		m := byECU[t.ECU]
-		if m == nil {
-			m = make(map[int]TaskID)
-			byECU[t.ECU] = m
-		}
-		if prev, dup := m[t.Prio]; dup {
-			return fmt.Errorf("model: tasks %s and %s share priority %d on ECU %d",
-				g.tasks[prev].Name, t.Name, t.Prio, t.ECU)
-		}
-		m[t.Prio] = TaskID(i)
+	}
+	if dup >= 0 {
+		t := &g.tasks[dup]
+		return fmt.Errorf("model: tasks %s and %s share priority %d on ECU %d",
+			g.tasks[first].Name, t.Name, t.Prio, t.ECU)
 	}
 	if _, err := g.TopoOrder(); err != nil {
 		return err

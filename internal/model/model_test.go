@@ -1,6 +1,9 @@
 package model
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -85,6 +88,153 @@ func TestTopoOrder(t *testing.T) {
 		if pos[e.Src] >= pos[e.Dst] {
 			t.Errorf("edge %d->%d violates topological order", e.Src, e.Dst)
 		}
+	}
+}
+
+// refTopoOrder is TopoOrder as it was: a linear scan for the smallest
+// ready ID and a splice out of the queue.
+func refTopoOrder(g *Graph) []TaskID {
+	indeg := make([]int, g.NumTasks())
+	for _, e := range g.Edges() {
+		indeg[e.Dst]++
+	}
+	var queue, order []TaskID
+	for i := range indeg {
+		if indeg[i] == 0 {
+			queue = append(queue, TaskID(i))
+		}
+	}
+	for len(queue) > 0 {
+		best := 0
+		for i := 1; i < len(queue); i++ {
+			if queue[i] < queue[best] {
+				best = i
+			}
+		}
+		v := queue[best]
+		queue = append(queue[:best], queue[best+1:]...)
+		order = append(order, v)
+		for _, s := range g.Successors(v) {
+			indeg[s]--
+			if indeg[s] == 0 {
+				queue = append(queue, s)
+			}
+		}
+	}
+	return order
+}
+
+// randomDAG adds edges only from lower to higher IDs, after shuffling
+// which IDs the endpoints get, so ready sets grow and shrink irregularly.
+func randomDAG(rng *rand.Rand, n, m int) *Graph {
+	g := NewGraph()
+	ecus := 1 + rng.Intn(4)
+	for e := 0; e < ecus; e++ {
+		g.AddECU("", Compute)
+	}
+	for i := 0; i < n; i++ {
+		g.AddTask(Task{WCET: ms, BCET: ms, Period: 10 * ms, Prio: rng.Intn(n), ECU: ECUID(rng.Intn(ecus))})
+	}
+	perm := rng.Perm(n)
+	for k := 0; k < m; k++ {
+		a, b := rng.Intn(n), rng.Intn(n)
+		if a == b {
+			continue
+		}
+		if a > b {
+			a, b = b, a
+		}
+		_ = g.AddEdge(TaskID(perm[a]), TaskID(perm[b])) // duplicates are rejected; skip them
+	}
+	return g
+}
+
+func TestTopoOrderMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(60)
+		g := randomDAG(rng, n, rng.Intn(3*n))
+		got, err := g.TopoOrder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refTopoOrder(g); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: TopoOrder = %v, scan %v", trial, got, want)
+		}
+	}
+}
+
+func TestTasksByECU(t *testing.T) {
+	g := Fig2Graph()
+	empty := g.AddECU("empty", Compute)
+	byECU := g.TasksByECU()
+	if len(byECU) != g.NumECUs() {
+		t.Fatalf("%d groups for %d ECUs", len(byECU), g.NumECUs())
+	}
+	total := 0
+	for e, ids := range byECU {
+		if want := g.TasksOnECU(ECUID(e)); !slices.Equal(ids, want) {
+			t.Errorf("ECU %d: %v, TasksOnECU %v", e, ids, want)
+		}
+		total += len(ids)
+	}
+	if len(byECU[empty]) != 0 {
+		t.Errorf("empty ECU lists %v", byECU[empty])
+	}
+	if stimuli := len(g.TasksOnECU(NoECU)); total+stimuli != g.NumTasks() {
+		t.Errorf("%d grouped + %d stimuli, want %d tasks", total, stimuli, g.NumTasks())
+	}
+	// Appending to one group must not overwrite the next one's tasks.
+	before := slices.Clone(byECU[1])
+	_ = append(byECU[0], 99)
+	if !slices.Equal(byECU[1], before) {
+		t.Errorf("append to group 0 clobbered group 1: %v, was %v", byECU[1], before)
+	}
+}
+
+// refDupPriority is Validate's priority check as it was: a map per ECU,
+// scanned in ID order.
+func refDupPriority(g *Graph) error {
+	byECU := make(map[ECUID]map[int]TaskID)
+	for i, t := range g.Tasks() {
+		if t.ECU == NoECU {
+			continue
+		}
+		m := byECU[t.ECU]
+		if m == nil {
+			m = make(map[int]TaskID)
+			byECU[t.ECU] = m
+		}
+		if prev, dup := m[t.Prio]; dup {
+			return fmt.Errorf("model: tasks %s and %s share priority %d on ECU %d",
+				g.Task(prev).Name, t.Name, t.Prio, t.ECU)
+		}
+		m[t.Prio] = TaskID(i)
+	}
+	return nil
+}
+
+func TestValidateDuplicatePriorityMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	dups := 0
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(25)
+		g := randomDAG(rng, n, rng.Intn(2*n))
+		want := refDupPriority(g)
+		got := g.Validate()
+		if want == nil {
+			if got != nil {
+				t.Fatalf("trial %d: Validate = %v, want nil", trial, got)
+			}
+			continue
+		}
+		dups++
+		if got == nil || got.Error() != want.Error() {
+			t.Fatalf("trial %d: Validate = %v, want %v", trial, got, want)
+		}
+	}
+	if dups == 0 {
+		t.Error("no trial had a shared priority")
 	}
 }
 

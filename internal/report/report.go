@@ -139,8 +139,9 @@ func writePlatform(b *strings.Builder, g *model.Graph, res *sched.Result) {
 		g.NumTasks(), g.NumEdges(), g.NumECUs(), g.Hyperperiod())
 	if g.NumECUs() > 0 {
 		b.WriteString("| ECU | kind | tasks | utilization | schedulable |\n|---|---|---|---|---|\n")
-		for _, e := range g.ECUs() {
-			ids := g.TasksOnECU(e.ID)
+		util := sched.Utilization(g)
+		for ecu, ids := range g.TasksByECU() {
+			e := g.ECU(model.ECUID(ecu))
 			ok := "yes"
 			for _, id := range ids {
 				if res.R(id) > g.Task(id).Period {
@@ -148,7 +149,7 @@ func writePlatform(b *strings.Builder, g *model.Graph, res *sched.Result) {
 				}
 			}
 			fmt.Fprintf(b, "| %s | %s | %d | %.4f | %s |\n",
-				e.Name, e.Kind, len(ids), sched.Utilization(g, e.ID), ok)
+				e.Name, e.Kind, len(ids), util[ecu], ok)
 		}
 		b.WriteString("\n")
 	}

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/model"
+	"repro/internal/timeu"
 )
 
 // AssignRateMonotonic assigns priorities per ECU by increasing period
@@ -60,8 +61,7 @@ func AssignTopological(g *model.Graph) error {
 }
 
 func assignByOrder(g *model.Graph, less func(a, b *model.Task) bool) {
-	for _, ecu := range g.ECUs() {
-		ids := g.TasksOnECU(ecu.ID)
+	for _, ids := range g.TasksByECU() {
 		sort.Slice(ids, func(i, j int) bool { return less(g.Task(ids[i]), g.Task(ids[j])) })
 		for rank, id := range ids {
 			g.Task(id).Prio = rank
@@ -75,43 +75,44 @@ func assignByOrder(g *model.Graph, less func(a, b *model.Task) bool) {
 // at the lowest unassigned priority level. It returns false if no
 // assignment exists under this analysis (the test is sufficient, not
 // exact, so false negatives are possible). On success the graph's Prio
-// fields hold the found assignment.
+// fields hold the found assignment; on failure they are unchanged.
 func AssignAudsley(g *model.Graph) bool {
-	work := g.Clone()
-	for _, ecu := range work.ECUs() {
-		ids := work.TasksOnECU(ecu.ID)
-		if !audsleyECU(work, ids) {
+	byECU := g.TasksByECU()
+	for _, ids := range byECU {
+		if !audsleyECU(g, ids) {
 			return false
 		}
 	}
-	// Copy the successful assignment back.
-	for i := 0; i < g.NumTasks(); i++ {
-		g.Task(model.TaskID(i)).Prio = work.Task(model.TaskID(i)).Prio
+	for _, ids := range byECU {
+		for level, id := range ids {
+			g.Task(id).Prio = level
+		}
 	}
 	return true
 }
 
+// audsleyECU reorders one ECU's tasks in place into a feasible priority
+// order, highest priority first. ids[:n] holds the still unassigned tasks
+// in their original relative order and ids[n:] the tasks already placed
+// below them. A candidate at level n−1 has the other unassigned tasks as
+// its hp set and is blocked by the longest task placed below it.
 func audsleyECU(g *model.Graph, ids []model.TaskID) bool {
-	unassigned := append([]model.TaskID(nil), ids...)
-	// Assign levels from lowest (len-1) upward.
-	for level := len(ids) - 1; level >= 0; level-- {
+	var hp []demand
+	var blk timeu.Time
+	for n := len(ids); n > 0; n-- {
 		placed := false
-		for i, cand := range unassigned {
-			// Tentatively: cand at this level, all other unassigned tasks
-			// above it. Audsley's argument only needs the relative order
-			// "cand below the rest"; give the rest arbitrary distinct
-			// higher priorities.
-			g.Task(cand).Prio = level
-			rank := 0
-			for _, other := range unassigned {
-				if other == cand {
-					continue
+		for i, cand := range ids[:n] {
+			hp = hp[:0]
+			for _, other := range ids[:n] {
+				if other != cand {
+					hp = append(hp, demandOf(g.Task(other)))
 				}
-				g.Task(other).Prio = rank
-				rank++
 			}
-			if r, ok := npResponseTime(g, cand); ok && r <= g.Task(cand).EffectiveDeadline() {
-				unassigned = append(unassigned[:i], unassigned[i+1:]...)
+			task := g.Task(cand)
+			if r, ok := npResponseTime(task, hp, blk); ok && r <= task.EffectiveDeadline() {
+				copy(ids[i:n-1], ids[i+1:n])
+				ids[n-1] = cand
+				blk = max(blk, task.WCET)
 				placed = true
 				break
 			}

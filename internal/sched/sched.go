@@ -13,6 +13,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -74,79 +75,83 @@ const maxIterations = 1 << 16
 // An unschedulable task does not abort the analysis: its WCRT is set to
 // the divergent fixed-point value (capped) and listed in
 // Result.Unschedulable, so callers can report all violations at once.
+//
+// Each ECU's tasks are sorted once by (Prio, ID). A task's
+// higher-priority set hp is then the prefix of that order before its
+// priority level, and its blocking set lp is every other task at the same
+// or a lower priority (equal priorities block each other and never
+// interfere), so max_{j ∈ lp} W_j is a suffix maximum combined with the
+// running maximum of the task's own level.
 func Analyze(g *model.Graph, policy Policy) *Result {
 	analysesRun.Inc()
 	res := &Result{
 		WCRT:        make([]timeu.Time, g.NumTasks()),
 		Schedulable: true,
 	}
-	for i := 0; i < g.NumTasks(); i++ {
-		id := model.TaskID(i)
-		task := g.Task(id)
-		if task.ECU == model.NoECU {
-			res.WCRT[i] = 0
-			continue
+	var dem []demand     // one ECU's tasks in priority order
+	var suf []timeu.Time // suf[k] = max WCET of dem[k:]
+	for _, ids := range g.TasksByECU() {
+		g.SortByPriority(ids)
+		dem = dem[:0]
+		for _, id := range ids {
+			dem = append(dem, demandOf(g.Task(id)))
 		}
-		var r timeu.Time
-		var ok bool
-		switch policy {
-		case NonPreemptiveFP:
-			r, ok = npResponseTime(g, id)
-		case PreemptiveFP:
-			r, ok = pResponseTime(g, id)
-		default:
-			panic(fmt.Sprintf("sched: unknown policy %d", policy))
+		suf = append(suf[:0], make([]timeu.Time, len(ids)+1)...)
+		for k := len(ids) - 1; k >= 0; k-- {
+			suf[k] = max(dem[k].wcet, suf[k+1])
 		}
-		res.WCRT[i] = r
-		if !ok || r > task.EffectiveDeadline() {
-			res.Schedulable = false
-			res.Unschedulable = append(res.Unschedulable, id)
+		level := 0              // index of the first task at the current priority
+		var levelMax timeu.Time // max WCET of ids[level:k]
+		for k, id := range ids {
+			task := g.Task(id)
+			if k > 0 && task.Prio != g.Task(ids[k-1]).Prio {
+				level, levelMax = k, 0
+			}
+			hp := dem[:level]
+			var r timeu.Time
+			var ok bool
+			switch policy {
+			case NonPreemptiveFP:
+				r, ok = npResponseTime(task, hp, max(suf[k+1], levelMax))
+			case PreemptiveFP:
+				r, ok = pResponseTime(task, hp)
+			default:
+				panic(fmt.Sprintf("sched: unknown policy %d", policy))
+			}
+			levelMax = max(levelMax, task.WCET)
+			res.WCRT[id] = r
+			if !ok || r > task.EffectiveDeadline() {
+				res.Schedulable = false
+				res.Unschedulable = append(res.Unschedulable, id)
+			}
 		}
 	}
+	slices.Sort(res.Unschedulable)
 	return res
 }
 
-// interferers partitions the same-ECU competitors of task id into
-// higher-priority and lower-priority sets.
-func interferers(g *model.Graph, id model.TaskID) (hp, lp []*model.Task) {
-	task := g.Task(id)
-	for _, other := range g.TasksOnECU(task.ECU) {
-		if other == id {
-			continue
-		}
-		o := g.Task(other)
-		if o.Prio < task.Prio {
-			hp = append(hp, o)
-		} else {
-			lp = append(lp, o)
-		}
-	}
-	return hp, lp
-}
+// demand is the part of an interfering task the response-time
+// recurrences read.
+type demand struct{ wcet, period timeu.Time }
+
+func demandOf(t *model.Task) demand { return demand{t.WCET, t.Period} }
 
 // npResponseTime bounds the WCRT of a task under non-preemptive fixed
 // priority with the multi-job busy-period analysis of Davis, Burns, Bril
-// and Lukkien (RTS 2007). Under non-preemption the first job after the
-// critical instant is NOT necessarily the worst (the "refuted" part of
-// that paper's title), so every instance q in the level-i busy period is
-// examined:
+// and Lukkien (RTS 2007), given its higher-priority tasks hp and its
+// blocking term blk = max_{j ∈ lp} W_j. Under non-preemption the first
+// job after the critical instant is NOT necessarily the worst (the
+// "refuted" part of that paper's title), so every instance q in the
+// level-i busy period is examined:
 //
-//	blk    = max_{j ∈ lp} W_j
 //	L      = smallest t > 0 with t = blk + Σ_{j ∈ hp ∪ {i}} ⌈t/T_j⌉·W_j
 //	w(q)   = smallest w with w = blk + q·W_i + Σ_{j ∈ hp} (⌊w/T_j⌋+1)·W_j
 //	R      = max over q = 0..⌈L/T_i⌉−1 of w(q) − q·T_i + W_i
-func npResponseTime(g *model.Graph, id model.TaskID) (timeu.Time, bool) {
-	task := g.Task(id)
-	hp, lp := interferers(g, id)
-	var blk timeu.Time
-	for _, o := range lp {
-		blk = timeu.Max(blk, o.WCET)
-	}
-
+func npResponseTime(task *model.Task, hp []demand, blk timeu.Time) (timeu.Time, bool) {
 	// Level-i busy period length.
 	busy := blk + task.WCET
 	for _, o := range hp {
-		busy += o.WCET
+		busy += o.wcet
 	}
 	if busy <= 0 {
 		// Nothing competes and the task itself is instantaneous.
@@ -155,15 +160,17 @@ func npResponseTime(g *model.Graph, id model.TaskID) (timeu.Time, bool) {
 	for iter := 0; ; iter++ {
 		next := blk + timeu.Time(timeu.CeilDiv(busy, task.Period))*task.WCET
 		for _, o := range hp {
-			next += timeu.Time(timeu.CeilDiv(busy, o.Period)) * o.WCET
+			next += timeu.Time(timeu.CeilDiv(busy, o.period)) * o.wcet
 		}
 		if next == busy {
 			break
 		}
 		busy = next
-		// A busy period beyond a few hyperperiods means overload; the
-		// q = 0 analysis below will exceed the period and flag it.
-		if iter >= maxIterations || busy > 1<<20*task.Period {
+		// A busy period beyond 2^20 periods means overload; the q = 0
+		// analysis below will exceed the period and flag it. Dividing
+		// instead of multiplying 2^20·T keeps the test exact for every
+		// period (the product wraps above T ≈ 2.4 h).
+		if iter >= maxIterations || (busy-1)/task.Period >= 1<<20 {
 			break
 		}
 	}
@@ -179,14 +186,14 @@ func npResponseTime(g *model.Graph, id model.TaskID) (timeu.Time, bool) {
 	for k := int64(0); k < q; k++ {
 		w := blk + timeu.Time(k)*task.WCET
 		for _, o := range hp {
-			w += o.WCET
+			w += o.wcet
 		}
 		converged := false
 		for iter := 0; iter < maxIterations; iter++ {
 			iters++
 			next := blk + timeu.Time(k)*task.WCET
 			for _, o := range hp {
-				next += timeu.Time(timeu.FloorDiv(w, o.Period)+1) * o.WCET
+				next += timeu.Time(timeu.FloorDiv(w, o.period)+1) * o.wcet
 			}
 			if next == w {
 				converged = true
@@ -210,15 +217,13 @@ func npResponseTime(g *model.Graph, id model.TaskID) (timeu.Time, bool) {
 
 // pResponseTime bounds the WCRT under preemptive fixed priority using the
 // classical r = W_i + Σ_{j ∈ hp} ⌈r/T_j⌉·W_j recurrence.
-func pResponseTime(g *model.Graph, id model.TaskID) (timeu.Time, bool) {
-	task := g.Task(id)
-	hp, _ := interferers(g, id)
+func pResponseTime(task *model.Task, hp []demand) (timeu.Time, bool) {
 	r := task.WCET
 	for iter := 0; iter < maxIterations; iter++ {
 		fpIters.Inc()
 		next := task.WCET
 		for _, o := range hp {
-			next += timeu.Time(timeu.CeilDiv(r, o.Period)) * o.WCET
+			next += timeu.Time(timeu.CeilDiv(r, o.period)) * o.wcet
 		}
 		if next == r {
 			return r, true
@@ -232,12 +237,14 @@ func pResponseTime(g *model.Graph, id model.TaskID) (timeu.Time, bool) {
 }
 
 // Utilization returns the total WCET utilization of the tasks mapped to
-// one ECU.
-func Utilization(g *model.Graph, ecu model.ECUID) float64 {
-	var u float64
-	for _, id := range g.TasksOnECU(ecu) {
-		t := g.Task(id)
-		u += float64(t.WCET) / float64(t.Period)
+// each ECU, indexed by ECU ID, in one pass over the tasks.
+func Utilization(g *model.Graph) []float64 {
+	u := make([]float64, g.NumECUs())
+	for i := 0; i < g.NumTasks(); i++ {
+		t := g.Task(model.TaskID(i))
+		if t.ECU >= 0 && int(t.ECU) < len(u) {
+			u[t.ECU] += float64(t.WCET) / float64(t.Period)
+		}
 	}
 	return u
 }

@@ -2,10 +2,14 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/can"
 	"repro/internal/model"
+	"repro/internal/randgraph"
 	"repro/internal/timeu"
+	"repro/internal/waters"
 )
 
 const ms = timeu.Millisecond
@@ -163,7 +167,7 @@ func TestNPFPDominatedByPreemptiveForHighest(t *testing.T) {
 
 func TestUtilization(t *testing.T) {
 	g := twoTaskGraph(2*ms, 10*ms, 4*ms, 20*ms)
-	if got := Utilization(g, 0); got != 0.4 {
+	if got := Utilization(g)[0]; got != 0.4 {
 		t.Errorf("Utilization = %v, want 0.4", got)
 	}
 	if got := TotalUtilization(g); got != 0.4 {
@@ -385,5 +389,281 @@ func TestAssignDeadlineMonotonic(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNPLongPeriodGuard runs a set with periods above the ~2.4 h where
+// 2^20·T overflows int64, including a 3 h task. The overload guard must
+// not cut the busy period short on this schedulable set: the WCRTs equal
+// those of the same set in 30 ms units, scaled, so R(C) keeps the q = 1
+// instance of its busy period (a truncated busy period gives 3h30m).
+func TestNPLongPeriodGuard(t *testing.T) {
+	build := func(u timeu.Time) *model.Graph {
+		g := model.NewGraph()
+		ecu := g.AddECU("e", model.Compute)
+		g.AddTask(model.Task{Name: "A", WCET: u, BCET: u, Period: 4 * u, Prio: 0, ECU: ecu})
+		g.AddTask(model.Task{Name: "B", WCET: 3 * u, BCET: u, Period: 6 * u, Prio: 1, ECU: ecu})
+		g.AddTask(model.Task{Name: "C", WCET: 2 * u, BCET: u, Period: 8 * u, Prio: 2, ECU: ecu})
+		return g
+	}
+	const small, large = 30 * ms, 30 * timeu.Minute
+	want := Analyze(build(small), NonPreemptiveFP)
+	got := Analyze(build(large), NonPreemptiveFP)
+	if !got.Schedulable {
+		t.Fatalf("long-period set reported unschedulable: %v", got.Unschedulable)
+	}
+	for id, r := range want.WCRT {
+		if got.WCRT[id] != r/small*large {
+			t.Errorf("R(%d) = %v, want %v (scaled from %v)", id, got.WCRT[id], r/small*large, r)
+		}
+	}
+	if got.WCRT[2] != 8*large {
+		t.Errorf("R(C) = %v, want 4h", got.WCRT[2])
+	}
+}
+
+// The response-time analysis as formulated before the per-ECU priority
+// index: hp and lp rebuilt for every task by scanning its ECU. It is the
+// oracle Analyze and AssignAudsley are pinned to; the recurrences
+// themselves are shared, so it checks the set membership the index
+// derives.
+
+func refInterferers(g *model.Graph, id model.TaskID) (hp []demand, blk timeu.Time) {
+	task := g.Task(id)
+	for _, other := range g.TasksOnECU(task.ECU) {
+		if other == id {
+			continue
+		}
+		o := g.Task(other)
+		if o.Prio < task.Prio {
+			hp = append(hp, demandOf(o))
+		} else {
+			blk = timeu.Max(blk, o.WCET)
+		}
+	}
+	return hp, blk
+}
+
+func refAnalyze(g *model.Graph, policy Policy) *Result {
+	res := &Result{WCRT: make([]timeu.Time, g.NumTasks()), Schedulable: true}
+	for i := 0; i < g.NumTasks(); i++ {
+		id := model.TaskID(i)
+		task := g.Task(id)
+		if task.ECU == model.NoECU {
+			continue
+		}
+		hp, blk := refInterferers(g, id)
+		var r timeu.Time
+		var ok bool
+		if policy == NonPreemptiveFP {
+			r, ok = npResponseTime(task, hp, blk)
+		} else {
+			r, ok = pResponseTime(task, hp)
+		}
+		res.WCRT[i] = r
+		if !ok || r > task.EffectiveDeadline() {
+			res.Schedulable = false
+			res.Unschedulable = append(res.Unschedulable, id)
+		}
+	}
+	return res
+}
+
+// refAudsley is AssignAudsley as it was: rewrite the Prio fields of a
+// clone for every candidate and analyze the candidate with the scan.
+func refAudsley(g *model.Graph) bool {
+	work := g.Clone()
+	for _, ecu := range work.ECUs() {
+		ids := work.TasksOnECU(ecu.ID)
+		unassigned := append([]model.TaskID(nil), ids...)
+		for level := len(ids) - 1; level >= 0; level-- {
+			placed := false
+			for i, cand := range unassigned {
+				work.Task(cand).Prio = level
+				rank := 0
+				for _, other := range unassigned {
+					if other != cand {
+						work.Task(other).Prio = rank
+						rank++
+					}
+				}
+				hp, blk := refInterferers(work, cand)
+				if r, ok := npResponseTime(work.Task(cand), hp, blk); ok && r <= work.Task(cand).EffectiveDeadline() {
+					unassigned = append(unassigned[:i], unassigned[i+1:]...)
+					placed = true
+					break
+				}
+			}
+			if !placed {
+				return false
+			}
+		}
+	}
+	for i := 0; i < g.NumTasks(); i++ {
+		g.Task(model.TaskID(i)).Prio = work.Task(model.TaskID(i)).Prio
+	}
+	return true
+}
+
+// compareWithOracle checks Analyze against refAnalyze field by field
+// under both policies.
+func compareWithOracle(t *testing.T, label string, g *model.Graph) {
+	t.Helper()
+	for _, policy := range []Policy{NonPreemptiveFP, PreemptiveFP} {
+		got, want := Analyze(g, policy), refAnalyze(g, policy)
+		for id := range want.WCRT {
+			if got.WCRT[id] != want.WCRT[id] {
+				t.Fatalf("%s %v: R(%s) = %v, oracle %v", label, policy, g.Task(model.TaskID(id)).Name, got.WCRT[id], want.WCRT[id])
+			}
+		}
+		if got.Schedulable != want.Schedulable || !slices.Equal(got.Unschedulable, want.Unschedulable) {
+			t.Fatalf("%s %v: schedulable %v %v, oracle %v %v", label, policy,
+				got.Schedulable, got.Unschedulable, want.Schedulable, want.Unschedulable)
+		}
+	}
+}
+
+// watersGraph draws one graph of the WATERS corpus: a GNM DAG over four
+// ECUs with benchmark task parameters and rate-monotonic priorities.
+func watersGraph(t *testing.T, rng *rand.Rand, n int) *model.Graph {
+	t.Helper()
+	g, err := randgraph.GNM(n, 2*n, randgraph.DefaultConfig(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waters.Populate(g, rng)
+	return g
+}
+
+// overload multiplies every scheduled task's WCET by factor (capped at
+// the period), so a corpus also holds unschedulable ECUs.
+func overload(g *model.Graph, factor timeu.Time) {
+	for i := range g.Tasks() {
+		task := g.Task(model.TaskID(i))
+		task.WCET = min(task.WCET*factor, task.Period)
+		task.BCET = min(task.BCET, task.WCET)
+	}
+}
+
+func TestAnalyzeMatchesOracleWaters(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	unschedulable := 0
+	for trial := 0; trial < 100; trial++ {
+		g := watersGraph(t, rng, 5+rng.Intn(30))
+		overload(g, timeu.Time(1+trial%4))
+		compareWithOracle(t, "waters", g)
+		if !Analyze(g, NonPreemptiveFP).Schedulable {
+			unschedulable++
+		}
+	}
+	if unschedulable == 0 {
+		t.Error("corpus never exercised the Unschedulable list")
+	}
+}
+
+// TestAnalyzeMatchesOracleFleet runs the default fleet workload, built as
+// the public GenerateFleet builds it with seed 1: ~2.1k tasks on zonal
+// ECUs and a CAN bus.
+func TestAnalyzeMatchesOracleFleet(t *testing.T) {
+	g, _, err := randgraph.Fleet(randgraph.DefaultFleet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waters.PopulateBudget(g, rand.New(rand.NewSource(1)), 20*ms, 0.5)
+	bus := can.Bus{Rate: can.Baud500k, Format: can.Standard, Payload: 8}
+	if _, _, err := bus.Split(g, "can0"); err != nil {
+		t.Fatal(err)
+	}
+	if g.NumTasks() < 2000 {
+		t.Fatalf("fleet has %d tasks, want ≥ 2000", g.NumTasks())
+	}
+	compareWithOracle(t, "fleet", g)
+}
+
+// TestAnalyzeMatchesOracleHandBuilt covers what generated graphs never
+// contain: priority ties (tied tasks block each other and never
+// interfere), NoECU stimuli, an ECU without tasks, and an overloaded ECU
+// whose capped WCRTs land in the Unschedulable list.
+func TestAnalyzeMatchesOracleHandBuilt(t *testing.T) {
+	g := model.NewGraph()
+	tied := g.AddECU("tied", model.Compute)
+	g.AddECU("empty", model.Compute)
+	over := g.AddECU("over", model.Compute)
+	src := g.AddTask(model.Task{Name: "stim", Period: 10 * ms, ECU: model.NoECU})
+	for i, p := range []int{1, 0, 1, 2, 1} {
+		w := timeu.Time(i+1) * ms / 2
+		id := g.AddTask(model.Task{WCET: w, BCET: w, Period: 20 * ms, Prio: p, ECU: tied})
+		if err := g.AddEdge(src, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.AddTask(model.Task{Name: "o1", WCET: 4 * ms, BCET: ms, Period: 5 * ms, Prio: 0, ECU: over})
+	g.AddTask(model.Task{Name: "o2", WCET: 4 * ms, BCET: ms, Period: 10 * ms, Prio: 1, ECU: over})
+	compareWithOracle(t, "hand-built", g)
+
+	res := Analyze(g, NonPreemptiveFP)
+	if res.R(src) != 0 {
+		t.Errorf("R(stimulus) = %v, want 0", res.R(src))
+	}
+	// task1, task3 and task5 share priority 1 below task2. task1 is
+	// blocked by its later peer task5 (2.5ms); task5 suffers no
+	// interference from its earlier peers, only from task2 (1ms), and is
+	// blocked by task4 (2ms).
+	if got, want := res.R(1), 5*ms/2+ms+ms/2; got != want {
+		t.Errorf("R(task1) = %v, want %v", got, want)
+	}
+	if got, want := res.R(5), 2*ms+ms+5*ms/2; got != want {
+		t.Errorf("R(task5) = %v, want %v", got, want)
+	}
+	if res.Schedulable || !slices.Equal(res.Unschedulable, []model.TaskID{6, 7}) {
+		t.Errorf("Unschedulable = %v, want the overloaded ECU's tasks [6 7]", res.Unschedulable)
+	}
+
+	// Random tie-heavy sets over three ECUs, some left empty.
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		g := model.NewGraph()
+		for e := 0; e < 3; e++ {
+			g.AddECU("", model.Compute)
+		}
+		for i, n := 0, 1+rng.Intn(10); i < n; i++ {
+			ecu := model.ECUID(rng.Intn(4) - 1)
+			period := timeu.Time(2+rng.Intn(20)) * ms
+			w := timeu.Time(rng.Intn(int(period/ms)/2+1)) * ms
+			if ecu == model.NoECU {
+				w = 0
+			}
+			g.AddTask(model.Task{WCET: w, BCET: w, Period: period, Prio: rng.Intn(3), ECU: ecu})
+		}
+		compareWithOracle(t, "ties", g)
+	}
+}
+
+// TestAudsleyMatchesOracle compares AssignAudsley with the clone-and-
+// rewrite formulation on random WATERS graphs: the same verdict, and on
+// success the same priorities.
+func TestAudsleyMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	found := 0
+	for trial := 0; trial < 100; trial++ {
+		g := watersGraph(t, rng, 5+rng.Intn(20))
+		overload(g, timeu.Time(1+trial%4))
+		want := g.Clone()
+		okWant := refAudsley(want)
+		if ok := AssignAudsley(g); ok != okWant {
+			t.Fatalf("trial %d: AssignAudsley = %v, oracle %v", trial, ok, okWant)
+		}
+		if okWant {
+			found++
+		}
+		for i := range g.Tasks() {
+			id := model.TaskID(i)
+			if g.Task(id).Prio != want.Task(id).Prio {
+				t.Fatalf("trial %d: Prio(%d) = %d, oracle %d", trial, i, g.Task(id).Prio, want.Task(id).Prio)
+			}
+		}
+	}
+	if found == 0 || found == 100 {
+		t.Errorf("oracle succeeded on %d of 100 graphs; the corpus must exercise both verdicts", found)
 	}
 }

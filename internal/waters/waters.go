@@ -12,8 +12,10 @@
 package waters
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/timeu"
@@ -151,8 +153,7 @@ func PopulateBudget(g *model.Graph, rng *rand.Rand, minPeriod timeu.Time, frac f
 		}
 	}
 	// Pass 2: per-ECU WCET budgets.
-	for _, ecu := range g.ECUs() {
-		ids := g.TasksOnECU(ecu.ID)
+	for _, ids := range g.TasksByECU() {
 		if len(ids) == 0 {
 			continue
 		}
@@ -214,19 +215,13 @@ func DrawOffsets(g *model.Graph, rng *rand.Rand, dst []timeu.Time) []timeu.Time 
 // assignRM mirrors sched.AssignRateMonotonic without importing sched (the
 // generator sits below the analysis layers).
 func assignRM(g *model.Graph) {
-	for _, ecu := range g.ECUs() {
-		ids := g.TasksOnECU(ecu.ID)
-		// insertion sort by (period, id); ECU task counts are small.
-		for i := 1; i < len(ids); i++ {
-			for j := i; j > 0; j-- {
-				a, b := g.Task(ids[j-1]), g.Task(ids[j])
-				if a.Period > b.Period || (a.Period == b.Period && a.ID > b.ID) {
-					ids[j-1], ids[j] = ids[j], ids[j-1]
-				} else {
-					break
-				}
+	for _, ids := range g.TasksByECU() {
+		slices.SortFunc(ids, func(a, b model.TaskID) int {
+			if c := cmp.Compare(g.Task(a).Period, g.Task(b).Period); c != 0 {
+				return c
 			}
-		}
+			return cmp.Compare(a, b)
+		})
 		for rank, id := range ids {
 			g.Task(id).Prio = rank
 		}

@@ -18,6 +18,7 @@
 //	SimJumpAhead   / SimJumpAheadDisabled   (steady-state jump-ahead speedup)
 //	PairBounds     / PairBoundsReference    (trie fast-path speedup)
 //	ChainIndexFleet / ChainIndex            (fleet-tier index build scaling)
+//	WCRTFleet      / ChainIndexFleet        (fleet-tier WCRT stage)
 //	PairBoundsFleet / PairBounds            (fleet-tier bound scaling)
 //
 // A ratio regressing past -ratio-tolerance (default 20%) is a real
@@ -56,6 +57,7 @@ var ratioPairs = [][2]string{
 	{"BenchmarkSimJumpAhead", "BenchmarkSimJumpAheadDisabled"},
 	{"BenchmarkPairBounds", "BenchmarkPairBoundsReference"},
 	{"BenchmarkChainIndexFleet", "BenchmarkChainIndex"},
+	{"BenchmarkWCRTFleet", "BenchmarkChainIndexFleet"},
 	{"BenchmarkPairBoundsFleet", "BenchmarkPairBounds"},
 	{"BenchmarkPairBoundsFleetPruned", "BenchmarkPairBoundsFleet"},
 }

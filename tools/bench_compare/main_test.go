@@ -77,6 +77,26 @@ func TestSyntheticRegressionFails(t *testing.T) {
 	}
 }
 
+// TestWCRTStageRatioGated doubles the fleet WCRT stage against the trie
+// build of the same graph; the stage's own ratio pair must catch it.
+func TestWCRTStageRatioGated(t *testing.T) {
+	const fixture = `{"current": {
+	  "BenchmarkChainIndexFleet": {"ns_op": 200000, "allocs_op": 30},
+	  "BenchmarkWCRTFleet": {"ns_op": 1000000, "allocs_op": 80}
+	}}`
+	dir := t.TempDir()
+	base := writeBench(t, dir, "base.json", fixture)
+	fresh := writeBench(t, dir, "fresh.json", strings.Replace(fixture,
+		`"BenchmarkWCRTFleet": {"ns_op": 1000000`, `"BenchmarkWCRTFleet": {"ns_op": 1500000`, 1))
+	var out bytes.Buffer
+	if err := run([]string{base, fresh}, &out); err == nil {
+		t.Fatalf("1.5x WCRT stage regression passed the gate:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "BenchmarkWCRTFleet/BenchmarkChainIndexFleet") {
+		t.Errorf("regression report missing the WCRT ratio:\n%s", out.String())
+	}
+}
+
 // TestRatioToleratesSharedNoise scales EVERY ns/op by 1.5x — the
 // machine got uniformly slower. The interleaved ratios are unchanged
 // and the absolute drift is under the loose 60% guard, so the gate
