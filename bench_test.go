@@ -81,39 +81,10 @@ func BenchmarkFig6d(b *testing.B) {
 	}
 }
 
-// BenchmarkFig6aUncached is BenchmarkFig6a with the memoization layer
-// disabled; compare the two to see the cache's effect on the full
-// (simulation-dominated) sweep.
-func BenchmarkFig6aUncached(b *testing.B) {
-	cfg := benchCfg()
-	cfg.Points = []int{5, 15, 25}
-	cfg.DisableCache = true
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig6a(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBoundsSweepCached times the analysis-only sweep (P-diff,
-// S-diff, greedy S-diff-B; no simulation) at the Defaults() experiment
-// scale with the per-graph AnalysisCache enabled. Together with
-// BenchmarkBoundsSweepUncached this measures the memoization layer on
-// the workload it targets; the emitted tables are bit-identical.
-func BenchmarkBoundsSweepCached(b *testing.B) {
+// BenchmarkBoundsSweep times the analysis-only sweep (P-diff, S-diff,
+// greedy S-diff-B; no simulation) at the Defaults() experiment scale.
+func BenchmarkBoundsSweep(b *testing.B) {
 	cfg := exp.Defaults()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.BoundsSweep(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBoundsSweepUncached is the cache-disabled baseline of
-// BenchmarkBoundsSweepCached.
-func BenchmarkBoundsSweepUncached(b *testing.B) {
-	cfg := exp.Defaults()
-	cfg.DisableCache = true
 	for i := 0; i < b.N; i++ {
 		if _, err := exp.BoundsSweep(cfg); err != nil {
 			b.Fatal(err)

@@ -47,8 +47,7 @@ func TestGoldenAnalyzeFig2(t *testing.T) {
 }
 
 // TestGoldenExplainWaters pins the -explain decision record for a
-// WATERS-parameterized automotive workload: per-layer cache ratios,
-// prune ratio, truncation status, per-method argmax pairs, and the
+// WATERS-parameterized automotive workload: prune ratio, truncation status, per-method argmax pairs, and the
 // worst-case witness with its replay recipe. The record contains only
 // deterministic quantities (counter deltas and simulated times, no
 // wall-clock), so it goldens cleanly.
@@ -92,8 +91,7 @@ func TestGoldenExplainWaters(t *testing.T) {
 }
 
 // TestAnalyzeMetricsFlag checks the default-off metrics dump and that
-// the cache actually backs the report (the backward memo and the shared
-// WCRT fixed point must show activity).
+// the WCRT fixed point and the pair bounds show activity.
 func TestAnalyzeMetricsFlag(t *testing.T) {
 	path := writeFixture(t)
 	var plain bytes.Buffer
@@ -110,8 +108,6 @@ func TestAnalyzeMetricsFlag(t *testing.T) {
 	out := buf.String()
 	for _, name := range []string{
 		"metrics:",
-		"cache.backward.hits",
-		"cache.sched.hits",
 		"sched.analyses",
 		"core.pairs.bounded",
 	} {

@@ -9,10 +9,8 @@
 //
 //	disparity-analyze -graph g.json [-task fusion] [-optimize] [-pairs] [-dot out.dot]
 //
-// Without -task, the single sink of the graph is analyzed. The WCRT
-// analysis, backward bounds, and disparity bounds all share one
-// AnalysisCache, so each fixed point and chain suffix is computed once;
-// -metrics shows the resulting hit counts, -pprof writes a CPU profile.
+// Without -task, the single sink of the graph is analyzed. -metrics
+// dumps the analysis counters, -pprof writes a CPU profile.
 package main
 
 import (
@@ -102,16 +100,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 	app.Explain.SetGraph(filepath.Base(*graphPath), g.NumTasks(), g.NumEdges())
 
-	// One cache backs everything below: the schedulability report, the
-	// per-chain backward bounds, and the disparity analysis share the
-	// WCRT fixed point and the suffix memos.
-	cache := disparity.NewAnalysisCache()
-	if app.Tracer != nil {
-		cache.WithTrack(app.Tracer.Track("analysis"))
-	}
-
 	// Schedulability report.
-	res := cache.Sched(g, sched.NonPreemptiveFP)
+	sp := app.Tracer.Track("analysis").Start("wcrt")
+	res := sched.Analyze(g, sched.NonPreemptiveFP)
+	sp.End()
 	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "task\tecu\tprio\tW\tB\tT\tR\tok")
 	for i := 0; i < g.NumTasks(); i++ {
@@ -138,8 +130,7 @@ func run(args []string, stdout io.Writer) error {
 	// cap instead of failing, so an over-cap graph still gets a partial
 	// listing — flagged, like the bounds below.
 	idx := chains.NewIndex(g, task, *maxChains)
-	an := backward.NewAnalyzer(g, res, backward.NonPreemptive).
-		WithMemo(cache.BackwardMemo(backward.NonPreemptive))
+	an := backward.NewAnalyzer(g, res, backward.NonPreemptive)
 	fmt.Fprintf(stdout, "\nchains ending at %s:\n", g.Task(task).Name)
 	for _, c := range idx.Chains() {
 		fmt.Fprintf(stdout, "  %-50s WCBT=%v BCBT=%v\n", c.Format(g), an.WCBT(c), an.BCBT(c))
@@ -148,7 +139,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "  ... enumeration truncated at the first %d chains (raise -max-chains)\n", idx.NumChains())
 	}
 
-	a, err := disparity.AnalyzeWithCache(g, cache)
+	a, err := disparity.Analyze(g)
 	if err != nil {
 		return err
 	}
@@ -164,7 +155,7 @@ func run(args []string, stdout io.Writer) error {
 	streamPairs := chains.NumPairs(idx.NumChains()) > streamPairLimit
 	ec := &methods.Context{Analysis: a, MaxChains: *maxChains, FullDetail: !streamPairs}
 
-	// End-to-end latency metric family, off the same cached trie.
+	// End-to-end latency metric family, off the same chain trie.
 	fmt.Fprintf(stdout, "\nend-to-end latency bounds of %s:\n", g.Task(task).Name)
 	for _, m := range methods.LatencyAnalytic() {
 		r, err := m.Eval(ctx, ec, g, task)

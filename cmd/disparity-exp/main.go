@@ -25,7 +25,6 @@
 //
 //	disparity-exp -fig 6a -metrics           # dump internal counters/timers
 //	disparity-exp -fig 6a -pprof cpu.out     # write a CPU profile
-//	disparity-exp -fig 6a -no-cache          # disable the memoization layer
 //	disparity-exp -fig 6a -no-jump           # disable steady-state jump-ahead
 //	disparity-exp -fig 6a -trace run.json    # Chrome trace (ui.perfetto.dev)
 //	disparity-exp -fig 6a -telemetry :9090   # live /metrics, /progress, pprof
@@ -102,7 +101,6 @@ func run(args []string, stdout io.Writer) error {
 	csvPath := fs.String("csv", "", "also write the tables as CSV (one file per panel, suffixing the name)")
 	quiet := fs.Bool("quiet", false, "suppress progress logging")
 	progress := fs.Bool("progress", false, "log per-graph progress to stderr")
-	noCache := fs.Bool("no-cache", false, "disable the per-graph analysis cache (results are identical; for benchmarking)")
 	noJump := fs.Bool("no-jump", false, "disable the simulator's steady-state jump-ahead (results are identical; for benchmarking)")
 	if err := app.Parse(args); err != nil {
 		return err
@@ -140,7 +138,6 @@ func run(args []string, stdout io.Writer) error {
 		cfg.Seed = s
 	}
 	cfg.Workers = app.Workers()
-	cfg.DisableCache = *noCache
 	cfg.DisableJumpAhead = *noJump
 	if !*quiet {
 		cfg.Log = os.Stderr
@@ -229,7 +226,6 @@ func run(args []string, stdout io.Writer) error {
 		"ecus":              cfg.ECUs,
 		"workers":           cfg.Workers,
 		"max_chains":        cfg.MaxChains,
-		"cache_disabled":    cfg.DisableCache,
 		"jump_disabled":     cfg.DisableJumpAhead,
 	})
 }

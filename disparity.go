@@ -165,24 +165,23 @@ func Analyze(g *Graph) (*Analysis, error) {
 	return core.New(g)
 }
 
-// AnalysisCache interns the intermediate results of the analysis of one
-// graph: the WCRT fixed point per scheduling policy, backward-time
-// bounds per chain suffix, and pairwise/task-level disparity bounds.
-// Cached results are bit-identical to uncached ones; the cache must not
-// be shared across graphs.
-type AnalysisCache = core.AnalysisCache
+// AnalysisCache is an empty placeholder kept for source compatibility.
+//
+// Deprecated: the analysis no longer memoizes across calls; every
+// Analysis computes its WCRT once and shares its chain tables itself.
+// Use Analyze.
+type AnalysisCache struct{}
 
-// NewAnalysisCache returns an empty cache for one graph.
-func NewAnalysisCache() *AnalysisCache { return core.NewAnalysisCache() }
+// NewAnalysisCache returns an empty placeholder.
+//
+// Deprecated: use Analyze.
+func NewAnalysisCache() *AnalysisCache { return &AnalysisCache{} }
 
-// AnalyzeWithCache is Analyze backed by a memoization cache: repeated
-// bound queries (and the schedulability analysis, when the cache has
-// already run it via AnalysisCache.Sched) are computed once per graph.
-func AnalyzeWithCache(g *Graph, cache *AnalysisCache) (*Analysis, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return core.NewCached(g, cache)
+// AnalyzeWithCache returns Analyze(g); the cache argument is ignored.
+//
+// Deprecated: use Analyze.
+func AnalyzeWithCache(g *Graph, _ *AnalysisCache) (*Analysis, error) {
+	return Analyze(g)
 }
 
 // EnumerateChains lists every chain from a source task of g to the given

@@ -55,9 +55,6 @@ type Analyzer struct {
 	g      *model.Graph
 	wcrt   *sched.Result
 	method Method
-	// memo, when non-nil, interns per-suffix partial bounds (see
-	// memo.go); results are bit-identical with the direct computation.
-	memo *Memo
 }
 
 // NewAnalyzer returns an Analyzer using the given response-time analysis
@@ -68,6 +65,9 @@ func NewAnalyzer(g *model.Graph, wcrt *sched.Result, method Method) *Analyzer {
 
 // Graph returns the graph under analysis.
 func (a *Analyzer) Graph() *model.Graph { return a.g }
+
+// Sched returns the response-time analysis result the bounds read.
+func (a *Analyzer) Sched() *sched.Result { return a.wcrt }
 
 // WCRT returns the response-time bound used for a task.
 func (a *Analyzer) WCRT(id model.TaskID) timeu.Time { return a.wcrt.R(id) }
@@ -109,36 +109,18 @@ func (a *Analyzer) theta(from, to model.TaskID) timeu.Time {
 // tasks are not supported (see CheckChain) and panic.
 func (a *Analyzer) WCBT(pi model.Chain) timeu.Time {
 	a.mustUniform(pi)
-	if a.memo != nil {
-		return a.wcbtMemo(pi)
-	}
-	return a.wcbtDirect(pi)
+	return a.wcbt(pi)
 }
 
-// directBoundsLen is the chain length at or below which Bounds skips
-// the memo: both bounds of a short chain are a handful of array
-// lookups and adds, cheaper than building the intern key and taking
-// the read lock. Interning only pays off once the per-hop sum is
-// longer than the probe. Either path returns the exact same integers
-// (the memo stores wcbtDirect/bcbtDirect results verbatim).
-const directBoundsLen = 8
-
-// Bounds returns (𝒲(π), ℬ(π)) together. Pair bounds always need both
-// ends of the window, and fetching them in one call shares the memo key
-// and lock round-trip that separate WCBT + BCBT calls would each pay —
-// the memo probes were a measurable slice of sweep profiles. The values
-// are identical to WCBT(pi) and BCBT(pi).
+// Bounds returns (𝒲(π), ℬ(π)) together, checking the chain's semantics
+// once. The values are identical to WCBT(pi) and BCBT(pi).
 func (a *Analyzer) Bounds(pi model.Chain) (wcbt, bcbt timeu.Time) {
 	a.mustUniform(pi)
-	if a.memo != nil && pi.Len() > directBoundsLen {
-		return a.boundsMemo(pi)
-	}
-	return a.wcbtDirect(pi), a.bcbtDirect(pi)
+	return a.wcbt(pi), a.bcbt(pi)
 }
 
-// wcbtDirect is the uninterned Lemma-4 sum; the memo stores its results
-// verbatim, which is what makes cached bounds bit-identical.
-func (a *Analyzer) wcbtDirect(pi model.Chain) timeu.Time {
+// wcbt is the Lemma-4 sum behind WCBT.
+func (a *Analyzer) wcbt(pi model.Chain) timeu.Time {
 	var w timeu.Time
 	for i := 0; i+1 < pi.Len(); i++ {
 		w += a.theta(pi[i], pi[i+1])
@@ -153,14 +135,11 @@ func (a *Analyzer) wcbtDirect(pi model.Chain) timeu.Time {
 // every scheduled hop delays by at least one full producer period.
 func (a *Analyzer) BCBT(pi model.Chain) timeu.Time {
 	a.mustUniform(pi)
-	if a.memo != nil {
-		return a.bcbtMemo(pi)
-	}
-	return a.bcbtDirect(pi)
+	return a.bcbt(pi)
 }
 
-// bcbtDirect is the uninterned Lemma-5 (or LET / baseline) sum.
-func (a *Analyzer) bcbtDirect(pi model.Chain) timeu.Time {
+// bcbt is the Lemma-5 (or LET / baseline) sum behind BCBT.
+func (a *Analyzer) bcbt(pi model.Chain) timeu.Time {
 	var b timeu.Time
 	switch {
 	case a.chainLET(pi):

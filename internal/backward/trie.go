@@ -16,7 +16,7 @@ import (
 // position). Both Lemma-4/5 sums and their Dürr/LET variants are
 // prefix sums over the path node..root in the exact-integer time ring,
 // so the difference of two node prefixes reproduces the per-segment
-// iteration of wcbtDirect/bcbtDirect bit for bit.
+// iteration of WCBT/BCBT bit for bit.
 //
 // The segment API Bounds(u, v) covers exactly the sub-chains the pair
 // analysis needs: u a trie node, v an ancestor of u (or u itself), the
@@ -233,7 +233,7 @@ func (tb *TrieBounds) Bounds(u, v int32) (wcbt, bcbt timeu.Time) {
 // WCBT returns 𝒲 of the segment u..v alone.
 func (tb *TrieBounds) WCBT(u, v int32) timeu.Time { return tb.whop[u] - tb.whop[v] }
 
-// segBCBT mirrors bcbtDirect's three-way branch on the segment. The
+// segBCBT mirrors BCBT's three-way branch on the segment. The
 // segment's first scheduled task in chain order is the scheduled node
 // nearest u, schedAt[u]; it lies inside the segment iff it is at least
 // as deep as v.

@@ -28,9 +28,31 @@ import (
 
 	"repro/internal/backward"
 	"repro/internal/chains"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/timeu"
+)
+
+// pairsBounded counts pair bounds evaluated in full, by the reference
+// pipeline and the trie fast path alike.
+var pairsBounded = metrics.C("core.pairs.bounded")
+
+// Registered but never incremented: the repository benchmark's layer
+// probe (bench/layers.go) reads these ten names and fails on an absent
+// one. Delete this block together with that probe's
+// core.cache_hit_ratio.* values.
+var (
+	_ = metrics.C("cache.sched.hits")
+	_ = metrics.C("cache.sched.misses")
+	_ = metrics.C("cache.backward.hits")
+	_ = metrics.C("cache.backward.misses")
+	_ = metrics.C("cache.enum.hits")
+	_ = metrics.C("cache.enum.misses")
+	_ = metrics.C("cache.pair.hits")
+	_ = metrics.C("cache.pair.misses")
+	_ = metrics.C("cache.task.hits")
+	_ = metrics.C("cache.task.misses")
 )
 
 // Method selects the pairwise disparity bound.
@@ -55,19 +77,15 @@ func (m Method) String() string {
 	}
 }
 
-// Analysis bounds time disparities on one graph. Construct with New (or
-// NewCached for the memoized engine); the zero value is not usable.
+// Analysis bounds time disparities on one graph. Construct with New;
+// the zero value is not usable.
 type Analysis struct {
 	g  *model.Graph
 	bw *backward.Analyzer
-	// cache, when non-nil, interns every deterministic sub-result of
-	// the analysis (see cache.go). Cached and uncached analyses return
-	// bit-identical bounds.
-	cache *AnalysisCache
 	// evals interns the trie-based pair evaluation tables per (task,
-	// cap) — see fastpath.go. They live on the Analysis rather than the
-	// AnalysisCache because they embed the backward analyzer, which can
-	// differ between Analyses sharing one graph (Dürr ablations).
+	// cap) — see fastpath.go. They live on the Analysis because they
+	// embed its backward analyzer, which can differ between Analyses
+	// sharing one graph (Dürr ablations).
 	evmu  sync.Mutex
 	evals map[evalKey]*pairEval
 }
@@ -81,17 +99,6 @@ type Analysis struct {
 // rejected: the closed-form backward bounds do not compose across a
 // mixed chain.
 func New(g *model.Graph) (*Analysis, error) {
-	return NewCached(g, nil)
-}
-
-// NewCached builds an Analysis whose deterministic sub-results — the
-// WCRT fixed point, per-suffix backward-time bounds, chain
-// enumerations, Theorem-2 decompositions, pairwise and task-level
-// bounds — are interned in the given per-graph cache. A nil cache
-// yields the plain uncached analysis (New). The returned bounds are
-// bit-identical either way; only the work is shared. The cache must be
-// dedicated to this graph (it binds to the first graph it sees).
-func NewCached(g *model.Graph, cache *AnalysisCache) (*Analysis, error) {
 	seen := false
 	var sem model.Semantics
 	for i := 0; i < g.NumTasks(); i++ {
@@ -105,12 +112,7 @@ func NewCached(g *model.Graph, cache *AnalysisCache) (*Analysis, error) {
 			return nil, fmt.Errorf("core: graph mixes %v and %v tasks; the analysis needs uniform semantics", sem, t.Sem)
 		}
 	}
-	var res *sched.Result
-	if cache != nil {
-		res = cache.Sched(g, sched.NonPreemptiveFP)
-	} else {
-		res = sched.Analyze(g, sched.NonPreemptiveFP)
-	}
+	res := sched.Analyze(g, sched.NonPreemptiveFP)
 	if !res.Schedulable {
 		names := make([]string, len(res.Unschedulable))
 		for i, id := range res.Unschedulable {
@@ -118,11 +120,15 @@ func NewCached(g *model.Graph, cache *AnalysisCache) (*Analysis, error) {
 		}
 		return nil, fmt.Errorf("core: graph is not schedulable under NP-FP: %v", names)
 	}
-	bw := backward.NewAnalyzer(g, res, backward.NonPreemptive)
-	if cache != nil {
-		bw.WithMemo(cache.BackwardMemo(backward.NonPreemptive))
-	}
-	return &Analysis{g: g, bw: bw, cache: cache}, nil
+	return newAnalysis(g, res), nil
+}
+
+// newAnalysis builds the NP-FP Analysis of g on an already computed,
+// schedulable WCRT result. New feeds it a fresh fixed point; the greedy
+// optimizer feeds it the parent's, because buffer capacities never
+// enter the response-time analysis.
+func newAnalysis(g *model.Graph, res *sched.Result) *Analysis {
+	return &Analysis{g: g, bw: backward.NewAnalyzer(g, res, backward.NonPreemptive)}
 }
 
 // NewWithBackward builds an Analysis on a caller-supplied backward-time
@@ -133,9 +139,6 @@ func NewWithBackward(g *model.Graph, bw *backward.Analyzer) *Analysis {
 
 // Backward exposes the underlying backward-time analyzer.
 func (a *Analysis) Backward() *backward.Analyzer { return a.bw }
-
-// Cache exposes the attached memoization cache (nil when uncached).
-func (a *Analysis) Cache() *AnalysisCache { return a.cache }
 
 // PairBound reports the bound for one chain pair together with the
 // intermediate quantities, for inspection and for Algorithm 1.
@@ -161,20 +164,14 @@ type PairBound struct {
 // that want the "last joint task" tightening should strip the common
 // suffix first (TaskDisparity does).
 func (a *Analysis) PairDisparity(lambda, nu model.Chain, m Method) (*PairBound, error) {
-	compute := func() (*PairBound, error) {
-		switch m {
-		case PDiff:
-			return a.pairTheorem1(lambda, nu)
-		case SDiff:
-			return a.pairTheorem2(lambda, nu)
-		default:
-			return nil, fmt.Errorf("core: unknown method %d", int(m))
-		}
+	switch m {
+	case PDiff:
+		return a.pairTheorem1(lambda, nu)
+	case SDiff:
+		return a.pairTheorem2(lambda, nu)
+	default:
+		return nil, fmt.Errorf("core: unknown method %d", int(m))
 	}
-	if a.cache != nil && (m == PDiff || m == SDiff) {
-		return a.cache.pairBound(m, lambda, nu, compute)
-	}
-	return compute()
 }
 
 // pairTheorem1 implements Theorem 1.
@@ -209,11 +206,6 @@ func (a *Analysis) pairTheorem2(lambda, nu model.Chain) (*PairBound, error) {
 	if err := checkPair(lambda, nu); err != nil {
 		return nil, err
 	}
-	// Decompositions are deliberately not interned: the pair bound built
-	// from one IS cached (pairBound), so each decomposition is needed at
-	// most once per (graph, pair) and an intern table would only ever
-	// miss — pure key-building and map-growth overhead on the sweep's
-	// hottest analysis path. chains.Decompose itself is allocation-lean.
 	d, err := chains.Decompose(lambda, nu)
 	if err != nil {
 		return nil, err
@@ -359,11 +351,6 @@ const (
 // available as DisparityReference and is pinned to the fast path by
 // the differential harness in internal/integration.
 func (a *Analysis) Disparity(task model.TaskID, m Method, maxChains int) (*TaskDisparity, error) {
-	if a.cache != nil {
-		return a.cache.taskDisparity(task, m, maxChains, true, func() (*TaskDisparity, error) {
-			return a.disparityFast(task, m, maxChains)
-		})
-	}
 	return a.disparityFast(task, m, maxChains)
 }
 
@@ -373,15 +360,7 @@ func (a *Analysis) Disparity(task model.TaskID, m Method, maxChains int) (*TaskD
 // path is tested against; unlike Disparity it fails with
 // chains.ErrTooManyChains when the enumeration exceeds maxChains.
 func (a *Analysis) DisparityReference(task model.TaskID, m Method, maxChains int) (*TaskDisparity, error) {
-	var (
-		ps  []model.Chain
-		err error
-	)
-	if a.cache != nil {
-		ps, err = a.cache.enumerate(a.g, task, maxChains)
-	} else {
-		ps, err = chains.Enumerate(a.g, task, maxChains)
-	}
+	ps, err := chains.Enumerate(a.g, task, maxChains)
 	if err != nil {
 		return nil, err
 	}
@@ -389,9 +368,6 @@ func (a *Analysis) DisparityReference(task model.TaskID, m Method, maxChains int
 	err = chains.ForEachPair(len(ps), func(i, j int) error {
 		la, nu := ps[i], ps[j]
 		if m == SDiff {
-			// Stripping is not interned: the task-level cache already
-			// limits it to once per pair per graph, so a cache layer here
-			// would only ever miss (measured via the cache.* metrics).
 			var err error
 			la, nu, err = chains.StripCommonSuffix(la, nu)
 			if err != nil {

@@ -2,11 +2,10 @@
 //
 // The legacy per-pair pipeline — materialize both chains, strip the
 // common suffix, decompose, and re-derive every sub-chain's WCBT/BCBT
-// from scratch (or through the string-keyed backward memo) — repeats
-// work that the chain set shares: all chains to one task form a prefix
-// trie (chains.Index), the stripped pair of two chains is the pair of
-// leaf→LCA paths, and every sub-chain bound is a difference of two
-// per-node prefix sums (backward.TrieBounds). pairEval packages those
+// from scratch — repeats work that the chain set shares: all chains to
+// one task form a prefix trie (chains.Index), the stripped pair of two
+// chains is the pair of leaf→LCA paths, and every sub-chain bound is a
+// difference of two per-node prefix sums (backward.TrieBounds). pairEval packages those
 // shared tables; evalPDiff/evalSDiff reproduce pairTheorem1 and
 // pairTheorem2 on trie segments. All arithmetic is the same exact
 // int64 sequence as the legacy path, so the bounds are bit-identical —
@@ -103,10 +102,10 @@ type pairEval struct {
 	lat     *latSums
 }
 
-// pairEvalFor returns the (possibly cached) pairEval for a task and
-// cap. The tables are cached on the Analysis, not the AnalysisCache:
-// they embed the backward analyzer, which differs per Analysis even on
-// a shared graph (e.g. the Dürr ablation).
+// pairEvalFor returns the pairEval for a task and cap, building it on
+// first use. The tables are kept on the Analysis because they embed the
+// backward analyzer, which differs per Analysis even on a shared graph
+// (e.g. the Dürr ablation).
 func (a *Analysis) pairEvalFor(task model.TaskID, maxChains int) *pairEval {
 	if maxChains <= 0 {
 		maxChains = chains.DefaultMaxChains
@@ -527,15 +526,6 @@ type blockBest struct {
 // blocks in parallel above ParallelPairThreshold with a deterministic
 // (bound, rank) reduction.
 func (a *Analysis) DisparityBound(task model.TaskID, m Method, maxChains int) (*TaskDisparity, error) {
-	if a.cache != nil {
-		return a.cache.taskDisparity(task, m, maxChains, false, func() (*TaskDisparity, error) {
-			return a.disparityBound(task, m, maxChains)
-		})
-	}
-	return a.disparityBound(task, m, maxChains)
-}
-
-func (a *Analysis) disparityBound(task model.TaskID, m Method, maxChains int) (*TaskDisparity, error) {
 	ev := a.pairEvalFor(task, maxChains)
 	n := ev.idx.NumChains()
 	td := &TaskDisparity{

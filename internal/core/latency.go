@@ -22,10 +22,8 @@ import (
 )
 
 var (
-	latencyTruncated   = metrics.C("core.latency.truncated")
-	chainsLatBounded   = metrics.C("core.latency.chains")
-	cacheLatencyHits   = metrics.C("cache.latency.hits")
-	cacheLatencyMisses = metrics.C("cache.latency.misses")
+	latencyTruncated = metrics.C("core.latency.truncated")
+	chainsLatBounded = metrics.C("core.latency.chains")
 )
 
 // SourceLatency is one per-source slice of a task-level latency result:
@@ -69,15 +67,10 @@ func (tl *TaskLatency) Source(src model.TaskID) (timeu.Time, bool) {
 }
 
 // Latency bounds metric m over every complete chain ending at the task,
-// using the shared trie tables (and the analysis cache, when attached).
+// using the shared trie tables.
 // maxChains ≤ 0 means chains.DefaultMaxChains; past the cap the
 // enumeration truncates with the Truncated flag set rather than failing.
 func (a *Analysis) Latency(task model.TaskID, m backward.Latency, maxChains int) (*TaskLatency, error) {
-	if a.cache != nil {
-		return a.cache.taskLatency(task, m, maxChains, func() (*TaskLatency, error) {
-			return a.latencyFast(task, m, maxChains), nil
-		})
-	}
 	return a.latencyFast(task, m, maxChains), nil
 }
 
@@ -180,15 +173,7 @@ func (a *Analysis) latencyFast(task model.TaskID, m backward.Latency, maxChains 
 // fails with chains.ErrTooManyChains when the enumeration exceeds
 // maxChains.
 func (a *Analysis) LatencyReference(task model.TaskID, m backward.Latency, maxChains int) (*TaskLatency, error) {
-	var (
-		ps  []model.Chain
-		err error
-	)
-	if a.cache != nil {
-		ps, err = a.cache.enumerate(a.g, task, maxChains)
-	} else {
-		ps, err = chains.Enumerate(a.g, task, maxChains)
-	}
+	ps, err := chains.Enumerate(a.g, task, maxChains)
 	if err != nil {
 		return nil, err
 	}

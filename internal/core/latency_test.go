@@ -9,18 +9,14 @@ import (
 	"repro/internal/model"
 )
 
-func latencyAnalyses(t *testing.T) (*model.Graph, *Analysis, *Analysis) {
+func latencyAnalysis(t *testing.T) (*model.Graph, *Analysis) {
 	t.Helper()
 	g := model.Fig2Graph()
-	plain, err := New(g)
+	a, err := New(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := NewCached(g, NewAnalysisCache())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g, plain, cached
+	return g, a
 }
 
 func sameTaskLatency(t *testing.T, got, want *TaskLatency) {
@@ -47,31 +43,22 @@ func sameTaskLatency(t *testing.T, got, want *TaskLatency) {
 
 // TestLatencyMatchesReference pins the trie fast path to the legacy
 // enumerate-and-sum pipeline on every task and metric of the fixture,
-// with and without a cache.
+// including a repeated call on the now-built trie tables.
 func TestLatencyMatchesReference(t *testing.T) {
-	g, plain, cached := latencyAnalyses(t)
+	g, a := latencyAnalysis(t)
 	for ti := 0; ti < g.NumTasks(); ti++ {
 		task := model.TaskID(ti)
 		for _, m := range backward.Latencies() {
-			ref, err := plain.LatencyReference(task, m, 0)
+			ref, err := a.LatencyReference(task, m, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, a := range []*Analysis{plain, cached} {
+			for pass := 0; pass < 2; pass++ {
 				got, err := a.Latency(task, m, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sameTaskLatency(t, got, ref)
-				// Second call: cached analyses return the identical pointer.
-				again, err := a.Latency(task, m, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if a.Cache() != nil && again != got {
-					t.Errorf("cached Latency returned distinct pointers")
-				}
-				sameTaskLatency(t, again, ref)
 			}
 		}
 	}
@@ -80,7 +67,7 @@ func TestLatencyMatchesReference(t *testing.T) {
 // TestLatencySourceAccessor checks Source against PerSource and that the
 // task-level bound is the maximum per-source bound.
 func TestLatencySourceAccessor(t *testing.T) {
-	g, plain, _ := latencyAnalyses(t)
+	g, plain := latencyAnalysis(t)
 	sink := g.Sinks()[0]
 	tl, err := plain.Latency(sink, backward.LatencyMDA, 0)
 	if err != nil {
@@ -110,7 +97,7 @@ func TestLatencySourceAccessor(t *testing.T) {
 // TestLatencyTruncated drives the enumeration cap: the fast path
 // truncates with the flag set, the reference fails loudly.
 func TestLatencyTruncated(t *testing.T) {
-	g, plain, _ := latencyAnalyses(t)
+	g, plain := latencyAnalysis(t)
 	sink := g.Sinks()[0]
 	full, err := plain.Latency(sink, backward.LatencyMRT, 0)
 	if err != nil {

@@ -119,11 +119,10 @@ type GreedyResult struct {
 }
 
 // OptimizeTaskGreedy extends Algorithm 1 beyond a single chain pair: it
-// repeatedly re-analyzes the task, applies Algorithm 1 to the current
-// worst pair on a clone of the graph, and stops when a round yields no
-// improvement (or after maxRounds, or if the modified graph would become
-// unschedulable — buffering never affects schedulability, but the guard
-// keeps the loop robust). The original graph is never modified.
+// repeatedly applies Algorithm 1 to the task's current worst pair on a
+// clone of the graph, re-analyzes the clone, and stops when a round
+// yields no improvement (or after maxRounds). The original graph is
+// never modified.
 //
 // This is a natural extension of the paper's optimization, which only
 // treats one pair — and on multi-chain fusion tasks the global check is
@@ -133,6 +132,11 @@ type GreedyResult struct {
 // previously harmless pair becomes the new worst; see
 // exp.AblationGreedyBuffers for measurements). The greedy loop only
 // keeps insertions that reduce the re-analyzed task bound.
+//
+// Each clone differs from its parent in one buffer capacity, which
+// enters neither the WCRT fixed point nor the chain topology. So a
+// clone's Analysis reuses the parent's WCRT result and chain trie, and
+// the bound that decided a round is the next round's worst pair.
 func (a *Analysis) OptimizeTaskGreedy(task model.TaskID, maxChains, maxRounds int) (*GreedyResult, error) {
 	if maxRounds <= 0 {
 		maxRounds = 16
@@ -140,20 +144,16 @@ func (a *Analysis) OptimizeTaskGreedy(task model.TaskID, maxChains, maxRounds in
 	// The greedy loop only ever needs each round's worst pair, so it
 	// runs on the pruned bound-only evaluation; the argmax pair is
 	// identical to full Disparity's (first pair attaining the maximum).
-	base, err := a.DisparityBound(task, SDiff, maxChains)
+	td, err := a.DisparityBound(task, SDiff, maxChains)
 	if err != nil {
 		return nil, err
 	}
-	res := &GreedyResult{Before: base.Bound, After: base.Bound, Graph: a.g.Clone(), Truncated: base.Truncated, Cause: base.Cause}
-	if base.ArgMax < 0 {
+	res := &GreedyResult{Before: td.Bound, After: td.Bound, Graph: a.g.Clone(), Truncated: td.Truncated, Cause: td.Cause}
+	if td.ArgMax < 0 {
 		return res, nil
 	}
 	cur := a
 	for round := 0; round < maxRounds; round++ {
-		td, err := cur.DisparityBound(task, SDiff, maxChains)
-		if err != nil {
-			return nil, err
-		}
 		worst := td.Pairs[td.ArgMax]
 		plan, err := cur.Optimize(worst.Lambda, worst.Nu)
 		if err != nil || plan.L <= 0 {
@@ -163,25 +163,10 @@ func (a *Analysis) OptimizeTaskGreedy(task model.TaskID, maxChains, maxRounds in
 		if err := plan.Apply(next); err != nil {
 			return nil, err
 		}
-		// A clone is a different graph: it needs its own cache (if the
-		// round is kept, all later rounds analyze this clone). Seed it
-		// with everything the capacity change cannot affect — WCRT,
-		// enumerations, decompositions, and the pair bounds of chains
-		// that avoid the modified edge — so re-analyzing the clone only
-		// pays for the pairs the new buffer touches.
-		var nextCache *AnalysisCache
-		if a.cache != nil {
-			nextCache = NewAnalysisCache()
-			nextCache.seedForBufferChange(cur.cache, plan.Edge.Src, plan.Edge.Dst)
-		}
-		nextA, err := NewCached(next, nextCache)
-		if err != nil {
-			break
-		}
-		// A buffer change keeps the topology, so the clone inherits the
-		// trie (and its LCA/mask tables) with only the bound prefix
-		// sums rebuilt — each round costs O(trie nodes + pairs), not a
-		// fresh enumeration.
+		nextA := newAnalysis(next, cur.bw.Sched())
+		// The clone inherits the trie (and its LCA/mask tables) with only
+		// the bound prefix sums rebuilt — each round costs O(trie nodes +
+		// pairs), not a fresh enumeration.
 		nextA.adoptEval(task, maxChains, cur.pairEvalFor(task, maxChains).retarget(nextA))
 		nextTd, err := nextA.DisparityBound(task, SDiff, maxChains)
 		if err != nil {
@@ -193,7 +178,7 @@ func (a *Analysis) OptimizeTaskGreedy(task model.TaskID, maxChains, maxRounds in
 		res.Graph = next
 		res.After = nextTd.Bound
 		res.Plans = append(res.Plans, plan)
-		cur = nextA
+		cur, td = nextA, nextTd
 	}
 	return res, nil
 }

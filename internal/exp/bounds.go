@@ -20,10 +20,8 @@ type boundsResult struct {
 // bounds plus S-diff-B, the S-diff bound after greedy Algorithm-1 buffer
 // insertion. Columns are milliseconds.
 //
-// This is the pure-analysis workload the memoization layer targets: the
-// simulation that dominates Fig6a's wall clock is absent, so cached vs
-// uncached (Config.DisableCache) differences here measure the analysis
-// engine itself. Both settings produce bit-identical tables.
+// The simulation that dominates Fig6a's wall clock is absent, so this
+// sweep measures the analysis engine itself.
 func BoundsSweep(cfg Config) (*Table, error) {
 	tbl := &Table{
 		Title:   "Bounds sweep: analysis-only disparity bounds vs number of tasks (ms)",
@@ -79,12 +77,9 @@ func evalGNMBounds(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi in
 			continue
 		}
 		stop := stage(analysisHist, tk, "analysis")
-		a, ok, err := cfg.newAnalysis(g, tk)
-		if err != nil || !ok {
+		a, ok := cfg.newAnalysis(g, tk)
+		if !ok {
 			stop()
-			if err != nil {
-				return boundsResult{}, err
-			}
 			continue
 		}
 		sink := g.Sinks()[0]

@@ -13,7 +13,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/par"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/timeu"
 	"repro/internal/trace/span"
@@ -77,15 +76,10 @@ type Config struct {
 	MaxChains int
 	// Workers bounds concurrent graph evaluations (0 = GOMAXPROCS).
 	Workers int
-	// DisableCache turns off the per-graph AnalysisCache, recomputing
-	// every intermediate result from scratch. Results are bit-identical
-	// either way; the switch exists for benchmarking the memoization
-	// layer and for differential testing.
-	DisableCache bool
 	// DisableJumpAhead forces the simulation method to execute every
 	// job instead of skipping repeated steady-state hyperperiod cycles.
-	// Like DisableCache, results are bit-identical either way; the
-	// switch exists for benchmarking and differential testing.
+	// Results are bit-identical either way; the switch exists for
+	// benchmarking and differential testing.
 	DisableJumpAhead bool
 	// Log, when non-nil, receives one summary line per point.
 	Log io.Writer
@@ -94,7 +88,7 @@ type Config struct {
 	Progress io.Writer
 	// Tracer, when non-nil, records structured spans of the sweep: one
 	// track per worker, a span per workload with stage children
-	// (generate, analysis, simulate) and the engine- and cache-level
+	// (generate, analysis, simulate) and the engine- and analysis-level
 	// spans below them. Write the result with span.WriteChromeFile.
 	Tracer *span.Tracer
 	// Sink, when non-nil, receives live progress callbacks (sweep
@@ -220,30 +214,15 @@ func stage(h *metrics.Histogram, tk *span.Track, name string) func() {
 	}
 }
 
-// newAnalysis runs the schedulability check and builds the analysis for
-// one generated graph, sharing the WCRT fixed point between the two
-// through the per-graph cache (unless disabled). ok=false means the
-// graph is unschedulable and should be regenerated.
-func (cfg *Config) newAnalysis(g *model.Graph, tk *span.Track) (a *core.Analysis, ok bool, err error) {
-	var res *sched.Result
-	if cfg.DisableCache {
-		res = sched.Analyze(g, sched.NonPreemptiveFP)
-		if !res.Schedulable {
-			return nil, false, nil
-		}
-		a, err = core.New(g)
-	} else {
-		cache := core.NewAnalysisCache().WithTrack(tk)
-		res = cache.Sched(g, sched.NonPreemptiveFP)
-		if !res.Schedulable {
-			return nil, false, nil
-		}
-		a, err = core.NewCached(g, cache)
-	}
-	if err != nil {
-		return nil, false, nil // analysis rejects the graph: regenerate
-	}
-	return a, true, nil
+// newAnalysis builds the analysis for one generated graph, recording
+// the WCRT fixed point and analysis setup as a "wcrt" span. ok=false
+// means the analysis rejects the graph (unschedulable, or mixed
+// semantics) and it should be regenerated.
+func (cfg *Config) newAnalysis(g *model.Graph, tk *span.Track) (*core.Analysis, bool) {
+	sp := tk.Start("wcrt")
+	a, err := core.New(g)
+	sp.End()
+	return a, err == nil
 }
 
 // boundContext builds the method-evaluation context for the analytic

@@ -157,12 +157,9 @@ func evalGNMGraph(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi int
 			continue
 		}
 		stop := stage(analysisHist, tk, "analysis")
-		a, ok, err := cfg.newAnalysis(g, tk)
-		if err != nil || !ok {
+		a, ok := cfg.newAnalysis(g, tk)
+		if !ok {
 			stop()
-			if err != nil {
-				return graphResult{}, err
-			}
 			continue
 		}
 		sink := g.Sinks()[0]
@@ -308,12 +305,9 @@ func evalTwoChains(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi in
 		graphsGenerated.Inc()
 		stopGen()
 		stop := stage(analysisHist, tk, "analysis")
-		a, ok, err := cfg.newAnalysis(g, tk)
-		if err != nil || !ok {
+		a, ok := cfg.newAnalysis(g, tk)
+		if !ok {
 			stop()
-			if err != nil {
-				return twoChainResult{}, err
-			}
 			continue
 		}
 		plan, err := a.Optimize(la, nu)

@@ -88,46 +88,3 @@ func TestSweepCancelsAfterError(t *testing.T) {
 		t.Errorf("%d graphs evaluated after mid-sweep failure, want <= 2", n)
 	}
 }
-
-// TestBoundsSweepCacheIdentical asserts the tentpole's core contract at
-// sweep level: with and without the memoization layer the emitted table
-// is bit-identical (the cache changes how values are computed, never
-// what they are).
-func TestBoundsSweepCacheIdentical(t *testing.T) {
-	cfg := errTestConfig()
-	cfg.Points = []int{6, 8}
-	cfg.GraphsPerPoint = 4
-	cached, err := BoundsSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.DisableCache = true
-	uncached, err := BoundsSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs, us := tableText(t, cached), tableText(t, uncached); cs != us {
-		t.Errorf("cached and uncached tables differ:\n--- cached ---\n%s\n--- uncached ---\n%s", cs, us)
-	}
-}
-
-// TestFig6aCacheIdentical extends the bit-identical contract to the full
-// simulation sweep: disabling the cache must not shift the rng stream or
-// any reported value.
-func TestFig6aCacheIdentical(t *testing.T) {
-	cfg := errTestConfig()
-	cfg.Points = []int{6}
-	cfg.GraphsPerPoint = 3
-	cached, err := Fig6a(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.DisableCache = true
-	uncached, err := Fig6a(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs, us := tableText(t, cached), tableText(t, uncached); cs != us {
-		t.Errorf("cached and uncached tables differ:\n--- cached ---\n%s\n--- uncached ---\n%s", cs, us)
-	}
-}

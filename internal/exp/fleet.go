@@ -122,9 +122,9 @@ func evalFleetGraph(ctx context.Context, cfg Config, tk *span.Track, z, pi, gi i
 	}
 	stop := stage(analysisHist, tk, "analysis")
 	defer stop()
-	a, ok, err := cfg.newAnalysis(g, tk)
-	if err != nil || !ok {
-		return fleetResult{}, err
+	a, ok := cfg.newAnalysis(g, tk)
+	if !ok {
+		return fleetResult{}, nil
 	}
 	sink := g.Sinks()[0]
 	ec := cfg.boundContext(a)

@@ -96,12 +96,9 @@ func evalGNMLatency(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi i
 			continue
 		}
 		stop := stage(analysisHist, tk, "analysis")
-		a, ok, err := cfg.newAnalysis(g, tk)
-		if err != nil || !ok {
+		a, ok := cfg.newAnalysis(g, tk)
+		if !ok {
 			stop()
-			if err != nil {
-				return latencyResult{}, err
-			}
 			continue
 		}
 		sink := g.Sinks()[0]

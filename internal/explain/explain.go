@@ -1,8 +1,7 @@
 // Package explain is the decision-telemetry layer of the analysis
 // pipeline: it turns the engine's opaque go/no-go choices — did
 // steady-state jump-ahead engage or why did it fall back, how hard did
-// the dominance prune bite, which cache layers hit, did chain
-// enumeration truncate — into one structured, golden-testable decision
+// the dominance prune bite, did chain enumeration truncate — into one structured, golden-testable decision
 // record per run, plus a concrete worst-case witness (see witness.go)
 // for the argmax pair behind a disparity bound.
 //
@@ -31,23 +30,11 @@ import (
 	"repro/internal/timeu"
 )
 
-// cacheLayers names the AnalysisCache layers (plus the backward memo)
-// whose hit/miss counter pairs the record reports, in display order.
-var cacheLayers = []string{"sched", "backward", "enum", "pair", "task", "latency"}
-
 // GraphInfo identifies the analyzed workload.
 type GraphInfo struct {
 	Label string `json:"label"`
 	Tasks int    `json:"tasks"`
 	Edges int    `json:"edges"`
-}
-
-// LayerStats is one cache layer's hit/miss outcome over the run.
-type LayerStats struct {
-	Layer  string  `json:"layer"`
-	Hits   int64   `json:"hits"`
-	Misses int64   `json:"misses"`
-	Ratio  float64 `json:"ratio"`
 }
 
 // PairStats reports the trie fast path's per-pair decisions: how many
@@ -149,7 +136,7 @@ type SimRecord struct {
 }
 
 // Record is the per-run decision record the -explain flag emits. All
-// engine-level sections (Cache, Pairs, Chains, JumpRuns) are metric
+// engine-level sections (Pairs, Chains, JumpRuns) are metric
 // deltas between Recorder creation and Record, so they cover exactly
 // the run in flight even though the underlying registry is
 // process-global.
@@ -158,7 +145,6 @@ type Record struct {
 	Graph    *GraphInfo       `json:"graph,omitempty"`
 	Methods  []MethodRecord   `json:"methods,omitempty"`
 	Sim      []SimRecord      `json:"sim,omitempty"`
-	Cache    []LayerStats     `json:"cache,omitempty"`
 	Pairs    *PairStats       `json:"pairs,omitempty"`
 	Chains   *ChainStats      `json:"chains,omitempty"`
 	JumpRuns map[string]int64 `json:"jump_runs,omitempty"`
@@ -257,17 +243,6 @@ func (r *Recorder) Record() *Record {
 	delta := func(name string) int64 { return now[name] - r.base[name] }
 
 	rec := r.rec // shallow copy; slices are append-only
-	rec.Cache = nil
-	for _, layer := range cacheLayers {
-		h, m := delta("cache."+layer+".hits"), delta("cache."+layer+".misses")
-		if h+m == 0 {
-			continue
-		}
-		rec.Cache = append(rec.Cache, LayerStats{
-			Layer: layer, Hits: h, Misses: m,
-			Ratio: float64(h) / float64(h+m),
-		})
-	}
 
 	bounded, pruned := delta("core.pairs.bounded"), delta("core.pairs.pruned")
 	subtree := delta("core.pairs.subtree_pruned")
@@ -370,14 +345,6 @@ func (r *Recorder) WriteSummary(w io.Writer) error {
 	rec := r.Record()
 	var b strings.Builder
 	b.WriteString("\nexplain:\n")
-	if len(rec.Cache) > 0 {
-		parts := make([]string, 0, len(rec.Cache))
-		for _, l := range rec.Cache {
-			parts = append(parts, fmt.Sprintf("%s %d/%d (%.1f%%)",
-				l.Layer, l.Hits, l.Hits+l.Misses, 100*l.Ratio))
-		}
-		fmt.Fprintf(&b, "  cache hits:   %s\n", strings.Join(parts, ", "))
-	}
 	if rec.Pairs != nil {
 		fmt.Fprintf(&b, "  pair bounds:  %d evaluated, %d pruned (%.1f%% prune ratio), parallel x%d\n",
 			rec.Pairs.Bounded, rec.Pairs.Pruned, 100*rec.Pairs.PruneRatio, rec.Pairs.ParallelRuns)

@@ -68,39 +68,8 @@ func TestRecorderCountsOnlyItsOwnRun(t *testing.T) {
 
 	// A recorder created after the work sees none of it.
 	after := New("after").Record()
-	if after.Pairs != nil || after.Chains != nil || after.Cache != nil {
+	if after.Pairs != nil || after.Chains != nil {
 		t.Errorf("fresh recorder saw stale activity: %+v", after)
-	}
-}
-
-func TestCacheLayerDeltas(t *testing.T) {
-	g := model.Fig2Graph()
-	r := New("test")
-	a, err := core.NewCached(g, core.NewAnalysisCache())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ { // second pass hits the caches
-		if _, err := a.Disparity(fig2Sink, core.SDiff, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rec := r.Record()
-	if len(rec.Cache) == 0 {
-		t.Fatal("no cache layers recorded for a cached analysis")
-	}
-	sawHit := false
-	for _, l := range rec.Cache {
-		if l.Hits+l.Misses == 0 {
-			t.Errorf("layer %s recorded with zero activity", l.Layer)
-		}
-		if l.Ratio < 0 || l.Ratio > 1 {
-			t.Errorf("layer %s ratio = %v", l.Layer, l.Ratio)
-		}
-		sawHit = sawHit || l.Hits > 0
-	}
-	if !sawHit {
-		t.Error("repeated cached analysis produced no cache hits")
 	}
 }
 

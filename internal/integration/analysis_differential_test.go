@@ -15,10 +15,10 @@ import (
 
 // This file pins the trie-based analysis fast path (core/fastpath.go) to
 // the legacy per-pair pipeline it replaced, which survives as
-// core.DisparityReference. The contract is the same as the cache's:
-// BIT-IDENTICAL results — every pair's bound, alignment coefficients,
-// sampling windows, and stripped chains, plus the task-level argmax —
-// across both backward methods, both communication semantics, and
+// core.DisparityReference. The contract is BIT-IDENTICAL results —
+// every pair's bound, alignment coefficients, sampling windows, and
+// stripped chains, plus the task-level argmax — across both backward
+// methods, both communication semantics, and
 // buffered channels. A single differing bit means the shared-prefix
 // bound recurrence, the unified c=1 formula, or the dominance prune is
 // wrong.
@@ -36,17 +36,17 @@ func comparePairExact(t *testing.T, trial int, label string, got, want *core.Pai
 }
 
 // newAnalyses builds the fast-path analysis under test for each backward
-// method: the paper's NP-FP bounds (cached, the production setup) and
-// the Dürr baseline (uncached, the ablation setup).
+// method: the paper's NP-FP bounds (the production setup) and the Dürr
+// baseline (the ablation setup).
 func newAnalyses(t *testing.T, g *model.Graph) map[string]*core.Analysis {
 	t.Helper()
-	cached, err := core.NewCached(g, core.NewAnalysisCache())
+	np, err := core.New(g)
 	if err != nil {
 		return nil
 	}
 	res := sched.Analyze(g, sched.NonPreemptiveFP)
 	duerr := core.NewWithBackward(g, backward.NewAnalyzer(g, res, backward.Duerr))
-	return map[string]*core.Analysis{"np": cached, "duerr": duerr}
+	return map[string]*core.Analysis{"np": np, "duerr": duerr}
 }
 
 // varyCorpus applies the differential corpus' perturbations: every
@@ -146,7 +146,7 @@ func TestAnalysisFastPathMatchesReference(t *testing.T) {
 			t.Errorf("trial %d: greedy Before %v, reference %v", trial, greedy.Before, want.Bound)
 		}
 		if len(greedy.Plans) > 0 {
-			re, err := core.NewCached(greedy.Graph, core.NewAnalysisCache())
+			re, err := core.New(greedy.Graph)
 			if err != nil {
 				t.Fatalf("trial %d: buffered graph rejected: %v", trial, err)
 			}
@@ -183,7 +183,7 @@ func TestAnalysisParallelMatchesSerial(t *testing.T) {
 		sink := g.Sinks()[0]
 		for _, m := range []core.Method{core.PDiff, core.SDiff} {
 			core.ParallelPairThreshold = 1 << 30 // serial
-			serialA, err := core.NewCached(g, core.NewAnalysisCache())
+			serialA, err := core.New(g)
 			if err != nil {
 				break
 			}
@@ -192,7 +192,7 @@ func TestAnalysisParallelMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			core.ParallelPairThreshold = 1 // every pair loop fans out
-			parA, err := core.NewCached(g, core.NewAnalysisCache())
+			parA, err := core.New(g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +233,7 @@ func TestAnalysisSubtreePruneMatchesFlat(t *testing.T) {
 		sink := g.Sinks()[0]
 		for _, m := range []core.Method{core.PDiff, core.SDiff} {
 			core.SubtreePrune = false
-			flatA, err := core.NewCached(g, core.NewAnalysisCache())
+			flatA, err := core.New(g)
 			if err != nil {
 				break
 			}
@@ -247,7 +247,7 @@ func TestAnalysisSubtreePruneMatchesFlat(t *testing.T) {
 			}
 			for _, cap := range []int{core.SubtreeRectCap, 4} {
 				core.SubtreePrune, core.SubtreeRectCap = true, cap
-				prunedA, err := core.NewCached(g, core.NewAnalysisCache())
+				prunedA, err := core.New(g)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -286,7 +286,7 @@ func TestAnalysisTruncationMatchesReferencePrefix(t *testing.T) {
 		if err != nil || len(all) <= cap {
 			continue
 		}
-		a, err := core.NewCached(g, core.NewAnalysisCache())
+		a, err := core.New(g)
 		if err != nil {
 			continue
 		}

@@ -19,7 +19,7 @@ import (
 //
 //   - the trie fast path (Analysis.Latency) is bit-identical to the
 //     enumerate-every-chain reference (Analysis.LatencyReference), for
-//     both backward methods and with and without the analysis cache;
+//     both backward methods;
 //   - the analytic orderings hold: MRDA ≤ MDA ≤ MRT and MRRT ≤ MRT,
 //     and the Lemma-4 bounds never exceed the Dürr baseline's on the
 //     age side while the reaction side (no WCBT term) is method-free;
@@ -131,14 +131,7 @@ func TestLatencyDifferential(t *testing.T) {
 		g := latencyWorkload(t, rng, trial)
 		seed := rng.Int63()
 
-		// NP analysis, alternating the cache layer so both code paths run.
-		var np *core.Analysis
-		var err error
-		if trial%2 == 0 {
-			np, err = core.New(g)
-		} else {
-			np, err = core.NewCached(g, core.NewAnalysisCache())
-		}
+		np, err := core.New(g)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

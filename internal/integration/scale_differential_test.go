@@ -88,7 +88,7 @@ func TestScaleFastPathMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d: PathMasks stride %d on a %d-task graph, want multi-word", trial, stride, g.NumTasks())
 		}
 
-		a, err := core.NewCached(g, core.NewAnalysisCache())
+		a, err := core.New(g)
 		if err != nil {
 			t.Fatalf("trial %d: budgeted fleet workload rejected: %v", trial, err)
 		}
@@ -241,7 +241,7 @@ func TestScaleSubtreePruneMatchesFlat(t *testing.T) {
 	for _, m := range []core.Method{core.PDiff, core.SDiff} {
 		pruned := comparePrunedFlat(t, -1, g, fusion, m)
 		core.SubtreePrune = oldPrune
-		a, err := core.NewCached(g, core.NewAnalysisCache())
+		a, err := core.New(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,14 +263,14 @@ func TestScaleSubtreePruneMatchesFlat(t *testing.T) {
 	}
 }
 
-// comparePrunedFlat runs DisparityBound with the descent off then on
-// (fresh analyses — the cache would otherwise hand the second run the
-// first's result) and requires bit-identical bounds and argmax pairs.
+// comparePrunedFlat runs DisparityBound with the descent off then on,
+// each on a fresh analysis, and requires bit-identical bounds and
+// argmax pairs.
 // Returns the pruned-mode result for further checks.
 func comparePrunedFlat(t *testing.T, trial int, g *model.Graph, sink model.TaskID, m core.Method) *core.TaskDisparity {
 	t.Helper()
 	core.SubtreePrune = false
-	flatA, err := core.NewCached(g, core.NewAnalysisCache())
+	flatA, err := core.New(g)
 	if err != nil {
 		t.Fatalf("trial %d: fleet workload rejected: %v", trial, err)
 	}
@@ -279,7 +279,7 @@ func comparePrunedFlat(t *testing.T, trial int, g *model.Graph, sink model.TaskI
 		t.Fatal(err)
 	}
 	core.SubtreePrune = true
-	prunedA, err := core.NewCached(g, core.NewAnalysisCache())
+	prunedA, err := core.New(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // End-to-end latency metric methods: one analytic bound and one
 // measured simulation ground truth per metric of the family
 // (backward.Latency: MRT, MRRT, MDA, MRDA). The analytic methods ride
-// the core trie fast path and its cache layers; the measured ones drive
+// the core trie fast path; the measured ones drive
 // sim.LatencyObserver on the pooled engine and report the maximum over
 // all sources and runs — exactly the quantity the analytic bound
 // dominates, which the differential harness in internal/integration

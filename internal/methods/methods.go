@@ -117,7 +117,7 @@ func MetricOf(l backward.Latency) Metric {
 // ones); measured methods read the simulation fields. The zero value of
 // an unused field is fine.
 type Context struct {
-	// Analysis is the (possibly cached) analysis engine bound to the
+	// Analysis is the analysis engine bound to the
 	// graph under evaluation. Required by analytic methods.
 	Analysis *core.Analysis
 	// MaxChains caps chain enumeration (0 = the core default).
@@ -148,7 +148,7 @@ type Context struct {
 	Track *span.Track
 	// DisableJumpAhead forces full execution instead of steady-state
 	// cycle skipping; results are identical either way (differential
-	// and benchmarking switch, mirroring DisableCache).
+	// and benchmarking switch).
 	DisableJumpAhead bool
 }
 

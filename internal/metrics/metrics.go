@@ -6,7 +6,7 @@
 // (atomic adds on the hot paths, one mutex-guarded map lookup at
 // package-variable initialization), deterministic counters plus
 // wall-clock timers, and carry no dependencies, so every layer — the
-// scheduling fixed point, the memoization caches, the sweep workers —
+// scheduling fixed point, the pair descent, the sweep workers —
 // can record what it did without threading a context through the whole
 // call tree. CLI frontends dump the registry after a run (behind a
 // default-off flag, keeping golden outputs stable); tests reset it.

@@ -34,8 +34,8 @@ type Options struct {
 	Title string
 	// Explain, when non-nil, receives per-method records and appends a
 	// "Decision telemetry" section rendered from the run's decision
-	// record (cache effectiveness, prune decisions, truncation). The
-	// nil recorder renders nothing.
+	// record (prune decisions, truncation). The nil recorder renders
+	// nothing.
 	Explain *explain.Recorder
 }
 
@@ -78,8 +78,8 @@ func Write(w io.Writer, g *model.Graph, opts Options) error {
 }
 
 // writeExplain renders the decision-telemetry section from the run's
-// explain record: cache effectiveness, dominance-prune decisions,
-// truncation status, and the jump-ahead tally. The deltas cover the
+// explain record: dominance-prune decisions, truncation status, and the
+// jump-ahead tally. The deltas cover the
 // report's own analysis because the recorder snapshots the counter
 // registry at creation.
 func writeExplain(b *strings.Builder, rec *explain.Record) {
@@ -95,13 +95,6 @@ func writeExplain(b *strings.Builder, rec *explain.Record) {
 				worst = m.ArgMax.Lambda + " vs " + m.ArgMax.Nu
 			}
 			fmt.Fprintf(b, "| %s | %v | %d | %s |\n", m.Method, m.BoundNS, m.NumPairs, worst)
-		}
-		b.WriteString("\n")
-	}
-	if len(rec.Cache) > 0 {
-		b.WriteString("| cache layer | hits | misses | hit ratio |\n|---|---|---|---|\n")
-		for _, l := range rec.Cache {
-			fmt.Fprintf(b, "| %s | %d | %d | %.1f%% |\n", l.Layer, l.Hits, l.Misses, 100*l.Ratio)
 		}
 		b.WriteString("\n")
 	}

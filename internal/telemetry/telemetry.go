@@ -162,7 +162,7 @@ func WritePrometheus(w io.Writer, reg *metrics.Registry) error {
 }
 
 // WriteDerivedGauges renders the decision-telemetry ratio gauges the
-// raw counters imply: per-layer cache hit ratios, the pair-bound
+// raw counters imply: the pair-bound
 // dominance prune ratio, and the jump-ahead engagement rate across
 // sweep simulation runs. Gauges with no underlying activity are
 // omitted so scrapes before any run stay clean.
@@ -174,23 +174,6 @@ func WriteDerivedGauges(w io.Writer, reg *metrics.Registry) error {
 	}
 	ratio := func(num, den int64) string {
 		return strconv.FormatFloat(float64(num)/float64(den), 'g', -1, 64)
-	}
-
-	headerDone := false
-	for _, layer := range []string{"sched", "backward", "enum", "pair", "task", "latency"} {
-		h, m := counters["cache."+layer+".hits"], counters["cache."+layer+".misses"]
-		if h+m == 0 {
-			continue
-		}
-		if !headerDone {
-			if _, err := fmt.Fprint(w, "# TYPE disparity_cache_hit_ratio gauge\n"); err != nil {
-				return err
-			}
-			headerDone = true
-		}
-		if _, err := fmt.Fprintf(w, "disparity_cache_hit_ratio{layer=%q} %s\n", layer, ratio(h, h+m)); err != nil {
-			return err
-		}
 	}
 
 	if bounded, pruned := counters["core.pairs.bounded"], counters["core.pairs.pruned"]; bounded+pruned > 0 {

@@ -76,8 +76,6 @@ func TestDerivedGauges(t *testing.T) {
 		t.Errorf("gauges emitted with no activity:\n%s", empty.String())
 	}
 
-	reg.Counter("cache.pair.hits").Add(3)
-	reg.Counter("cache.pair.misses").Add(1)
 	reg.Counter("core.pairs.bounded").Add(6)
 	reg.Counter("core.pairs.pruned").Add(2)
 	reg.Counter("core.pairs.subtree_pruned").Add(24)
@@ -91,8 +89,6 @@ func TestDerivedGauges(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"# TYPE disparity_cache_hit_ratio gauge\n",
-		`disparity_cache_hit_ratio{layer="pair"} 0.75`,
 		"disparity_pair_prune_ratio 0.25\n",
 		"disparity_subtree_prune_ratio 0.75\n",
 		"disparity_jump_engagement_rate 0.9\n",
@@ -101,9 +97,6 @@ func TestDerivedGauges(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("derived gauges missing %q:\n%s", want, out)
 		}
-	}
-	if strings.Contains(out, `layer="sched"`) {
-		t.Errorf("zero-activity layer emitted:\n%s", out)
 	}
 }
 

@@ -20,7 +20,7 @@ TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
 go test -run '^$' \
-	-bench 'BenchmarkPairBounds$|BenchmarkPairBoundsReference$|BenchmarkChainIndex$|BenchmarkAnalyzePDiff$|BenchmarkAnalyzeSDiff$|BenchmarkEnumerateChains$|BenchmarkBoundsSweepCached$|BenchmarkChainIndexFleet$|BenchmarkWCRTFleet$|BenchmarkPairBoundsFleet$|BenchmarkPairBoundsFleetPruned$' \
+	-bench 'BenchmarkPairBounds$|BenchmarkPairBoundsReference$|BenchmarkChainIndex$|BenchmarkAnalyzePDiff$|BenchmarkAnalyzeSDiff$|BenchmarkEnumerateChains$|BenchmarkBoundsSweep$|BenchmarkChainIndexFleet$|BenchmarkWCRTFleet$|BenchmarkPairBoundsFleet$|BenchmarkPairBoundsFleetPruned$' \
 	-benchtime 10x -count "$COUNT" -benchmem . | tee "$TMP"
 
 # Best-of-count per benchmark: min ns/op and the allocs/op (identical
