@@ -26,8 +26,9 @@
 #                 and method tests, and the chains fuzz seed corpus
 #   verify-sim-cycle - steady-state jump-ahead tier: the cycle-detection
 #                 and batch unit tests plus the public-API jump on/off
-#                 determinism test under -race, and the 200-workload
-#                 jump-vs-full differential harness
+#                 determinism test under -race, and every TestJumpAhead*
+#                 differential in internal/integration (the 200-workload
+#                 jump-vs-full harness under four warm-up regimes)
 #   verify-explain - decision-telemetry tier: vet + race tests of the
 #                 explain recorder/witness, the derived telemetry
 #                 gauges, the shared CLI -explain lifecycle, the bench
@@ -90,7 +91,7 @@ verify-sim-cycle:
 	$(GO) vet ./internal/sim/...
 	$(GO) test -race -run 'TestJumpAhead|TestBatch' ./internal/sim/...
 	$(GO) test -race -run 'TestSimulateJumpAheadDeterministic' .
-	$(GO) test -run 'TestJumpAheadMatchesFullExecution' ./internal/integration/...
+	$(GO) test -run 'TestJumpAhead' ./internal/integration/...
 
 verify-explain:
 	$(GO) vet ./internal/explain/... ./tools/bench_compare/...

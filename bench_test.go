@@ -376,13 +376,20 @@ func BenchmarkSimThroughputTraced(b *testing.B) {
 // full; their ratio is the jump-ahead speedup recorded in
 // BENCH_sim.json. The reported jobs/s counts simulated (including
 // skipped) jobs.
-func BenchmarkSimJumpAhead(b *testing.B) { benchJumpAhead(b, false) }
+func BenchmarkSimJumpAhead(b *testing.B) { benchJumpAhead(b, false, 0) }
 
 // BenchmarkSimJumpAheadDisabled is the full-execution baseline of
 // BenchmarkSimJumpAhead.
-func BenchmarkSimJumpAheadDisabled(b *testing.B) { benchJumpAhead(b, true) }
+func BenchmarkSimJumpAheadDisabled(b *testing.B) { benchJumpAhead(b, true, 0) }
 
-func benchJumpAhead(b *testing.B, disable bool) {
+// BenchmarkSimJumpAheadWarm is BenchmarkSimJumpAhead with the 1 s
+// measurement warm-up every frontend uses. The transient before the
+// warm-up is fast-forwarded too, so the run costs about 1.5× the
+// warm-up-free one (the cycle closes once more after the warm-up)
+// instead of a second of full simulation more.
+func BenchmarkSimJumpAheadWarm(b *testing.B) { benchJumpAhead(b, false, timeu.Second) }
+
+func benchJumpAhead(b *testing.B, disable bool, warmup timeu.Time) {
 	g, _ := benchGraph(b)
 	disparity.RandomOffsets(g, 1)
 	var jobs int64
@@ -390,6 +397,7 @@ func benchJumpAhead(b *testing.B, disable bool) {
 	for i := 0; i < b.N; i++ {
 		res, err := disparity.Simulate(g, disparity.SimConfig{
 			Horizon:          60 * timeu.Second,
+			Warmup:           warmup,
 			Exec:             disparity.ExecWCET,
 			Seed:             42,
 			DisableJumpAhead: disable,

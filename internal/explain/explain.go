@@ -88,7 +88,9 @@ type JumpOutcome struct {
 	Reason  string `json:"reason,omitempty"`
 	Engaged bool   `json:"engaged"`
 	// HyperperiodNS, CycleNS, Skipped, and SkippedNS mirror
-	// sim.JumpStats when the feature armed.
+	// sim.JumpStats when the feature armed. A run jumps at most twice
+	// (before and after the observers' warm-up): CycleNS is the last
+	// jump's cycle, Skipped and SkippedNS total both jumps.
 	HyperperiodNS timeu.Time `json:"hyperperiod_ns,omitempty"`
 	CycleNS       timeu.Time `json:"cycle_ns,omitempty"`
 	Skipped       int64      `json:"skipped,omitempty"`

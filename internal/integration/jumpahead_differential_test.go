@@ -20,6 +20,11 @@ import (
 // demands bit identity. It also requires that the jump actually
 // engages on a healthy fraction of the corpus — a vacuously-green
 // differential (nothing ever jumped) is a failure, not a pass.
+//
+// Observer warm-ups split a run into the regions where a jump is sound
+// (before every warm-up, after every warm-up), so the corpus runs under
+// four warm-up regimes: short, long enough that the cycle closes before
+// it, different per observer, and longer than the horizon.
 
 // jumpMetrics flattens every observer metric of one run into a
 // comparable value.
@@ -41,7 +46,14 @@ type jumpMetrics struct {
 	ReactOK   bool
 }
 
-func runJumpTrial(t *testing.T, g *model.Graph, cfg sim.Config, disable bool) (*jumpMetrics, sim.JumpStats) {
+// jumpWarmups are the per-observer warm-ups of one regime.
+type jumpWarmups struct {
+	disp, lat, back, age timeu.Time
+}
+
+func uniformWarmup(w timeu.Time) jumpWarmups { return jumpWarmups{w, w, w, w} }
+
+func runJumpTrial(t *testing.T, g *model.Graph, cfg sim.Config, warm jumpWarmups, disable bool) (*jumpMetrics, sim.JumpStats) {
 	t.Helper()
 	sink := g.Sinks()[0]
 	var origins []model.TaskID
@@ -51,11 +63,10 @@ func runJumpTrial(t *testing.T, g *model.Graph, cfg sim.Config, disable bool) (*
 			origins = append(origins, id)
 		}
 	}
-	warmup := 100 * timeu.Millisecond
-	disp := sim.NewDisparityObserver(warmup)
-	lat := sim.NewLatencyObserver(sink, origins, warmup)
-	back := sim.NewBackwardObserver(sink, origins[0], warmup)
-	age := sim.NewAgeObserver(sink, origins[0], warmup)
+	disp := sim.NewDisparityObserver(warm.disp)
+	lat := sim.NewLatencyObserver(sink, origins, warm.lat)
+	back := sim.NewBackwardObserver(sink, origins[0], warm.back)
+	age := sim.NewAgeObserver(sink, origins[0], warm.age)
 	cfg.Observers = []sim.Observer{disp, lat, back, age}
 	cfg.DisableJumpAhead = disable
 
@@ -91,47 +102,85 @@ func runJumpTrial(t *testing.T, g *model.Graph, cfg sim.Config, disable bool) (*
 
 // TestJumpAheadMatchesFullExecution is the jump-ahead differential:
 // ≥200 seeded WATERS workloads across all exec models, implicit, LET,
-// mixed semantics, buffered channels, and sporadic stimuli; jumped and
-// full runs must agree bit-for-bit on stats and every observer metric.
+// mixed semantics, buffered channels, and sporadic stimuli, under each
+// warm-up regime; jumped and full runs must agree bit-for-bit on stats
+// and every observer metric.
 func TestJumpAheadMatchesFullExecution(t *testing.T) {
 	trials := 200
-	horizon := 2 * timeu.Second
+	horizon := 4 * timeu.Second
 	if testing.Short() {
 		trials = 40
-		horizon = timeu.Second
+		horizon = 2 * timeu.Second
+	}
+	type trialCase struct {
+		g   *model.Graph
+		cfg sim.Config
 	}
 	rng := rand.New(rand.NewSource(4242))
-	engaged, eligible := 0, 0
-	for trial := 0; trial < trials; trial++ {
+	corpus := make([]trialCase, trials)
+	for trial := range corpus {
 		g := diffWorkload(t, rng, trial)
-		cfg := sim.Config{
+		corpus[trial] = trialCase{g, sim.Config{
 			Horizon: horizon,
 			Exec:    execModels[trial%len(execModels)],
 			Seed:    rng.Int63(),
-		}
-		jump, js := runJumpTrial(t, g, cfg, false)
-		full, fullJS := runJumpTrial(t, g, cfg, true)
-		if fullJS.Eligible || fullJS.Engaged {
-			t.Fatalf("trial %d: DisableJumpAhead run still armed: %+v", trial, fullJS)
-		}
-		if !reflect.DeepEqual(jump, full) {
-			t.Fatalf("trial %d (exec %s, engaged=%v): jumped run diverges from full\njump: %+v\nfull: %+v",
-				trial, cfg.Exec.Name(), js.Engaged, jump, full)
-		}
-		if js.Eligible {
-			eligible++
-		}
-		if js.Engaged {
-			engaged++
-		}
+		}}
 	}
-	// WATERS period sets share divisors (hyperperiod ≤ 200ms), so the
-	// deterministic 2/5 of the corpus (wcet, bcet exec) minus sporadic
-	// variants must essentially all engage. Demand a healthy floor so
-	// the differential can never pass vacuously.
-	if engaged < trials/5 {
-		t.Fatalf("jump engaged on only %d/%d trials (%d eligible) — differential is vacuous",
-			engaged, trials, eligible)
+	for _, regime := range []struct {
+		name string
+		warm jumpWarmups
+		// preWarmup demands a jump that closes before the smallest
+		// warm-up on a healthy fraction of the corpus.
+		preWarmup bool
+	}{
+		{"warm=100ms", uniformWarmup(100 * timeu.Millisecond), false},
+		{"warm=1s", uniformWarmup(timeu.Second), true},
+		{"warm=mixed", jumpWarmups{
+			disp: 300 * timeu.Millisecond,
+			lat:  timeu.Second,
+			back: 0,
+			age:  700 * timeu.Millisecond,
+		}, false},
+		{"warm=5s", uniformWarmup(5 * timeu.Second), false},
+	} {
+		t.Run(regime.name, func(t *testing.T) {
+			w := regime.warm
+			wmin := min(w.disp, w.lat, w.back, w.age)
+			engaged, eligible, pre := 0, 0, 0
+			for trial, tc := range corpus {
+				jump, js := runJumpTrial(t, tc.g, tc.cfg, w, false)
+				full, fullJS := runJumpTrial(t, tc.g, tc.cfg, w, true)
+				if fullJS.Eligible || fullJS.Engaged {
+					t.Fatalf("trial %d: DisableJumpAhead run still armed: %+v", trial, fullJS)
+				}
+				if !reflect.DeepEqual(jump, full) {
+					t.Fatalf("trial %d (exec %s, jump %+v): jumped run diverges from full\njump: %+v\nfull: %+v",
+						trial, tc.cfg.Exec.Name(), js, jump, full)
+				}
+				if js.Eligible {
+					eligible++
+				}
+				if js.Engaged {
+					engaged++
+					if js.Transient < wmin {
+						pre++
+					}
+				}
+			}
+			// WATERS period sets share divisors (hyperperiod ≤ 200ms), so
+			// the deterministic 2/5 of the corpus (wcet, bcet exec) minus
+			// sporadic variants must essentially all engage. Demand a
+			// healthy floor so the differential can never pass vacuously.
+			if engaged < trials/5 {
+				t.Fatalf("jump engaged on only %d/%d trials (%d eligible) — differential is vacuous",
+					engaged, trials, eligible)
+			}
+			if regime.preWarmup && pre < trials/5 {
+				t.Fatalf("a jump closed before the warm-up on only %d/%d trials — the pre-warm-up region is untested",
+					pre, trials)
+			}
+			t.Logf("jump engaged on %d/%d trials (%d eligible, %d closed before the warm-up)",
+				engaged, trials, eligible, pre)
+		})
 	}
-	t.Logf("jump engaged on %d/%d trials (%d eligible)", engaged, trials, eligible)
 }

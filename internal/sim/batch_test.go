@@ -135,3 +135,41 @@ func TestBatchOffsetsLeaveGraphUntouched(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchAllocsIndependentOfWarmup pins allocation-free jump-ahead
+// detection on a reused engine: boundary snapshots reuse their slots
+// and the jump's visited set and the rng are kept across runs, so a
+// jumped run allocates the same however many boundaries its warm-up
+// leaves to fingerprint.
+func TestBatchAllocsIndependentOfWarmup(t *testing.T) {
+	g, src, _, b := pipeline(t)
+	batch, err := NewBatch(g, Config{Horizon: 10 * timeu.Second, Exec: WCETExec{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(warm timeu.Time) {
+		res, err := batch.Run(BatchRun{Seed: 1, Observers: []Observer{
+			NewDisparityObserver(warm),
+			NewLatencyObserver(b, []model.TaskID{src}, warm),
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Jump.Engaged {
+			t.Fatalf("warm-up %v: jump-ahead did not engage: %+v", warm, res.Jump)
+		}
+	}
+	warms := []timeu.Time{200 * ms, 2 * timeu.Second}
+	for _, w := range warms {
+		run(w) // grow the pools, heaps and snapshot slots under both
+	}
+	allocs := make([]float64, len(warms))
+	for i, w := range warms {
+		allocs[i] = testing.AllocsPerRun(10, func() { run(w) })
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("allocations per run depend on the warm-up: %v under %v, %v under %v",
+			allocs[0], warms[0], allocs[1], warms[1])
+	}
+	t.Logf("%v allocations per run", allocs[0])
+}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"repro/internal/timeu"
 )
 
@@ -21,6 +23,15 @@ import (
 // are all differences of times that shift together), so the max/min
 // accumulators need no replay — see DESIGN.md "Steady-state jump-ahead"
 // for the soundness argument.
+//
+// Observer warm-ups split a run into two regions where that argument
+// holds. Before the smallest warm-up wmin no observer records a sample,
+// so a cycle closing at b ≤ wmin may be skipped up to wmin; after the
+// largest warm-up wmax every observer records every sample, so a cycle
+// whose earlier boundary is ≥ wmax may be skipped up to the horizon.
+// Boundaries strictly between wmin and wmax are not fingerprinted, and
+// the snapshots are cleared at the first boundary ≥ wmax, so a run
+// fast-forwards at most twice.
 //
 // Jump-ahead arms only when it is provably sound:
 //
@@ -58,19 +69,23 @@ func (BCETExec) DeterministicExec() {}
 // presence simply disables jump-ahead.
 //
 // appendCycleState encodes the observer's *sample-state* — everything
-// that influences which future samples it takes: pending stimuli, the
-// previous-output pairing, and the unconsumed warm-up span — with
-// times rebased to the boundary (t − base) and job indices rebased to
-// the engine's next-index counters (k − nextK[task]). Accumulated
-// extrema and counters are excluded on purpose: a fingerprint match
-// certifies that the skipped cycles would only re-deliver samples
-// already folded into them.
+// that influences which future samples it takes: pending stimuli and
+// the previous-output pairing — with times rebased to the boundary
+// (t − base) and job indices rebased to the engine's next-index
+// counters (k − nextK[task]). Accumulated extrema and counters are
+// excluded on purpose: a fingerprint match certifies that the skipped
+// cycles would only re-deliver samples already folded into them. The
+// warm-up is excluded too; the engine's match rule handles it (see
+// cycleBoundary).
 //
 // jumpAhead rebases the same sample-state forward after a jump: times
 // shift by dt, job indices of task t by dk[t].
+//
+// warmup is the instant before which the observer records no sample.
 type cycleObserver interface {
 	appendCycleState(enc *cycleEnc, base timeu.Time, nextK []int64)
 	jumpAhead(dt timeu.Time, dk []int64)
+	warmup() timeu.Time
 }
 
 // JumpStats reports whether and how steady-state jump-ahead ran. The
@@ -90,9 +105,11 @@ type JumpStats struct {
 	// Hyperperiod is the boundary spacing L (0 when not eligible).
 	Hyperperiod timeu.Time
 	// Engaged reports that a fingerprint match occurred and cycles were
-	// skipped. Transient is the boundary at which the cycle closed,
-	// Cycle the detected cycle length, Skipped the number of whole
-	// cycles fast-forwarded, and SkippedTime their total span.
+	// skipped. A run jumps at most twice: once before every observer's
+	// warm-up and once after all of them. Transient is the boundary at
+	// which the cycle first closed, Cycle the cycle length of the last
+	// jump, and Skipped and SkippedTime the whole cycles fast-forwarded
+	// and their span, summed over both jumps.
 	Engaged     bool
 	Transient   timeu.Time
 	Cycle       timeu.Time
@@ -152,19 +169,16 @@ func (c *cycleEnc) boolean(b bool) {
 	}
 }
 
-// hashWords is FNV-1a over the words of the fingerprint.
+// hashWords mixes one fingerprint word per step: xor, multiply by an
+// odd constant, rotate. Each step is a bijection of the running hash
+// for a fixed word and of the word for a fixed hash, so fingerprints
+// of equal length that differ in one word never collide. Any other
+// collision can only cost a missed jump: wordsEqual confirms every
+// match.
 func hashWords(ws []uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(len(ws))
 	for _, w := range ws {
-		for i := 0; i < 8; i++ {
-			h ^= w & 0xff
-			h *= prime64
-			w >>= 8
-		}
+		h = bits.RotateLeft64((h^w)*0x9e3779b97f4a7c15, 31)
 	}
 	return h
 }
@@ -188,10 +202,11 @@ type chanCounters struct {
 }
 
 // cycleSnap is one boundary fingerprint plus the counter values needed
-// to compute per-cycle deltas when a later boundary matches it.
+// to compute per-cycle deltas when a later boundary matches it. Slots
+// keep their arrays when the snapshots are cleared, so a reused engine
+// stores boundaries without allocating.
 type cycleSnap struct {
 	boundary timeu.Time
-	hash     uint64
 	state    []uint64
 	jobs     int64
 	overruns int64
@@ -205,6 +220,11 @@ type cycleState struct {
 	period timeu.Time // hyperperiod L
 	next   timeu.Time // next boundary to fingerprint
 
+	// wmin and wmax are the smallest and largest observer warm-up; post
+	// is set at the first boundary ≥ wmax (see cycleBoundary).
+	wmin, wmax timeu.Time
+	post       bool
+
 	snaps []cycleSnap
 	index map[uint64]int32 // fingerprint hash → first snaps index
 
@@ -214,6 +234,7 @@ type cycleState struct {
 	rels    []relEntry
 	readies []readyJob
 	dk      []int64
+	visited map[*Token]struct{}
 
 	jump JumpStats
 }
@@ -244,10 +265,17 @@ func (e *Engine) cycleInit() {
 			return
 		}
 	}
-	for _, obs := range e.cfg.Observers {
-		if _, ok := obs.(cycleObserver); !ok {
+	c.wmin, c.wmax, c.post = 0, 0, false
+	for i, obs := range e.cfg.Observers {
+		co, ok := obs.(cycleObserver)
+		if !ok {
 			reason("foreign-observer", "observer requires per-job callbacks")
 			return
+		}
+		if w := co.warmup(); i == 0 {
+			c.wmin, c.wmax = w, w
+		} else {
+			c.wmin, c.wmax = timeu.Min(c.wmin, w), timeu.Max(c.wmax, w)
 		}
 	}
 	periods := make([]timeu.Time, e.g.NumTasks())
@@ -293,27 +321,59 @@ func (e *Engine) cycleAdvance(now timeu.Time) bool {
 }
 
 // cycleBoundary fingerprints the state at boundary b, matching it
-// against earlier boundaries. On a match with enough horizon left it
-// applies the jump and returns true.
+// against earlier boundaries. A match may jump in two regions only:
+//
+//   - b ≤ wmin: every skipped instant precedes every warm-up, so the
+//     jump stops at min(wmin, horizon); short of the horizon, detection
+//     restarts from the new position.
+//   - the matched boundary is ≥ wmax: every observer samples
+//     throughout, so the jump runs to the horizon and detection ends.
+//
+// Boundaries strictly between wmin and wmax are skipped, and the first
+// boundary ≥ wmax clears the earlier snapshots, so no match spans a
+// warm-up. It returns true when a jump was applied.
 func (e *Engine) cycleBoundary(b timeu.Time) bool {
 	c := &e.cyc
+	if !c.post {
+		if b >= c.wmax {
+			c.post = true
+			c.clearSnaps()
+		} else if b > c.wmin {
+			return false
+		}
+	}
 	c.enc.buf = c.enc.buf[:0]
 	e.encodeCycleState(&c.enc, b)
 	h := hashWords(c.enc.buf)
 	if i, ok := c.index[h]; ok && wordsEqual(c.snaps[i].state, c.enc.buf) {
 		snap := &c.snaps[i]
 		cycle := b - snap.boundary
-		m := int64((e.cfg.Horizon - b) / cycle)
-		if m < 1 {
+		limit := e.cfg.Horizon
+		if !c.post {
+			limit = timeu.Min(limit, c.wmin)
+		}
+		if m := int64((limit - b) / cycle); m >= 1 {
+			e.applyJump(b, snap, cycle, m)
+			if limit < e.cfg.Horizon {
+				// Stopped at wmin: detection goes on past the warm-up.
+				c.clearSnaps()
+				c.next += timeu.Time(m) * cycle
+			} else {
+				// Less than one cycle is left before the horizon.
+				e.cycleDeactivate()
+			}
+			return true
+		}
+		if limit == e.cfg.Horizon {
 			// A cycle exists but less than one fits before the horizon;
 			// nothing to skip, and every later boundary would re-match.
 			c.jump.ReasonCode = "cycle-exceeds-horizon"
 			c.jump.Reason = "cycle detected but no whole cycle fits before the horizon"
 			e.cycleDeactivate()
-			return false
 		}
-		e.applyJump(b, snap, cycle, m)
-		return true
+		// Otherwise less than one cycle is left before wmin; the state
+		// is already stored.
+		return false
 	}
 	if len(c.snaps) >= maxCycleSnaps {
 		// Still transient after many hyperperiods — stop paying for
@@ -326,27 +386,36 @@ func (e *Engine) cycleBoundary(b timeu.Time) bool {
 	if _, dup := c.index[h]; !dup {
 		c.index[h] = int32(len(c.snaps))
 	}
-	snap := cycleSnap{
-		boundary: b,
-		hash:     h,
-		state:    append([]uint64(nil), c.enc.buf...),
-		jobs:     e.stats.Jobs,
-		overruns: e.stats.Overruns,
-		nextK:    append([]int64(nil), e.nextK...),
-		chans:    make([]chanCounters, len(e.chans)),
+	n := len(c.snaps)
+	if n < cap(c.snaps) {
+		c.snaps = c.snaps[:n+1]
+	} else {
+		c.snaps = append(c.snaps, cycleSnap{})
+	}
+	snap := &c.snaps[n]
+	snap.boundary = b
+	snap.state = append(snap.state[:0], c.enc.buf...)
+	snap.jobs = e.stats.Jobs
+	snap.overruns = e.stats.Overruns
+	snap.nextK = append(snap.nextK[:0], e.nextK...)
+	if snap.chans == nil {
+		snap.chans = make([]chanCounters, len(e.chans))
 	}
 	for i, ch := range e.chans {
 		snap.chans[i] = chanCounters{writes: ch.writes, reads: ch.reads, lost: ch.lost}
 	}
-	c.snaps = append(c.snaps, snap)
 	return false
 }
 
-func (e *Engine) cycleDeactivate() {
-	c := &e.cyc
-	c.active = false
+// clearSnaps forgets every stored boundary, keeping the slots' arrays.
+func (c *cycleState) clearSnaps() {
 	c.snaps = c.snaps[:0]
 	clear(c.index)
+}
+
+func (e *Engine) cycleDeactivate() {
+	e.cyc.active = false
+	e.cyc.clearSnaps()
 }
 
 // encodeCycleState appends the complete dynamic engine state, rebased
@@ -463,8 +532,7 @@ func encodeStamps(enc *cycleEnc, stamps []Stamp, b timeu.Time) {
 // b + m·cycle, so shifting every live time by Δ = m·cycle, every live
 // job index of task t by m·(nextK(b)−nextK(b−cycle))(t), and every
 // counter by m times its per-cycle delta puts the engine exactly where
-// full execution would have. Detection deactivates afterwards: the
-// remaining span is shorter than one cycle.
+// full execution would have.
 func (e *Engine) applyJump(b timeu.Time, snap *cycleSnap, cycle timeu.Time, m int64) {
 	c := &e.cyc
 	dt := timeu.Time(m) * cycle
@@ -484,8 +552,13 @@ func (e *Engine) applyJump(b timeu.Time, snap *cycleSnap, cycle timeu.Time, m in
 	}
 
 	// Tokens are shared (channel slots, a running job's Out); shift
-	// each at most once.
-	visited := make(map[*Token]struct{})
+	// each at most once. The set lives as long as the engine; its first
+	// size is one token per channel and per running job.
+	if c.visited == nil {
+		c.visited = make(map[*Token]struct{}, len(e.chans)+len(e.ecus))
+	}
+	visited := c.visited
+	clear(visited)
 	shiftToken := func(t *Token) {
 		if t == nil {
 			return
@@ -553,12 +626,13 @@ func (e *Engine) applyJump(b timeu.Time, snap *cycleSnap, cycle timeu.Time, m in
 		obs.(cycleObserver).jumpAhead(dt, dk)
 	}
 
-	c.jump.Engaged = true
-	c.jump.Transient = b
+	if !c.jump.Engaged {
+		c.jump.Engaged = true
+		c.jump.Transient = b
+	}
 	c.jump.Cycle = cycle
-	c.jump.Skipped = m
-	c.jump.SkippedTime = dt
-	e.cycleDeactivate()
+	c.jump.Skipped += m
+	c.jump.SkippedTime += dt
 }
 
 // Insertion sorts for the fingerprint scratch slices. Live populations
@@ -600,11 +674,4 @@ func sortReadies(s []readyJob) {
 		}
 		s[j+1] = v
 	}
-}
-
-func max0(t timeu.Time) timeu.Time {
-	if t < 0 {
-		return 0
-	}
-	return t
 }

@@ -74,10 +74,9 @@ func (o *AgeObserver) JobFinished(j *Job) {
 }
 
 // appendCycleState implements cycleObserver: the sample-state is the
-// oldest unacknowledged stimulus (rebased) plus the warm-up leftover;
-// age and reaction extrema are shift-invariant accumulators.
+// oldest unacknowledged stimulus (rebased); age and reaction extrema
+// are shift-invariant accumulators.
 func (o *AgeObserver) appendCycleState(enc *cycleEnc, base timeu.Time, _ []int64) {
-	enc.time(max0(o.warm - base))
 	enc.boolean(o.havePending)
 	if o.havePending {
 		enc.time(o.pendingStimulus - base)
@@ -90,6 +89,9 @@ func (o *AgeObserver) jumpAhead(dt timeu.Time, _ []int64) {
 		o.pendingStimulus += dt
 	}
 }
+
+// warmup implements cycleObserver.
+func (o *AgeObserver) warmup() timeu.Time { return o.warm }
 
 // AgeRange returns the observed [min, max] data age; ok is false if no
 // tail job carried source data after warm-up.

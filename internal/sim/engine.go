@@ -330,7 +330,12 @@ func (e *Engine) Run(cfg Config) (*Stats, error) {
 // initial releases from the graph's current offsets.
 func (e *Engine) reset(cfg Config) {
 	e.cfg = cfg
-	e.rng = rand.New(rand.NewSource(cfg.Seed))
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(cfg.Seed))
+	} else {
+		// Reseeding restarts the exact stream a fresh source would draw.
+		e.rng.Seed(cfg.Seed)
+	}
 	e.stats = Stats{}
 	e.seq = 0
 	e.events.clear()

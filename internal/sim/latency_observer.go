@@ -142,7 +142,12 @@ func (o *LatencyObserver) JobFinished(j *Job) {
 				s.maxRT = timeu.Max(s.maxRT, e.gap+rrt)
 			}
 		}
-		if s.phead > 256 && s.phead*2 >= len(s.pending) {
+		switch {
+		case s.phead == len(s.pending):
+			// Every stimulus is answered: reuse the FIFO from its start.
+			s.pending = s.pending[:0]
+			s.phead = 0
+		case s.phead > 256 && s.phead*2 >= len(s.pending):
 			// Compact the answered prefix so long runs stay O(pending).
 			n := copy(s.pending, s.pending[s.phead:])
 			s.pending = s.pending[:n]
@@ -158,7 +163,6 @@ func (o *LatencyObserver) JobFinished(j *Job) {
 // excluded — ages, freshness, reactions, and gaps are all differences
 // of co-shifted times, so skipped cycles re-deliver recorded values.
 func (o *LatencyObserver) appendCycleState(enc *cycleEnc, base timeu.Time, nextK []int64) {
-	enc.time(max0(o.warm - base))
 	for _, id := range o.ids {
 		s := o.src[id]
 		enc.boolean(s.havePrev)
@@ -201,6 +205,9 @@ func (o *LatencyObserver) jumpAhead(dt timeu.Time, dk []int64) {
 		}
 	}
 }
+
+// warmup implements cycleObserver.
+func (o *LatencyObserver) warmup() timeu.Time { return o.warm }
 
 // Sources returns the watched source IDs in registration order.
 func (o *LatencyObserver) Sources() []model.TaskID { return o.ids }

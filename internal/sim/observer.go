@@ -58,19 +58,18 @@ func (o *DisparityObserver) JobFinished(j *Job) {
 	}
 }
 
-// appendCycleState implements cycleObserver. The observer's only
-// sample-state is the unconsumed warm-up span: the max accumulators
-// hold shift-invariant disparity spans, and a fingerprint match
-// certifies skipped cycles would only re-deliver values already folded
-// into them. Pre-warm-up boundaries encode a positive leftover and so
-// never match post-warm-up ones.
-func (o *DisparityObserver) appendCycleState(enc *cycleEnc, base timeu.Time, _ []int64) {
-	enc.time(max0(o.warm - base))
-}
+// appendCycleState implements cycleObserver. The observer has no
+// sample-state: the max accumulators hold shift-invariant disparity
+// spans, and a fingerprint match certifies skipped cycles would only
+// re-deliver values already folded into them.
+func (o *DisparityObserver) appendCycleState(*cycleEnc, timeu.Time, []int64) {}
 
 // jumpAhead implements cycleObserver; disparity spans are differences
 // of co-shifted times, so nothing to rebase.
 func (o *DisparityObserver) jumpAhead(timeu.Time, []int64) {}
+
+// warmup implements cycleObserver.
+func (o *DisparityObserver) warmup() timeu.Time { return o.warm }
 
 // Max returns the maximum observed disparity of the task (0 if no job of
 // the task finished after warm-up).
@@ -120,14 +119,15 @@ func (o *BackwardObserver) JobFinished(j *Job) {
 }
 
 // appendCycleState implements cycleObserver. Backward times are
-// release−stamp differences (shift-invariant); only the warm-up
-// leftover is sample-state.
-func (o *BackwardObserver) appendCycleState(enc *cycleEnc, base timeu.Time, _ []int64) {
-	enc.time(max0(o.warm - base))
-}
+// release−stamp differences (shift-invariant), so there is no
+// sample-state.
+func (o *BackwardObserver) appendCycleState(*cycleEnc, timeu.Time, []int64) {}
 
 // jumpAhead implements cycleObserver.
 func (o *BackwardObserver) jumpAhead(timeu.Time, []int64) {}
+
+// warmup implements cycleObserver.
+func (o *BackwardObserver) warmup() timeu.Time { return o.warm }
 
 // Range returns the observed [min, max] backward time; ok is false if no
 // job carried data from the source.

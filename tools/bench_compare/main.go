@@ -16,6 +16,7 @@
 //	PooledEngine   / ReferenceEngine        (engine pooling speedup)
 //	SimThroughput  / ReferenceEngine        (jump-ahead fallback overhead)
 //	SimJumpAhead   / SimJumpAheadDisabled   (steady-state jump-ahead speedup)
+//	SimJumpAheadWarm / SimJumpAheadDisabled (the same with a 1 s warm-up)
 //	PairBounds     / PairBoundsReference    (trie fast-path speedup)
 //	ChainIndexFleet / ChainIndex            (fleet-tier index build scaling)
 //	WCRTFleet      / ChainIndexFleet        (fleet-tier WCRT stage)
@@ -55,6 +56,7 @@ var ratioPairs = [][2]string{
 	{"BenchmarkPooledEngine", "BenchmarkReferenceEngine"},
 	{"BenchmarkSimThroughput", "BenchmarkReferenceEngine"},
 	{"BenchmarkSimJumpAhead", "BenchmarkSimJumpAheadDisabled"},
+	{"BenchmarkSimJumpAheadWarm", "BenchmarkSimJumpAheadDisabled"},
 	{"BenchmarkPairBounds", "BenchmarkPairBoundsReference"},
 	{"BenchmarkChainIndexFleet", "BenchmarkChainIndex"},
 	{"BenchmarkWCRTFleet", "BenchmarkChainIndexFleet"},

@@ -97,6 +97,34 @@ func TestWCRTStageRatioGated(t *testing.T) {
 	}
 }
 
+// TestWarmJumpAheadRatioGated triples the warm-up run's ns/op, about
+// what simulating its warm-up in full costs. Its own ratio pair against
+// the disabled run must catch that while the warm-up-free pair, which
+// is unchanged, stays clean.
+func TestWarmJumpAheadRatioGated(t *testing.T) {
+	const fixture = `{"current": {
+	  "BenchmarkSimJumpAhead": {"ns_op": 100000, "allocs_op": 466},
+	  "BenchmarkSimJumpAheadWarm": {"ns_op": 100000, "allocs_op": 467},
+	  "BenchmarkSimJumpAheadDisabled": {"ns_op": 20000000, "allocs_op": 443}
+	}}`
+	dir := t.TempDir()
+	base := writeBench(t, dir, "base.json", fixture)
+	fresh := writeBench(t, dir, "fresh.json", strings.Replace(fixture,
+		`"BenchmarkSimJumpAheadWarm": {"ns_op": 100000`, `"BenchmarkSimJumpAheadWarm": {"ns_op": 300000`, 1))
+	var out bytes.Buffer
+	if err := run([]string{"-abs-tolerance", "10", base, fresh}, &out); err == nil {
+		t.Fatalf("3x warm-up jump-ahead regression passed the gate:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "BenchmarkSimJumpAheadWarm/BenchmarkSimJumpAheadDisabled") {
+		t.Errorf("regression report missing the warm-up jump-ahead ratio:\n%s", out.String())
+	}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "REGRESSION:") && strings.Contains(line, "ratio BenchmarkSimJumpAhead/") {
+			t.Errorf("the unchanged warm-up-free pair was flagged: %s", line)
+		}
+	}
+}
+
 // TestRatioToleratesSharedNoise scales EVERY ns/op by 1.5x — the
 // machine got uniformly slower. The interleaved ratios are unchanged
 // and the absolute drift is under the loose 60% guard, so the gate

@@ -20,7 +20,7 @@ TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
 go test -run '^$' \
-	-bench 'BenchmarkFig6a$|BenchmarkSimThroughput$|BenchmarkPooledEngine$|BenchmarkReferenceEngine$|BenchmarkSimJumpAhead$|BenchmarkSimJumpAheadDisabled$|BenchmarkBatchSweep$' \
+	-bench 'BenchmarkFig6a$|BenchmarkSimThroughput$|BenchmarkPooledEngine$|BenchmarkReferenceEngine$|BenchmarkSimJumpAhead$|BenchmarkSimJumpAheadWarm$|BenchmarkSimJumpAheadDisabled$|BenchmarkBatchSweep$' \
 	-benchtime 10x -count "$COUNT" -benchmem ./... | tee "$TMP"
 
 # Best-of-count per benchmark: min ns/op and the allocs/op (identical
