@@ -37,11 +37,16 @@
 #                 chains, and fleet generator packages, the >64-task
 #                 differential harness (100 fleet-tier workloads fast
 #                 path == reference, exact multi-word masks on the
-#                 1000+-task default fleet, subtree pruning on == off
-#                 field by field plus the subtree-aggregate property
-#                 test — every TestScale* in internal/integration rides
-#                 the -run pattern), the public GenerateFleet tests,
-#                 and the pinned fleet generator golden
+#                 1000+-task default fleet, the subtree descent ==
+#                 reference field by field on the default fleet with
+#                 most pairs skipped wholesale, plus the subtree-
+#                 aggregate property test — every TestScale* in
+#                 internal/integration rides the -run pattern), the
+#                 descent == reference bound and argmax rank at forced
+#                 block caps, serial and parallel, under -race
+#                 (core.TestDescentMatchesReference), the public
+#                 GenerateFleet tests, and the pinned fleet generator
+#                 golden
 #   verify-bench - the repository benchmark's own module (bench/, which
 #                 the root ./... does not reach): a smoke run of every
 #                 workload through the public facade, BENCHMARK.json
@@ -103,6 +108,7 @@ verify-scale:
 	$(GO) vet ./internal/bitset/... ./internal/chains/... ./internal/randgraph/... ./internal/waters/...
 	$(GO) test -race ./internal/bitset/... ./internal/chains/... ./internal/randgraph/... ./internal/waters/...
 	$(GO) test -race -run 'TestScale' ./internal/integration/...
+	$(GO) test -race -run 'TestDescentMatchesReference' ./internal/core/...
 	$(GO) test -run 'TestGenerateFleet' .
 	$(GO) test -run 'TestGoldenGenTopologies/fleet' ./cmd/disparity-gen/...
 

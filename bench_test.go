@@ -14,7 +14,6 @@ import (
 
 	disparity "repro"
 	"repro/internal/chains"
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -240,32 +239,11 @@ func BenchmarkWCRTFleet(b *testing.B) {
 
 // BenchmarkPairBoundsFleet times the full bound-only analysis on the
 // fleet workload — fresh analysis, streaming index+bounds build, and
-// the flat block-parallel pair loop over ~40k pairs with multi-word
-// masks — with the subtree branch-and-bound OFF: the all-pairs
-// baseline the .../Pruned ratio pair in tools/bench_compare divides
-// against.
+// the subtree descent over ~40k pairs with multi-word masks. Besides
+// the wall-clock ratios in tools/bench_compare, it asserts the descent
+// actually prunes: the pairs enumerated per iteration (evaluated +
+// per-pair pruned) must be at most half the pair count.
 func BenchmarkPairBoundsFleet(b *testing.B) {
-	defer func(old bool) { core.SubtreePrune = old }(core.SubtreePrune)
-	core.SubtreePrune = false
-	g, sink := fleetBenchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a, err := disparity.Analyze(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := a.DisparityBound(sink, disparity.SDiff, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPairBoundsFleetPruned is the same workload on the default
-// configuration (subtree pruning on). Besides the wall-clock ratio,
-// it asserts the prune actually engages: the pairs enumerated per
-// iteration (evaluated + per-pair pruned) must be at most half the
-// pair count, i.e. at least 2x fewer than the all-pairs baseline.
-func BenchmarkPairBoundsFleetPruned(b *testing.B) {
 	g, sink := fleetBenchGraph(b)
 	bounded := metrics.C("core.pairs.bounded")
 	pruned := metrics.C("core.pairs.pruned")
@@ -287,6 +265,24 @@ func BenchmarkPairBoundsFleetPruned(b *testing.B) {
 	if enumerated := (bounded.Load() - b0) + (pruned.Load() - p0); enumerated > int64(b.N)*int64(numPairs)/2 {
 		b.Fatalf("subtree prune ineffective: %d pairs enumerated over %d iterations of %d pairs (want ≤ half)",
 			enumerated, b.N, numPairs)
+	}
+}
+
+// BenchmarkPairBoundsFleetReference is the reference pipeline on the
+// BenchmarkPairBoundsFleet workload: every pair of the fleet graph
+// enumerated, stripped and bounded one by one. It is the all-pairs
+// denominator of the fleet descent's ratio in tools/bench_compare.
+func BenchmarkPairBoundsFleetReference(b *testing.B) {
+	g, sink := fleetBenchGraph(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, err := disparity.Analyze(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := a.DisparityReference(sink, disparity.SDiff, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

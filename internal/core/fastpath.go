@@ -15,9 +15,7 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -26,7 +24,6 @@ import (
 	"repro/internal/chains"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/par"
 	"repro/internal/timeu"
 )
 
@@ -38,25 +35,16 @@ var (
 	// bulk-add, so the hot loop stays free of shared atomics.
 	pairsPruned = metrics.C("core.pairs.pruned")
 	// boundParallelRuns counts DisparityBound evaluations that crossed
-	// ParallelPairThreshold and ran the block-parallel reduction.
+	// parallelPairThreshold and evaluated their blocks on all CPUs.
 	boundParallelRuns = metrics.C("core.bound.parallel")
 )
 
-// ParallelPairThreshold is the number of chain pairs above which
-// DisparityBound evaluates pairs on all CPUs. The reduction is
-// deterministic (fixed partition, order-independent (bound, rank)
-// merge), so the parallel result is bit-identical to the serial one;
-// the threshold only trades goroutine overhead against pair volume.
-//
-// It is a plain package variable so tests can force the parallel path
-// on small inputs, and it is read — without synchronization — each
-// time an analysis evaluates a task. Set it once, before any analysis
-// starts, and never concurrently with running analyses; tests that
-// override it must restore the previous value via t.Cleanup so a
-// failing test cannot leak the override into the rest of the package
-// run. The same discipline applies to SubtreePrune and SubtreeRectCap
-// (subtree.go).
-var ParallelPairThreshold = 1 << 12
+// parallelPairThreshold is the number of chain pairs above which
+// DisparityBound evaluates the descent's blocks on all CPUs. The
+// (bound, rank) merge is order-independent, so the parallel result is
+// bit-identical to the serial one; the threshold only trades goroutine
+// overhead against pair volume.
+const parallelPairThreshold = 1 << 12
 
 // evalKey identifies one pairEval per analyzed task and enumeration
 // cap; PDiff and SDiff share the tables.
@@ -77,9 +65,10 @@ type pairEval struct {
 	// store materializes every chain at most once, lazily and shared
 	// across retargeted evaluations; stripped chains are prefix slices
 	// of the stored ones (StripCommonSuffix keeps the head-side prefix
-	// up to the last joint task). Only the full-detail Disparity loop
-	// touches it — the bound-only loop materializes just the winning
-	// pair, so fleet-scale bound runs never pay O(chains × length).
+	// up to the last joint task). Only the full-detail loops of
+	// Disparity and ForEachPairBound touch it — the bound-only descent
+	// materializes just the winning pair, so fleet-scale bound runs
+	// never pay O(chains × length).
 	store *chainStore
 	// masks is the flat exact path-mask table with maskStride words per
 	// trie node: one uint64 per node when the graph has at most 64
@@ -151,6 +140,7 @@ func newPairEval(a *Analysis, task model.TaskID, maxChains int) *pairEval {
 	idx, tb := a.bw.IndexBounds(a.g, task, maxChains)
 	ev := &pairEval{a: a, idx: idx, tb: tb, store: &chainStore{}}
 	ev.masks, ev.maskStride = idx.PathMasks()
+	ev.wFull, ev.bFull = fullBounds(idx, tb)
 	nt := a.g.NumTasks()
 	ev.period = make([]timeu.Time, nt)
 	ev.sporadic = make([]bool, nt)
@@ -159,44 +149,37 @@ func newPairEval(a *Analysis, task model.TaskID, maxChains int) *pairEval {
 		ev.period[t] = tsk.Period
 		ev.sporadic[t] = tsk.Sporadic()
 	}
-	n := idx.NumChains()
-	ev.wFull = make([]timeu.Time, n)
-	ev.bFull = make([]timeu.Time, n)
-	ev.headTask = make([]model.TaskID, n)
-	for i := 0; i < n; i++ {
-		leaf := idx.Leaf(i)
-		ev.wFull[i], ev.bFull[i] = ev.tb.Bounds(leaf, 0)
-		ev.headTask[i] = idx.NodeTask(leaf)
+	ev.headTask = make([]model.TaskID, idx.NumChains())
+	for i := range ev.headTask {
+		ev.headTask[i] = idx.NodeTask(idx.Leaf(i))
 	}
 	return ev
 }
 
-// retarget rebuilds the analysis-dependent tables (backward bounds,
-// per-leaf windows, per-task attributes) for another Analysis of a
-// topologically identical graph — the greedy optimizer's buffered
-// clones — while sharing the topology-only tables (trie, chain store,
-// masks, LCA lifting) that a capacity change cannot touch.
+// fullBounds returns every leaf's full-chain (root segment) bounds.
+func fullBounds(idx *chains.Index, tb *backward.TrieBounds) (w, b []timeu.Time) {
+	n := idx.NumChains()
+	w, b = make([]timeu.Time, n), make([]timeu.Time, n)
+	for i := range w {
+		w[i], b[i] = tb.Bounds(idx.Leaf(i), 0)
+	}
+	return w, b
+}
+
+// retarget rebuilds the analysis-dependent tables (backward bounds and
+// per-leaf windows) for an Analysis of a clone that differs from ev's
+// graph only in buffer capacities — the greedy optimizer's rounds —
+// while sharing everything a capacity change cannot touch: the trie,
+// chain store, masks, LCA lifting, head tasks, and per-task periods.
 func (ev *pairEval) retarget(a *Analysis) *pairEval {
-	next := &pairEval{
-		a: a, idx: ev.idx, store: ev.store, masks: ev.masks,
-		maskStride: ev.maskStride, headTask: ev.headTask,
+	tb := a.bw.TrieBounds(ev.idx)
+	wFull, bFull := fullBounds(ev.idx, tb)
+	return &pairEval{
+		a: a, idx: ev.idx, tb: tb, store: ev.store,
+		masks: ev.masks, maskStride: ev.maskStride,
+		wFull: wFull, bFull: bFull, headTask: ev.headTask,
+		period: ev.period, sporadic: ev.sporadic,
 	}
-	next.tb = a.bw.TrieBounds(ev.idx)
-	nt := a.g.NumTasks()
-	next.period = make([]timeu.Time, nt)
-	next.sporadic = make([]bool, nt)
-	for t := 0; t < nt; t++ {
-		tsk := a.g.Task(model.TaskID(t))
-		next.period[t] = tsk.Period
-		next.sporadic[t] = tsk.Sporadic()
-	}
-	n := ev.idx.NumChains()
-	next.wFull = make([]timeu.Time, n)
-	next.bFull = make([]timeu.Time, n)
-	for i := 0; i < n; i++ {
-		next.wFull[i], next.bFull[i] = next.tb.Bounds(ev.idx.Leaf(i), 0)
-	}
-	return next
 }
 
 // adoptEval seeds a's pairEval table with an already-built evaluation,
@@ -449,28 +432,28 @@ func (ev *pairEval) maskC1(u, w, f int32, head model.TaskID, sameHead bool) (c1,
 	}
 }
 
-// disparityFast is the full-detail task-level loop: every pair's
-// PairBound is materialized (the public Disparity contract), but the
-// per-pair work runs on the shared trie tables. The pair order, the
-// ArgMax tie-break (first pair attaining the maximum), and every bound
-// are identical to the legacy enumeration's.
-func (a *Analysis) disparityFast(task model.TaskID, m Method, maxChains int) (*TaskDisparity, error) {
-	ev := a.pairEvalFor(task, maxChains)
-	n := ev.idx.NumChains()
+// taskDisparity returns the result header every task-level entry point
+// starts from: no pairs yet, the true pair count, and the index's
+// truncation, which it also counts.
+func (ev *pairEval) taskDisparity(task model.TaskID) *TaskDisparity {
 	td := &TaskDisparity{
 		Task: task, ArgMax: -1,
-		NumPairs:  chains.NumPairs(n),
+		NumPairs:  chains.NumPairs(ev.idx.NumChains()),
 		Truncated: ev.idx.Truncated(),
 		Cause:     ev.idx.Cause(),
 	}
 	if td.Truncated {
 		disparityTruncated.Inc()
 	}
-	if n < 2 {
-		return td, nil
-	}
-	cs := ev.store.chains(ev.idx)
-	td.Pairs = make([]*PairBound, 0, td.NumPairs)
+	return td
+}
+
+// forEachPair evaluates every chain pair (i < j) in row-major order —
+// the legacy enumeration's, and the index order of Disparity's Pairs —
+// and hands each to fn, which stops the walk by returning false. v is
+// reused across calls.
+func (ev *pairEval) forEachPair(m Method, fn func(i, j int, v *pairVals) bool) error {
+	n := ev.idx.NumChains()
 	var s pairScratch
 	var v pairVals
 	for i := 0; i < n; i++ {
@@ -478,15 +461,40 @@ func (a *Analysis) disparityFast(task model.TaskID, m Method, maxChains int) (*T
 			if m == PDiff {
 				ev.evalPDiff(i, j, &v)
 			} else if err := ev.evalSDiff(i, j, &s, &v); err != nil {
-				return nil, err
+				return err
 			}
-			pb := ev.toPairBound(cs[i], cs[j], &v)
-			td.Pairs = append(td.Pairs, pb)
-			if pb.Bound > td.Bound || td.ArgMax < 0 {
-				td.Bound = pb.Bound
-				td.ArgMax = len(td.Pairs) - 1
+			if !fn(i, j, &v) {
+				return nil
 			}
 		}
+	}
+	return nil
+}
+
+// disparityFast is the full-detail task-level loop: every pair's
+// PairBound is materialized (the public Disparity contract), but the
+// per-pair work runs on the shared trie tables. The pair order, the
+// ArgMax tie-break (first pair attaining the maximum), and every bound
+// are identical to the legacy enumeration's.
+func (a *Analysis) disparityFast(task model.TaskID, m Method, maxChains int) (*TaskDisparity, error) {
+	ev := a.pairEvalFor(task, maxChains)
+	td := ev.taskDisparity(task)
+	if td.NumPairs == 0 {
+		return td, nil
+	}
+	cs := ev.store.chains(ev.idx)
+	td.Pairs = make([]*PairBound, 0, td.NumPairs)
+	err := ev.forEachPair(m, func(i, j int, v *pairVals) bool {
+		pb := ev.toPairBound(cs[i], cs[j], v)
+		td.Pairs = append(td.Pairs, pb)
+		if pb.Bound > td.Bound || td.ArgMax < 0 {
+			td.Bound = pb.Bound
+			td.ArgMax = len(td.Pairs) - 1
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return td, nil
 }
@@ -518,38 +526,21 @@ type blockBest struct {
 // empty (fewer than two chains) or the single worst PairBound, with
 // ArgMax 0 and NumPairs the true pair count. The Bound and the worst
 // pair are bit-identical to Disparity's Bound and Pairs[ArgMax] — the
-// differential harness enforces it — while the loop skips the per-pair
-// allocations, applies a sound dominance prune (a pair whose cheap
-// upper bound is below the running maximum cannot change the result),
-// skips whole subtree-pair blocks via the branch-and-bound descent of
-// subtree.go (unless SubtreePrune is off), and evaluates surviving
-// blocks in parallel above ParallelPairThreshold with a deterministic
-// (bound, rank) reduction.
+// differential harness enforces it — while the search runs the
+// branch-and-bound descent of subtree.go: whole subtree-pair blocks
+// whose optimistic bound cannot reach the running maximum are skipped,
+// surviving blocks apply a sound per-pair dominance prune (a pair whose
+// cheap upper bound is below the running maximum cannot change the
+// result), and above parallelPairThreshold pairs the blocks run on all
+// CPUs with a deterministic (bound, rank) reduction.
 func (a *Analysis) DisparityBound(task model.TaskID, m Method, maxChains int) (*TaskDisparity, error) {
 	ev := a.pairEvalFor(task, maxChains)
-	n := ev.idx.NumChains()
-	td := &TaskDisparity{
-		Task: task, ArgMax: -1,
-		NumPairs:  chains.NumPairs(n),
-		Truncated: ev.idx.Truncated(),
-		Cause:     ev.idx.Cause(),
-	}
-	if td.Truncated {
-		disparityTruncated.Inc()
-	}
-	if n < 2 {
+	td := ev.taskDisparity(task)
+	if td.NumPairs == 0 {
 		return td, nil
 	}
-
-	var best blockBest
-	if SubtreePrune {
-		best = ev.boundSubtree(m, n)
-	} else if td.NumPairs >= ParallelPairThreshold {
-		best = ev.boundParallel(m, n, td.NumPairs)
-	} else {
-		var threshold atomic.Int64
-		best = ev.boundBlock(m, n, 0, td.NumPairs, &threshold)
-	}
+	n := ev.idx.NumChains()
+	best := ev.boundSubtree(m, n, subtreeRectCap, td.NumPairs >= parallelPairThreshold)
 	if best.err != nil {
 		return nil, best.err
 	}
@@ -597,76 +588,4 @@ func (ev *pairEval) evalPair(m Method, i, j int, s *pairScratch, v *pairVals, th
 		return false, err
 	}
 	return true, nil
-}
-
-// boundBlock evaluates the pair ranks [lo, hi) serially with the
-// per-pair dominance prune of evalPair.
-func (ev *pairEval) boundBlock(m Method, n, lo, hi int, threshold *atomic.Int64) blockBest {
-	best := blockBest{rank: -1}
-	i, j := pairAt(n, lo)
-	var s pairScratch
-	var v pairVals
-	var prunedCount int64
-	defer func() {
-		if prunedCount > 0 {
-			pairsPruned.Add(prunedCount)
-		}
-	}()
-	for rank := lo; rank < hi; rank++ {
-		evaluated, err := ev.evalPair(m, i, j, &s, &v, threshold)
-		if err != nil {
-			best.err = err
-			return best
-		}
-		if evaluated {
-			if v.bound > best.bound || best.rank < 0 {
-				best.bound, best.rank = v.bound, rank
-			}
-			for {
-				cur := threshold.Load()
-				if int64(v.bound) <= cur || threshold.CompareAndSwap(cur, int64(v.bound)) {
-					break
-				}
-			}
-		} else {
-			prunedCount++
-		}
-		if j++; j == n {
-			i++
-			j = i + 1
-		}
-	}
-	return best
-}
-
-// boundParallel partitions the rank space into contiguous blocks,
-// evaluates them concurrently, and reduces the block results in block
-// order — reproducing the serial first-attaining argmax exactly.
-func (ev *pairEval) boundParallel(m Method, n, numPairs int) blockBest {
-	boundParallelRuns.Inc()
-	workers := runtime.GOMAXPROCS(0)
-	numBlocks := workers * 4
-	if numBlocks > numPairs {
-		numBlocks = numPairs
-	}
-	results := make([]blockBest, numBlocks)
-	var threshold atomic.Int64
-	_ = par.Runner{Workers: workers}.RunIndexed(context.Background(), numBlocks,
-		func(_ context.Context, _, b int) error {
-			lo := numPairs * b / numBlocks
-			hi := numPairs * (b + 1) / numBlocks
-			results[b] = ev.boundBlock(m, n, lo, hi, &threshold)
-			return nil
-		})
-	best := blockBest{rank: -1}
-	for _, r := range results {
-		if r.err != nil {
-			best.err = r.err
-			return best
-		}
-		if r.rank >= 0 && (r.bound > best.bound || best.rank < 0) {
-			best.bound, best.rank = r.bound, r.rank
-		}
-	}
-	return best
 }

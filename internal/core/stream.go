@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/chains"
 	"repro/internal/model"
 )
 
@@ -10,62 +9,41 @@ import (
 // one PairBound is reused across calls, so fn must not retain pb (or
 // its windows) past the call — copy what it needs. Chains themselves
 // are shared slices and stable. fn may stop the stream early by
-// returning false; the returned summary then covers only the visited
-// pairs.
+// returning false at rank k; Bound and the worst pair then cover ranks
+// 0..k only, while NumPairs and Truncated still describe the whole
+// task.
 //
 // The summary mirrors DisparityBound's shape — Pairs holds just the
-// worst pair seen (a private copy, safe to retain), ArgMax is 0, and
-// Bound/NumPairs/Truncated match Disparity's. Every streamed value is
-// bit-identical to the corresponding Disparity entry; the streaming
-// mode exists so fleet-scale full-detail consumers (disparity-analyze
-// -pairs above its materialization limit) run in O(1) pair memory
-// instead of allocating NumPairs records.
+// worst pair seen (the first attaining Bound; a private copy, safe to
+// retain), ArgMax is 0, and a full stream's Bound/NumPairs/Truncated
+// match Disparity's. Every streamed value is bit-identical to the
+// corresponding Disparity entry; the streaming mode exists so
+// fleet-scale full-detail consumers (disparity-analyze -pairs above its
+// materialization limit) run in O(1) pair memory instead of allocating
+// NumPairs records.
 func (a *Analysis) ForEachPairBound(task model.TaskID, m Method, maxChains int, fn func(rank int, pb *PairBound) bool) (*TaskDisparity, error) {
 	ev := a.pairEvalFor(task, maxChains)
-	n := ev.idx.NumChains()
-	td := &TaskDisparity{
-		Task: task, ArgMax: -1,
-		NumPairs:  chains.NumPairs(n),
-		Truncated: ev.idx.Truncated(),
-		Cause:     ev.idx.Cause(),
-	}
-	if td.Truncated {
-		disparityTruncated.Inc()
-	}
-	if n < 2 {
+	td := ev.taskDisparity(task)
+	if td.NumPairs == 0 {
 		return td, nil
 	}
 	cs := ev.store.chains(ev.idx)
-	var s pairScratch
-	var v pairVals
 	var pb PairBound
-	bestRank := -1
-	var bestV pairVals
-	rank := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if m == PDiff {
-				ev.evalPDiff(i, j, &v)
-			} else if err := ev.evalSDiff(i, j, &s, &v); err != nil {
-				return nil, err
-			}
-			if v.bound > td.Bound || bestRank < 0 {
-				td.Bound = v.bound
-				bestRank = rank
-				bestV = v
-			}
-			ev.fillPairBound(&pb, cs[i], cs[j], &v)
-			if !fn(rank, &pb) {
-				i = n // stop both loops
-				break
-			}
-			rank++
+	var best pairVals
+	bi, bj, rank := -1, -1, 0
+	err := ev.forEachPair(m, func(i, j int, v *pairVals) bool {
+		if v.bound > td.Bound || bi < 0 {
+			td.Bound, best, bi, bj = v.bound, *v, i, j
 		}
+		ev.fillPairBound(&pb, cs[i], cs[j], v)
+		more := fn(rank, &pb)
+		rank++
+		return more
+	})
+	if err != nil {
+		return nil, err
 	}
-	if bestRank >= 0 {
-		bi, bj := pairAt(n, bestRank)
-		td.ArgMax = 0
-		td.Pairs = []*PairBound{ev.toPairBound(cs[bi], cs[bj], &bestV)}
-	}
+	td.ArgMax = 0
+	td.Pairs = []*PairBound{ev.toPairBound(cs[bi], cs[bj], &best)}
 	return td, nil
 }

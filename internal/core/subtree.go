@@ -1,5 +1,5 @@
-// Subtree-level pair pruning: a hierarchical branch-and-bound layer
-// over the pair loop of DisparityBound.
+// Subtree-level pair pruning: the hierarchical branch-and-bound
+// descent that DisparityBound runs over the pair space.
 //
 // The trie groups chains by shared prefix, and backward.SubtreeAggs
 // gives every trie node the min/max envelope of its leaves' segment
@@ -8,10 +8,10 @@
 // combination max(|𝒲λ−ℬν|, |𝒲ν−ℬλ|) is bounded above by combining the
 // two envelopes — one interval comparison for the whole leaf-range ×
 // leaf-range block. The descent below expands the pair space into
-// O(NumPairs/SubtreeRectCap) such blocks, orders them by optimistic
+// O(NumPairs/subtreeRectCap) such blocks, orders them by optimistic
 // bound, and lets the CAS-lifted running maximum skip whole blocks
 // before a single pair in them is enumerated. Surviving blocks fall
-// through to the existing exact per-pair evaluation, so the result —
+// through to the exact per-pair evaluation, so the result —
 // bound, argmax pair, every intermediate — stays bit-identical to
 // DisparityReference (pinned by the differential harnesses).
 //
@@ -39,7 +39,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/backward"
-	"repro/internal/chains"
 	"repro/internal/metrics"
 	"repro/internal/par"
 	"repro/internal/timeu"
@@ -57,20 +56,12 @@ var (
 	blocksPruned = metrics.C("core.blocks.pruned")
 )
 
-// SubtreePrune toggles the subtree-level branch-and-bound of
-// DisparityBound. Results are bit-identical either way; disabling it
-// restores the flat all-pairs loop (the benchmark baseline). Like
-// ParallelPairThreshold it is read when an analysis runs: set it
-// before any analysis starts and do not flip it concurrently; tests
-// that override it must restore the old value via t.Cleanup.
-var SubtreePrune = true
-
-// SubtreeRectCap caps the pair count of one block emitted by the
+// subtreeRectCap caps the pair count of one block emitted by the
 // subtree descent. Smaller blocks prune at a finer grain but cost more
-// envelope evaluations; the default keeps block metadata negligible
-// (tens of bytes per ~1k pairs) while fleet-scale tries still collapse
-// to a few dozen blocks. Same write discipline as SubtreePrune.
-var SubtreeRectCap = 1024
+// envelope evaluations; this cap keeps block metadata negligible (tens
+// of bytes per ~1k pairs) while fleet-scale tries still collapse to a
+// few dozen blocks.
+const subtreeRectCap = 1024
 
 // ubSentinel marks a block whose optimistic bound is unavailable
 // (triangles with mixed join nodes, S-diff blocks not proven all-c1):
@@ -104,12 +95,10 @@ type rectCollector struct {
 	rects     []pairRect
 }
 
-// collectRects runs the descent from the root and returns every block.
-func (ev *pairEval) collectRects(m Method) []pairRect {
-	c := &rectCollector{ev: ev, m: m, cap: int64(SubtreeRectCap)}
-	if c.cap < 1 {
-		c.cap = 1
-	}
+// collectRects runs the descent from the root and returns every block,
+// none holding more than cap ≥ 1 pairs.
+func (ev *pairEval) collectRects(m Method, cap int) []pairRect {
+	c := &rectCollector{ev: ev, m: m, cap: int64(cap)}
 	c.aggs, c.hasLET = ev.tb.SubtreeAggs()
 	if m == SDiff {
 		c.sub, c.subStride = ev.idx.SubtreeMasks()
@@ -322,26 +311,26 @@ func hullB(a *backward.SubtreeAgg, bOff, bletOff timeu.Time, hasLET bool) (lo, h
 }
 
 // pairRank maps pair (i, j), i < j, to its row-major rank — the order
-// the flat loops of disparityFast/boundBlock visit pairs in. The
+// forEachPair visits pairs in, and Disparity's Pairs index. The
 // cross-rect reduction merges by (bound desc, rank asc), reproducing
-// the serial first-attaining argmax no matter how blocks interleave.
+// the row-major first-attaining argmax no matter how blocks interleave.
 func pairRank(n, i, j int) int {
 	return i*(n-1) - i*(i-1)/2 + j - i - 1
 }
 
-// boundSubtree is DisparityBound's branch-and-bound driver: collect
-// blocks, order them most-promising first (so the threshold rises
-// early and later blocks die on one comparison), evaluate the first
-// block serially to seed the threshold, then the rest serially or —
-// above ParallelPairThreshold — on all CPUs. The (bound, rank)
-// reduction keeps the result independent of evaluation order.
-func (ev *pairEval) boundSubtree(m Method, n int) blockBest {
-	rects := ev.collectRects(m)
+// boundSubtree runs DisparityBound's branch and bound over the n
+// chains: collect blocks of at most cap pairs, order them most-promising
+// first (so the threshold rises early and later blocks die on one
+// comparison), evaluate the first block serially to seed the threshold,
+// then the rest serially or, when parallel, on all CPUs. The (bound,
+// rank) reduction keeps the result independent of evaluation order.
+func (ev *pairEval) boundSubtree(m Method, n, cap int, parallel bool) blockBest {
+	rects := ev.collectRects(m, cap)
 	sort.SliceStable(rects, func(i, j int) bool { return rects[i].ub > rects[j].ub })
 	var threshold atomic.Int64
 	results := make([]blockBest, len(rects))
 	results[0] = ev.evalRect(m, n, &rects[0], &threshold)
-	if rest := len(rects) - 1; rest > 0 && chains.NumPairs(n) >= ParallelPairThreshold {
+	if rest := len(rects) - 1; rest > 0 && parallel {
 		boundParallelRuns.Inc()
 		_ = par.Runner{Workers: runtime.GOMAXPROCS(0)}.RunIndexed(context.Background(), rest,
 			func(_ context.Context, _, b int) error {

@@ -8,7 +8,9 @@ import (
 	"repro/internal/backward"
 	"repro/internal/chains"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/randgraph"
 	"repro/internal/sched"
 	"repro/internal/timeu"
 )
@@ -70,10 +72,11 @@ func varyCorpus(t *testing.T, g *model.Graph, trial int, rng *rand.Rand) {
 }
 
 // TestAnalysisFastPathMatchesReference sweeps hundreds of seeded WATERS
-// workloads and checks the fast path's three entry points against the
+// workloads and checks the fast path's four entry points against the
 // reference pipeline: Disparity (full detail, every pair field by
-// field), DisparityBound (bound + argmax pair only), and the greedy
-// optimizer built on top of them.
+// field), ForEachPairBound (the same pairs streamed, run in full and
+// stopped early), DisparityBound (bound + argmax pair only), and the
+// greedy optimizer built on top of them.
 func TestAnalysisFastPathMatchesReference(t *testing.T) {
 	trials := 200
 	if testing.Short() {
@@ -109,6 +112,7 @@ func TestAnalysisFastPathMatchesReference(t *testing.T) {
 				for i := range got.Pairs {
 					comparePairExact(t, trial, name, got.Pairs[i], want.Pairs[i])
 				}
+				compareStream(t, trial, name, a, sink, m, got)
 
 				bd, err := a.DisparityBound(sink, m, 0)
 				if err != nil {
@@ -162,66 +166,105 @@ func TestAnalysisFastPathMatchesReference(t *testing.T) {
 	}
 }
 
-// TestAnalysisParallelMatchesSerial forces the parallel pair loop on by
-// dropping core.ParallelPairThreshold to 1 and checks DisparityBound
-// against both a serial fast-path run and the reference. Run under
-// -race this is the data-race smoke test of the block-partitioned
-// reduction; the equality check pins its determinism (the block-ordered
-// merge must reproduce the serial first-attaining argmax exactly).
-func TestAnalysisParallelMatchesSerial(t *testing.T) {
-	old := core.ParallelPairThreshold
-	t.Cleanup(func() { core.ParallelPairThreshold = old })
-
-	trials := 40
-	if testing.Short() {
-		trials = 12
+// compareStream checks ForEachPairBound against Disparity's result td:
+// the full stream yields every Pairs[rank] in rank order, field by
+// field, and td's bound and worst pair; a stream stopped at rank k
+// (k = trial mod the pair count) summarizes ranks 0..k — their maximum
+// and the first pair attaining it — while NumPairs stays the full
+// count.
+func compareStream(t *testing.T, trial int, name string, a *core.Analysis, sink model.TaskID, m core.Method, td *core.TaskDisparity) {
+	t.Helper()
+	next := 0
+	full, err := a.ForEachPairBound(sink, m, 0, func(rank int, pb *core.PairBound) bool {
+		if rank != next || rank >= len(td.Pairs) {
+			t.Fatalf("trial %d %s: stream rank %d, want %d of %d", trial, name, rank, next, len(td.Pairs))
+		}
+		comparePairExact(t, trial, name+"/stream", pb, td.Pairs[rank])
+		next++
+		return true
+	})
+	if err != nil {
+		t.Fatalf("trial %d %s: ForEachPairBound: %v", trial, name, err)
 	}
+	if next != len(td.Pairs) || full.Bound != td.Bound || full.NumPairs != td.NumPairs || full.Truncated != td.Truncated {
+		t.Errorf("trial %d %s: stream of %d pairs = %v over %d (truncated=%v), Disparity %d pairs = %v over %d (truncated=%v)",
+			trial, name, next, full.Bound, full.NumPairs, full.Truncated, len(td.Pairs), td.Bound, td.NumPairs, td.Truncated)
+	}
+	if td.ArgMax < 0 {
+		if len(full.Pairs) != 0 {
+			t.Errorf("trial %d %s: stream carried pairs on a pairless task", trial, name)
+		}
+		return
+	}
+	comparePairExact(t, trial, name+"/stream-worst", full.Pairs[0], td.Pairs[td.ArgMax])
+
+	k := trial % len(td.Pairs)
+	worst := 0
+	for r := 1; r <= k; r++ {
+		if td.Pairs[r].Bound > td.Pairs[worst].Bound {
+			worst = r
+		}
+	}
+	part, err := a.ForEachPairBound(sink, m, 0, func(rank int, _ *core.PairBound) bool { return rank < k })
+	if err != nil {
+		t.Fatalf("trial %d %s: stopped ForEachPairBound: %v", trial, name, err)
+	}
+	if part.Bound != td.Pairs[worst].Bound || part.NumPairs != td.NumPairs || part.ArgMax != 0 || len(part.Pairs) != 1 {
+		t.Fatalf("trial %d %s: stream stopped at rank %d = %v over %d (argmax %d, %d pairs), want %v over %d",
+			trial, name, k, part.Bound, part.NumPairs, part.ArgMax, len(part.Pairs), td.Pairs[worst].Bound, td.NumPairs)
+	}
+	comparePairExact(t, trial, name+"/stream-stopped", part.Pairs[0], td.Pairs[worst])
+}
+
+// TestAnalysisParallelMatchesSerial checks the descent's parallel block
+// evaluation against the serial pair loops on workloads past core's
+// parallel threshold (4096 chain pairs): fleet graphs of 96–100
+// source→fusion chains, perturbed like the differential corpus. Every
+// DisparityBound call must move the core.bound.parallel counter, so a
+// raised threshold cannot turn this test serial unnoticed. Run under
+// -race it is the data-race smoke test of the parallel blocks; the
+// equality check pins their determinism (the (bound, rank) merge must
+// reproduce the serial first-attaining argmax exactly). The forced
+// parallel runs on small graphs are core.TestDescentMatchesReference's.
+func TestAnalysisParallelMatchesSerial(t *testing.T) {
+	configs := []randgraph.FleetConfig{
+		{Zones: 2, ECUsPerZone: 4, PipesPerECU: 12, ProcDepth: 2, TailLen: 1},
+		{Zones: 4, ECUsPerZone: 3, PipesPerECU: 8, ProcDepth: 2, TailLen: 0},
+		{Zones: 3, ECUsPerZone: 4, PipesPerECU: 8, ProcDepth: 3, TailLen: 2},
+		{Zones: 2, ECUsPerZone: 5, PipesPerECU: 10, ProcDepth: 2, TailLen: 1},
+	}
+	trials := 8
+	if testing.Short() {
+		trials = 4
+	}
+	parallelRuns := metrics.C("core.bound.parallel")
 	rng := rand.New(rand.NewSource(80))
 	for trial := 0; trial < trials; trial++ {
-		g := genWaters(t, rng, 8+rng.Intn(8))
+		g, fusion := populateFleet(t, configs[trial%len(configs)], rng)
 		varyCorpus(t, g, trial, rng)
-		sink := g.Sinks()[0]
+		a, err := core.New(g)
+		if err != nil {
+			t.Fatalf("trial %d: fleet workload rejected: %v", trial, err)
+		}
 		for _, m := range []core.Method{core.PDiff, core.SDiff} {
-			core.ParallelPairThreshold = 1 << 30 // serial
-			serialA, err := core.New(g)
-			if err != nil {
-				break
-			}
-			serial, err := serialA.DisparityBound(sink, m, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			core.ParallelPairThreshold = 1 // every pair loop fans out
-			parA, err := core.New(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := parA.DisparityBound(sink, m, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if par.Bound != serial.Bound || par.NumPairs != serial.NumPairs || len(par.Pairs) != len(serial.Pairs) {
-				t.Fatalf("trial %d %v: parallel bound %v/%d pairs, serial %v/%d",
-					trial, m, par.Bound, par.NumPairs, serial.Bound, serial.NumPairs)
-			}
-			for i := range par.Pairs {
-				comparePairExact(t, trial, m.String()+"/parallel", par.Pairs[i], serial.Pairs[i])
+			before := parallelRuns.Load()
+			bd := compareDescentFlat(t, trial, m.String()+"/parallel", a, fusion, m)
+			if bd.NumPairs < 1<<12 || parallelRuns.Load() == before {
+				t.Fatalf("trial %d %v: DisparityBound over %d pairs did not run its blocks in parallel",
+					trial, m, bd.NumPairs)
 			}
 		}
 	}
 }
 
-// TestAnalysisSubtreePruneMatchesFlat toggles the subtree
-// branch-and-bound descent (core.SubtreePrune) off and on over the
-// WATERS corpus and checks that DisparityBound is bit-identical in both
-// modes and against the reference pipeline: same bound, same pair
-// count, and the same first-attaining argmax pair field by field. A
-// tiny rect cap is also exercised so the descent is forced to split
-// and re-merge blocks rather than evaluating one big triangle.
+// TestAnalysisSubtreePruneMatchesFlat checks the subtree
+// branch-and-bound descent, the only search DisparityBound runs,
+// against the flat row-major loop that Disparity runs over every pair,
+// on the WATERS corpus: same bound, same pair count, and the same
+// first-attaining argmax pair field by field, both equal to the
+// reference pipeline's. The forced small block caps are
+// core.TestDescentMatchesReference's.
 func TestAnalysisSubtreePruneMatchesFlat(t *testing.T) {
-	oldPrune, oldCap := core.SubtreePrune, core.SubtreeRectCap
-	t.Cleanup(func() { core.SubtreePrune, core.SubtreeRectCap = oldPrune, oldCap })
-
 	trials := 60
 	if testing.Short() {
 		trials = 20
@@ -230,44 +273,54 @@ func TestAnalysisSubtreePruneMatchesFlat(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		g := genWaters(t, rng, 8+rng.Intn(8))
 		varyCorpus(t, g, trial, rng)
+		a, err := core.New(g)
+		if err != nil {
+			continue // rejected before any pair search runs
+		}
 		sink := g.Sinks()[0]
 		for _, m := range []core.Method{core.PDiff, core.SDiff} {
-			core.SubtreePrune = false
-			flatA, err := core.New(g)
-			if err != nil {
-				break
-			}
-			flat, err := flatA.DisparityBound(sink, m, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := flatA.DisparityReference(sink, m, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, cap := range []int{core.SubtreeRectCap, 4} {
-				core.SubtreePrune, core.SubtreeRectCap = true, cap
-				prunedA, err := core.New(g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pruned, err := prunedA.DisparityBound(sink, m, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				name := m.String() + "/pruned"
-				if pruned.Bound != flat.Bound || pruned.Bound != want.Bound ||
-					pruned.NumPairs != flat.NumPairs || len(pruned.Pairs) != len(flat.Pairs) {
-					t.Fatalf("trial %d %s cap=%d: pruned bound %v/%d pairs, flat %v/%d, reference %v",
-						trial, name, cap, pruned.Bound, pruned.NumPairs, flat.Bound, flat.NumPairs, want.Bound)
-				}
-				for i := range pruned.Pairs {
-					comparePairExact(t, trial, name, pruned.Pairs[i], flat.Pairs[i])
-				}
-			}
-			core.SubtreePrune, core.SubtreeRectCap = oldPrune, oldCap
+			compareDescentFlat(t, trial, m.String()+"/pruned", a, sink, m)
 		}
 	}
+}
+
+// compareDescentFlat runs the three pair searches of a on sink —
+// DisparityBound (the descent), Disparity (the flat loop) and
+// DisparityReference — and requires one bound, one pair count and one
+// argmax: the flat loop's ArgMax is the reference's, and the descent's
+// worst pair equals the flat loop's Pairs[ArgMax] field by field.
+// Returns the descent's result for further checks.
+func compareDescentFlat(t *testing.T, trial int, label string, a *core.Analysis, sink model.TaskID, m core.Method) *core.TaskDisparity {
+	t.Helper()
+	flat, err := a.Disparity(sink, m, 0)
+	if err != nil {
+		t.Fatalf("trial %d %s: Disparity: %v", trial, label, err)
+	}
+	want, err := a.DisparityReference(sink, m, 0)
+	if err != nil {
+		t.Fatalf("trial %d %s: DisparityReference: %v", trial, label, err)
+	}
+	bd, err := a.DisparityBound(sink, m, 0)
+	if err != nil {
+		t.Fatalf("trial %d %s: DisparityBound: %v", trial, label, err)
+	}
+	if bd.Bound != flat.Bound || bd.Bound != want.Bound || bd.NumPairs != flat.NumPairs ||
+		bd.NumPairs != len(want.Pairs) || bd.Truncated || flat.Truncated || flat.ArgMax != want.ArgMax {
+		t.Fatalf("trial %d %s: descent %v over %d pairs (truncated=%v), flat %v over %d at rank %d (truncated=%v), reference %v over %d at rank %d",
+			trial, label, bd.Bound, bd.NumPairs, bd.Truncated, flat.Bound, flat.NumPairs, flat.ArgMax, flat.Truncated,
+			want.Bound, len(want.Pairs), want.ArgMax)
+	}
+	if flat.ArgMax < 0 {
+		if len(bd.Pairs) != 0 {
+			t.Errorf("trial %d %s: DisparityBound carried pairs on a pairless task", trial, label)
+		}
+		return bd
+	}
+	if len(bd.Pairs) != 1 {
+		t.Fatalf("trial %d %s: DisparityBound carried %d pairs, want 1", trial, label, len(bd.Pairs))
+	}
+	comparePairExact(t, trial, label, bd.Pairs[0], flat.Pairs[flat.ArgMax])
+	return bd
 }
 
 // TestAnalysisTruncationMatchesReferencePrefix checks the capped-

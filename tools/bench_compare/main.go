@@ -21,6 +21,7 @@
 //	ChainIndexFleet / ChainIndex            (fleet-tier index build scaling)
 //	WCRTFleet      / ChainIndexFleet        (fleet-tier WCRT stage)
 //	PairBoundsFleet / PairBounds            (fleet-tier bound scaling)
+//	PairBoundsFleet / PairBoundsFleetReference (fleet-tier descent speedup)
 //
 // A ratio regressing past -ratio-tolerance (default 20%) is a real
 // slowdown regardless of machine noise. Absolute per-benchmark ns/op
@@ -61,7 +62,7 @@ var ratioPairs = [][2]string{
 	{"BenchmarkChainIndexFleet", "BenchmarkChainIndex"},
 	{"BenchmarkWCRTFleet", "BenchmarkChainIndexFleet"},
 	{"BenchmarkPairBoundsFleet", "BenchmarkPairBounds"},
-	{"BenchmarkPairBoundsFleetPruned", "BenchmarkPairBoundsFleet"},
+	{"BenchmarkPairBoundsFleet", "BenchmarkPairBoundsFleetReference"},
 }
 
 type tolerances struct {

@@ -97,6 +97,27 @@ func TestWCRTStageRatioGated(t *testing.T) {
 	}
 }
 
+// TestFleetDescentRatioGated slows the fleet descent 1.5x against the
+// reference pipeline on the same graph, about what losing the subtree
+// skips costs; the pair between them must catch it.
+func TestFleetDescentRatioGated(t *testing.T) {
+	const fixture = `{"current": {
+	  "BenchmarkPairBoundsFleet": {"ns_op": 2400000, "allocs_op": 3600},
+	  "BenchmarkPairBoundsFleetReference": {"ns_op": 100000000, "allocs_op": 169000}
+	}}`
+	dir := t.TempDir()
+	base := writeBench(t, dir, "base.json", fixture)
+	fresh := writeBench(t, dir, "fresh.json", strings.Replace(fixture,
+		`"BenchmarkPairBoundsFleet": {"ns_op": 2400000`, `"BenchmarkPairBoundsFleet": {"ns_op": 3600000`, 1))
+	var out bytes.Buffer
+	if err := run([]string{"-abs-tolerance", "10", base, fresh}, &out); err == nil {
+		t.Fatalf("1.5x fleet descent regression passed the gate:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "BenchmarkPairBoundsFleet/BenchmarkPairBoundsFleetReference") {
+		t.Errorf("regression report missing the fleet descent ratio:\n%s", out.String())
+	}
+}
+
 // TestWarmJumpAheadRatioGated triples the warm-up run's ns/op, about
 // what simulating its warm-up in full costs. Its own ratio pair against
 // the disabled run must catch that while the warm-up-free pair, which
