@@ -30,9 +30,11 @@
 #                 differential in internal/integration (the 200-workload
 #                 jump-vs-full harness under four warm-up regimes)
 #   verify-explain - decision-telemetry tier: vet + race tests of the
-#                 explain recorder/witness, the derived telemetry
-#                 gauges, the shared CLI -explain lifecycle, the bench
-#                 gate tool, and the pinned WATERS -explain golden
+#                 explain recorder/witness, the metrics registry export
+#                 that the record, the derived telemetry gauges and the
+#                 manifest all read, the shared CLI -explain lifecycle,
+#                 the bench gate tool, and the pinned WATERS -explain
+#                 golden
 #   verify-scale - fleet-scale tier: vet + race tests of the bitset,
 #                 chains, and fleet generator packages, the >64-task
 #                 differential harness (100 fleet-tier workloads fast
@@ -100,7 +102,7 @@ verify-sim-cycle:
 
 verify-explain:
 	$(GO) vet ./internal/explain/... ./tools/bench_compare/...
-	$(GO) test -race ./internal/explain/... ./internal/telemetry/... ./internal/cli/... ./tools/bench_compare/...
+	$(GO) test -race ./internal/explain/... ./internal/metrics/... ./internal/telemetry/... ./internal/cli/... ./tools/bench_compare/...
 	$(GO) test -run 'TestGoldenExplainWaters' ./cmd/disparity-analyze/...
 	$(GO) test -run 'TestReportExplainSection' ./internal/report/...
 

@@ -23,7 +23,7 @@
 //
 // Observability (the shared flag block, see internal/cli):
 //
-//	disparity-exp -fig 6a -metrics           # dump internal counters/timers
+//	disparity-exp -fig 6a -metrics           # dump internal counters/histograms
 //	disparity-exp -fig 6a -pprof cpu.out     # write a CPU profile
 //	disparity-exp -fig 6a -no-jump           # disable steady-state jump-ahead
 //	disparity-exp -fig 6a -trace run.json    # Chrome trace (ui.perfetto.dev)

@@ -21,7 +21,7 @@
 // Observability (the shared flag block, see internal/cli; -trace is the
 // Chrome span trace as in every other tool, -jobtrace the per-job CSV):
 //
-//	disparity-sim -graph g.json -metrics             # dump counters/timers
+//	disparity-sim -graph g.json -metrics             # dump counters/histograms
 //	disparity-sim -graph g.json -pprof cpu.out       # write a CPU profile
 //	disparity-sim -graph g.json -trace run.json      # Chrome trace (ui.perfetto.dev)
 //	disparity-sim -graph g.json -telemetry :9090     # live /metrics + pprof

@@ -27,7 +27,7 @@ import (
 type Flags uint
 
 const (
-	// Metrics is -metrics: dump the internal counter/timer registry
+	// Metrics is -metrics: dump the internal counter/histogram registry
 	// after the run.
 	Metrics Flags = 1 << iota
 	// Pprof is -pprof FILE: write a CPU profile of the run.

@@ -35,7 +35,8 @@ import (
 )
 
 // pairsBounded counts pair bounds evaluated in full, by the reference
-// pipeline and the trie fast path alike.
+// pipeline (per pair) and the trie fast path (per block or pair loop)
+// alike.
 var pairsBounded = metrics.C("core.pairs.bounded")
 
 // Registered but never incremented: the repository benchmark's layer

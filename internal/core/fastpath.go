@@ -31,8 +31,8 @@ var (
 	disparityTruncated = metrics.C("core.disparity.truncated")
 	// pairsPruned counts chain pairs the dominance prune skipped (their
 	// cheap upper bound could not reach the running maximum), the
-	// complement of core.pairs.bounded. Blocks accumulate locally and
-	// bulk-add, so the hot loop stays free of shared atomics.
+	// complement of core.pairs.bounded. Blocks accumulate both counts
+	// locally and bulk-add, so the hot loop stays free of shared atomics.
 	pairsPruned = metrics.C("core.pairs.pruned")
 	// boundParallelRuns counts DisparityBound evaluations that crossed
 	// parallelPairThreshold and evaluated their blocks on all CPUs.
@@ -253,7 +253,6 @@ func (ev *pairEval) fillPairBound(pb *PairBound, la, nu model.Chain, v *pairVals
 // evalPDiff reproduces pairTheorem1 on the full chains i and j using
 // the precomputed per-leaf bounds.
 func (ev *pairEval) evalPDiff(i, j int, v *pairVals) {
-	pairsBounded.Inc()
 	wl, bl := ev.wFull[i], ev.bFull[i]
 	wn, bn := ev.wFull[j], ev.bFull[j]
 	o := timeu.Max(timeu.Abs(wl-bn), timeu.Abs(wn-bl))
@@ -336,7 +335,6 @@ func (ev *pairEval) evalSDiff(i, j int, s *pairScratch, v *pairVals) error {
 		ev.sdiffC1(u, w, f, i, laLen, nuLen, sameHead, v)
 		return nil
 	}
-	pairsBounded.Inc()
 
 	// Theorem 2's alignment recursion over the sub-chain segments,
 	// tail to head; s.laList[k] / s.nuList[k] are the trie nodes of
@@ -379,7 +377,6 @@ func (ev *pairEval) evalSDiff(i, j int, s *pairScratch, v *pairVals) error {
 // x₁ = y₁ = 0, the windows are the plain stripped-chain windows, and
 // the bound floors exactly when the shared head is strictly periodic.
 func (ev *pairEval) sdiffC1(u, w, f int32, i, laLen, nuLen int, sameHead bool, v *pairVals) {
-	pairsBounded.Inc()
 	wa, ba := ev.tb.Bounds(u, f)
 	wb, bb := ev.tb.Bounds(w, f)
 	o := timeu.Max(timeu.Abs(wa-bb), timeu.Abs(wb-ba))
@@ -451,13 +448,17 @@ func (ev *pairEval) taskDisparity(task model.TaskID) *TaskDisparity {
 // forEachPair evaluates every chain pair (i < j) in row-major order —
 // the legacy enumeration's, and the index order of Disparity's Pairs —
 // and hands each to fn, which stops the walk by returning false. v is
-// reused across calls.
+// reused across calls. The visited pairs count as bounded once, on
+// return.
 func (ev *pairEval) forEachPair(m Method, fn func(i, j int, v *pairVals) bool) error {
 	n := ev.idx.NumChains()
 	var s pairScratch
 	var v pairVals
+	var visited int64
+	defer func() { pairsBounded.Add(visited) }()
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
+			visited++
 			if m == PDiff {
 				ev.evalPDiff(i, j, &v)
 			} else if err := ev.evalSDiff(i, j, &s, &v); err != nil {
@@ -544,8 +545,8 @@ func (a *Analysis) DisparityBound(task model.TaskID, m Method, maxChains int) (*
 	if best.err != nil {
 		return nil, best.err
 	}
-	// Re-evaluate the winning pair once to materialize its PairBound;
-	// it was already counted by its block, so undo the double count.
+	// Re-evaluate the winning pair once to materialize its PairBound
+	// (its block already counted it).
 	i, j := pairAt(n, best.rank)
 	var s pairScratch
 	var v pairVals
@@ -554,7 +555,6 @@ func (a *Analysis) DisparityBound(task model.TaskID, m Method, maxChains int) (*
 	} else if err := ev.evalSDiff(i, j, &s, &v); err != nil {
 		return nil, err
 	}
-	pairsBounded.Add(-1)
 	td.Bound = best.bound
 	td.ArgMax = 0
 	td.Pairs = []*PairBound{ev.toPairBound(ev.idx.Chain(i), ev.idx.Chain(j), &v)}

@@ -371,13 +371,13 @@ func (ev *pairEval) evalRect(m Method, n int, r *pairRect, threshold *atomic.Int
 	}
 	var s pairScratch
 	var v pairVals
-	var prunedCount int64
+	var evaluated, prunedCount int64
 	defer func() {
-		if prunedCount > 0 {
-			pairsPruned.Add(prunedCount)
-		}
+		pairsBounded.Add(evaluated)
+		pairsPruned.Add(prunedCount)
 	}()
 	take := func(rank int) {
+		evaluated++
 		if v.bound > best.bound || best.rank < 0 ||
 			(v.bound == best.bound && rank < best.rank) {
 			best.bound, best.rank = v.bound, rank

@@ -169,7 +169,7 @@ type Recorder struct {
 func New(command string) *Recorder {
 	return &Recorder{
 		rec:  Record{Command: command},
-		base: counterSnapshot(),
+		base: metrics.Default.Export().CounterValues(),
 	}
 }
 
@@ -232,50 +232,65 @@ func (r *Recorder) SetWitness(w *Witness) {
 }
 
 // Record materializes the decision record: the explicitly recorded
-// sections plus the engine sections derived from counter deltas since
-// New. It can be called repeatedly; each call re-reads the registry.
-// Returns nil on a nil recorder.
+// sections plus the engine sections Derive computes from the counter
+// deltas since New, with the JumpRun tallies merged into JumpRuns. It
+// can be called repeatedly; each call re-reads the registry. Returns
+// nil on a nil recorder.
 func (r *Recorder) Record() *Record {
 	if r == nil {
 		return nil
 	}
-	now := counterSnapshot()
+	delta := metrics.Default.Export().CounterValues()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delta := func(name string) int64 { return now[name] - r.base[name] }
-
+	for name, v := range r.base {
+		delta[name] -= v
+	}
+	d := Derive(delta)
 	rec := r.rec // shallow copy; slices are append-only
-
-	bounded, pruned := delta("core.pairs.bounded"), delta("core.pairs.pruned")
-	subtree := delta("core.pairs.subtree_pruned")
-	if bounded+pruned+subtree > 0 {
-		ps := &PairStats{
-			Bounded:       bounded,
-			Pruned:        pruned,
-			SubtreePruned: subtree,
-			BlocksPruned:  delta("core.blocks.pruned"),
-			ParallelRuns:  delta("core.bound.parallel"),
+	rec.Pairs, rec.Chains, rec.JumpRuns = d.Pairs, d.Chains, d.JumpRuns
+	for code, n := range r.jumpRuns {
+		if rec.JumpRuns == nil {
+			rec.JumpRuns = make(map[string]int64)
 		}
-		total := float64(bounded + pruned + subtree)
-		ps.PruneRatio = float64(pruned) / total
-		ps.SubtreePruneRatio = float64(subtree) / total
-		rec.Pairs = ps
+		rec.JumpRuns[code] += n
+	}
+	return &rec
+}
+
+// Derive computes a record's engine sections — Pairs, Chains and
+// JumpRuns — from counter values keyed by metrics name. It is the one
+// definition of the decision statistics: Recorder.Record applies it to
+// one run's counter deltas, and the -telemetry gauges to the
+// registry's totals. A section with no underlying activity stays nil.
+func Derive(c map[string]int64) Record {
+	var rec Record
+	bounded, pruned := c["core.pairs.bounded"], c["core.pairs.pruned"]
+	subtree := c["core.pairs.subtree_pruned"]
+	if total := bounded + pruned + subtree; total > 0 {
+		rec.Pairs = &PairStats{
+			Bounded:           bounded,
+			Pruned:            pruned,
+			PruneRatio:        float64(pruned) / float64(total),
+			SubtreePruned:     subtree,
+			SubtreePruneRatio: float64(subtree) / float64(total),
+			BlocksPruned:      c["core.blocks.pruned"],
+			ParallelRuns:      c["core.bound.parallel"],
+		}
 	}
 
-	indexed := delta("chains.indexed")
-	enumerated := delta("chains.enumerated")
-	truncated := delta("chains.truncated")
-	dTrunc := delta("core.disparity.truncated")
+	indexed, enumerated := c["chains.indexed"], c["chains.enumerated"]
+	truncated := c["chains.truncated"]
 	if indexed+enumerated+truncated > 0 {
 		cs := &ChainStats{
 			Indexed: indexed, Enumerated: enumerated,
-			Truncated: truncated, DisparityTruncated: dTrunc,
-			MasksWord:    delta("chains.masks.word"),
-			MasksMulti:   delta("chains.masks.multi"),
-			MasksSkipped: delta("chains.masks.skipped"),
+			Truncated: truncated, DisparityTruncated: c["core.disparity.truncated"],
+			MasksWord:    c["chains.masks.word"],
+			MasksMulti:   c["chains.masks.multi"],
+			MasksSkipped: c["chains.masks.skipped"],
 		}
 		if truncated > 0 {
-			switch nodes := delta("chains.truncated.nodes"); {
+			switch nodes := c["chains.truncated.nodes"]; {
 			case nodes == 0:
 				cs.Cause = "max-chains-cap"
 			case nodes == truncated:
@@ -288,27 +303,42 @@ func (r *Recorder) Record() *Record {
 		rec.Chains = cs
 	}
 
-	rec.JumpRuns = nil
-	addJump := func(code string, d int64) {
+	for name, v := range c {
+		code, ok := strings.CutPrefix(name, "exp.sim.jump.")
+		if !ok || v == 0 {
+			continue
+		}
 		if rec.JumpRuns == nil {
 			rec.JumpRuns = make(map[string]int64)
 		}
-		rec.JumpRuns[code] += d
+		// Keys are bare reason codes: "engaged", "random-exec", ...
+		rec.JumpRuns[strings.TrimPrefix(code, "fallback.")] += v
 	}
-	for code, n := range r.jumpRuns {
-		addJump(code, n)
+	return rec
+}
+
+// JumpEngagement is the fraction of the tallied simulation runs whose
+// steady-state jump-ahead engaged; 0 when JumpRuns is empty.
+func (r *Record) JumpEngagement() float64 {
+	var total int64
+	for _, n := range r.JumpRuns {
+		total += n
 	}
-	for name, v := range now {
-		if !strings.HasPrefix(name, "exp.sim.jump.") {
-			continue
-		}
-		if d := v - r.base[name]; d != 0 {
-			// Keys are bare reason codes: "engaged", "random-exec", ...
-			code := strings.TrimPrefix(name, "exp.sim.jump.")
-			addJump(strings.TrimPrefix(code, "fallback."), d)
-		}
+	if total == 0 {
+		return 0
 	}
-	return &rec
+	return float64(r.JumpRuns["engaged"]) / float64(total)
+}
+
+// MaskExact is the fraction of built indexes whose c=1 fast test ran
+// on exact path masks (single- or multi-word) rather than the full
+// per-pair decomposition; 0 when no index requested masks.
+func (c *ChainStats) MaskExact() float64 {
+	total := c.MasksWord + c.MasksMulti + c.MasksSkipped
+	if total == 0 {
+		return 0
+	}
+	return float64(c.MasksWord+c.MasksMulti) / float64(total)
 }
 
 // WriteJSON finalizes and writes the decision record as indented JSON.
@@ -421,14 +451,4 @@ func maskMode(word, multi, skipped int64) string {
 		active = m.name
 	}
 	return active
-}
-
-// counterSnapshot flattens the global registry's counters.
-func counterSnapshot() map[string]int64 {
-	ex := metrics.Default.Export()
-	m := make(map[string]int64, len(ex.Counters))
-	for _, c := range ex.Counters {
-		m[c.Name] = c.Value
-	}
-	return m
 }

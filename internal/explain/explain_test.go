@@ -233,7 +233,7 @@ func TestMaskMode(t *testing.T) {
 
 // TestChainStatsCauses pins the cause derivation: a run whose only
 // truncations are node-budget reports "node-budget"; chain-cap-only
-// runs report "max-chains-cap".
+// runs report "max-chains-cap"; a run that hit both reports "mixed".
 func TestChainStatsCauses(t *testing.T) {
 	g := model.Fig2Graph()
 	r := New("cause")
@@ -257,5 +257,10 @@ func TestChainStatsCauses(t *testing.T) {
 	rec2 := r2.Record()
 	if rec2.Chains == nil || rec2.Chains.Cause != "max-chains-cap" {
 		t.Fatalf("record cause = %+v, want max-chains-cap", rec2.Chains)
+	}
+
+	mixed := Derive(map[string]int64{"chains.truncated": 3, "chains.truncated.nodes": 1})
+	if mixed.Chains == nil || mixed.Chains.Cause != "mixed" {
+		t.Fatalf("record cause = %+v, want mixed", mixed.Chains)
 	}
 }

@@ -59,8 +59,7 @@ func (h *Histogram) Observe(d time.Duration) {
 }
 
 // Start begins a measurement; the returned func stops and records it.
-// Usage: defer hist.Start()(). Mirrors Timer.Start so call sites can
-// migrate between the two instruments without changing shape.
+// Usage: defer hist.Start()().
 func (h *Histogram) Start() func() {
 	begin := time.Now()
 	return func() { h.Observe(time.Since(begin)) }
@@ -99,9 +98,9 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return quantileOf(counts, total, q)
 }
 
-// quantileOf computes a quantile from a bucket snapshot (shared by
-// Quantile and Registry.Snapshot, which batches three quantiles off one
-// snapshot).
+// quantileOf computes a quantile from a bucket snapshot holding total
+// observations (shared by Quantile and Registry.Export, which batches
+// three quantiles off one snapshot).
 func quantileOf(counts [HistBuckets]int64, total int64, q float64) time.Duration {
 	if total == 0 {
 		return 0
@@ -136,21 +135,6 @@ func quantileOf(counts [HistBuckets]int64, total int64, q float64) time.Duration
 		return time.Duration(lo) + time.Duration(pos*float64(hi-lo))
 	}
 	return time.Duration(BucketUpper(HistBuckets - 1))
-}
-
-// QuantilesFromBuckets estimates quantiles from an exported bucket
-// snapshot (HistogramValue.Buckets), so exposition code can derive
-// quantiles without holding the live instrument.
-func QuantilesFromBuckets(buckets [HistBuckets]int64, qs []float64) []time.Duration {
-	var total int64
-	for _, c := range buckets {
-		total += c
-	}
-	out := make([]time.Duration, len(qs))
-	for i, q := range qs {
-		out[i] = quantileOf(buckets, total, q)
-	}
-	return out
 }
 
 // reset zeroes all buckets and the sum.

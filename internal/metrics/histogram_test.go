@@ -143,20 +143,28 @@ func TestExport(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b.counter").Add(7)
 	r.Counter("a.counter").Inc()
-	r.Timer("t").Observe(5 * time.Millisecond)
+	r.Histogram("t").Observe(5 * time.Millisecond)
 	r.Histogram("h").Observe(2 * time.Microsecond)
 	ex := r.Export()
 	if len(ex.Counters) != 2 || ex.Counters[0].Name != "a.counter" || ex.Counters[1].Value != 7 {
 		t.Errorf("counters: %+v", ex.Counters)
 	}
-	if len(ex.Timers) != 1 || ex.Timers[0].TotalNS != int64(5*time.Millisecond) || ex.Timers[0].Count != 1 {
-		t.Errorf("timers: %+v", ex.Timers)
+	if len(ex.Histograms) != 2 || ex.Histograms[0].Name != "h" || ex.Histograms[1].SumNS != int64(5*time.Millisecond) {
+		t.Fatalf("histograms: %+v", ex.Histograms)
 	}
-	if len(ex.Histograms) != 1 || ex.Histograms[0].Count != 1 || ex.Histograms[0].SumNS != 2000 {
-		t.Errorf("histograms: %+v", ex.Histograms)
+	h := ex.Histograms[0]
+	if h.Count != 1 || h.SumNS != 2000 {
+		t.Errorf("histogram h: count %d, sum %d", h.Count, h.SumNS)
 	}
-	if b := ex.Histograms[0].Buckets[bucketOf(2000)]; b != 1 {
+	if b := h.Buckets[bucketOf(2000)]; b != 1 {
 		t.Errorf("bucket count = %d", b)
+	}
+	// The quantiles come from the exported buckets: one observation
+	// puts all three in its bucket, [1024ns, 2047ns].
+	for _, q := range []time.Duration{h.P50, h.P90, h.P99} {
+		if q < 1024 || q > 2047 {
+			t.Errorf("quantile %v outside the 2µs bucket", q)
+		}
 	}
 }
 
@@ -181,15 +189,23 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-// TestTimerSnapshotCoherent hammers a timer with fixed-size
-// observations while snapshotting: every coherent (total, count) pair
-// must satisfy total == count·d exactly. This is the seqlock contract;
-// the pre-seqlock Timer fails this test readily.
+// TestTimerSnapshotCoherent hammers a registry histogram with
+// fixed-size observations while exporting: Count never decreases, and
+// once it is positive p50, p90 and p99 all lie in d's bucket. Export
+// derives Count and the quantiles from one bucket snapshot; a Count
+// read separately can run ahead of the buckets, and the quantile rank
+// then falls off the end to the MaxInt64 sentinel.
 func TestTimerSnapshotCoherent(t *testing.T) {
-	var tm Timer
+	r := NewRegistry()
+	h := r.Histogram("hammered")
 	const d = 3 * time.Millisecond
+	lo, hi := BucketUpper(bucketOf(int64(d))-1)+1, BucketUpper(bucketOf(int64(d)))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
@@ -199,18 +215,22 @@ func TestTimerSnapshotCoherent(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					tm.Observe(d)
+					h.Observe(d)
 				}
 			}
 		}()
 	}
+	var last int64
 	for i := 0; i < 5000; i++ {
-		total, count := tm.Snapshot()
-		if total != time.Duration(count)*d {
-			t.Errorf("torn snapshot: total %v, count %d (want total = count × %v)", total, count, d)
-			break
+		hv := r.Export().Histograms[0]
+		if hv.Count < last {
+			t.Fatalf("count went backwards: %d after %d", hv.Count, last)
+		}
+		last = hv.Count
+		for _, q := range []time.Duration{hv.P50, hv.P90, hv.P99} {
+			if hv.Count > 0 && (int64(q) < lo || int64(q) > hi) {
+				t.Fatalf("torn export: count %d, quantile %v outside [%dns, %dns]", hv.Count, q, lo, hi)
+			}
 		}
 	}
-	close(stop)
-	wg.Wait()
 }

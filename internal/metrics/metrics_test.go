@@ -18,16 +18,16 @@ func TestCounterAndTimer(t *testing.T) {
 	if r.Counter("a.count") != c {
 		t.Error("Counter not idempotent")
 	}
-	tm := r.Timer("a.time")
-	tm.Observe(3 * time.Millisecond)
-	tm.Observe(2 * time.Millisecond)
-	if tm.Count() != 2 || tm.Total() != 5*time.Millisecond {
-		t.Errorf("timer = %d obs / %v, want 2 / 5ms", tm.Count(), tm.Total())
+	h := r.Histogram("a.time")
+	h.Observe(3 * time.Millisecond)
+	h.Observe(2 * time.Millisecond)
+	if h.Count() != 2 || h.Total() != 5*time.Millisecond {
+		t.Errorf("histogram = %d obs / %v, want 2 / 5ms", h.Count(), h.Total())
 	}
-	stop := tm.Start()
+	stop := h.Start()
 	stop()
-	if tm.Count() != 3 {
-		t.Errorf("Start/stop did not record: count = %d", tm.Count())
+	if h.Count() != 3 {
+		t.Errorf("Start/stop did not record: count = %d", h.Count())
 	}
 }
 
@@ -35,13 +35,13 @@ func TestSnapshotSortedAndReset(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z").Add(1)
 	r.Counter("a").Add(2)
-	r.Timer("m").Observe(time.Second)
+	r.Histogram("m").Observe(time.Second)
 	snap := r.Snapshot()
 	var names []string
 	for _, e := range snap {
 		names = append(names, e.Name)
 	}
-	want := []string{"a", "m.count", "m.ns", "z"}
+	want := []string{"a", "m.count", "m.ns", "m.p50", "m.p90", "m.p99", "z"}
 	if len(names) != len(want) {
 		t.Fatalf("snapshot names = %v, want %v", names, want)
 	}
@@ -61,7 +61,7 @@ func TestSnapshotSortedAndReset(t *testing.T) {
 func TestFprint(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("graphs.generated").Add(7)
-	r.Timer("sweep.point").Observe(1500 * time.Millisecond)
+	r.Histogram("sweep.point").Observe(1500 * time.Millisecond)
 	var sb strings.Builder
 	if err := r.Fprint(&sb); err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				r.Counter("shared").Inc()
-				r.Timer("shared.time").Observe(time.Nanosecond)
+				r.Histogram("shared.time").Observe(time.Nanosecond)
 			}
 		}()
 	}
@@ -91,7 +91,7 @@ func TestConcurrentUse(t *testing.T) {
 	if got := r.Counter("shared").Load(); got != 8000 {
 		t.Errorf("concurrent counter = %d, want 8000", got)
 	}
-	if got := r.Timer("shared.time").Count(); got != 8000 {
-		t.Errorf("concurrent timer count = %d, want 8000", got)
+	if got := r.Histogram("shared.time").Count(); got != 8000 {
+		t.Errorf("concurrent histogram count = %d, want 8000", got)
 	}
 }

@@ -68,15 +68,16 @@ type Config struct {
 	// either way; this exists for differential testing and debugging.
 	DisableJumpAhead bool
 	// Trace, when non-nil, records engine-level spans on this track: one
-	// "sim.run" span per Run plus sampled "sim.chunk" spans every
-	// TraceChunk finished jobs, so long runs show internal progress in
+	// "sim.run" span per Run plus sampled "sim.chunk" spans every 65536
+	// finished jobs (traceChunk), so long runs show internal progress in
 	// the trace viewer without per-job overhead. Disabled tracing costs
 	// one nil check per finished job.
 	Trace *span.Track
-	// TraceChunk is the chunk-span sampling granularity in jobs; ≤ 0
-	// selects 65536.
-	TraceChunk int64
 }
+
+// traceChunk is the "sim.chunk" span sampling granularity in finished
+// jobs.
+const traceChunk = 1 << 16
 
 // Stats summarizes a finished run.
 type Stats struct {
@@ -215,7 +216,6 @@ type Engine struct {
 	// new one started.
 	chunkSpan span.Span
 	chunkLeft int64
-	chunkSize int64
 
 	// Flat stamp-merge scratch, indexed by origin slot. origins lists
 	// the tasks that can ever appear in a stamp (external stimuli and
@@ -309,7 +309,7 @@ func (e *Engine) Run(cfg Config) (*Stats, error) {
 	e.reset(cfg) // starts the first chunk span, nested under runSpan
 	e.loop()
 	if cfg.Trace != nil {
-		e.chunkSpan.End(span.Int("jobs", e.chunkSize-e.chunkLeft))
+		e.chunkSpan.End(span.Int("jobs", traceChunk-e.chunkLeft))
 		e.chunkSpan = span.Span{}
 		runSpan.End(span.Int("jobs", e.stats.Jobs), span.Int("seed", cfg.Seed))
 	}
@@ -362,11 +362,7 @@ func (e *Engine) reset(cfg Config) {
 		q.slots = q.slots[:0]
 		q.head = 0
 	}
-	e.chunkSize = cfg.TraceChunk
-	if e.chunkSize <= 0 {
-		e.chunkSize = 1 << 16
-	}
-	e.chunkLeft = e.chunkSize
+	e.chunkLeft = traceChunk
 	e.chunkSpan = cfg.Trace.Start("sim.chunk") // zero Span when tracing is off
 	e.startObs = e.startObs[:0]
 	e.relObs = e.relObs[:0]
@@ -705,9 +701,9 @@ func (e *Engine) publish(j *Job) {
 	e.stats.Jobs++
 	if e.cfg.Trace != nil {
 		if e.chunkLeft--; e.chunkLeft <= 0 {
-			e.chunkSpan.End(span.Int("jobs", e.chunkSize))
+			e.chunkSpan.End(span.Int("jobs", traceChunk))
 			e.chunkSpan = e.cfg.Trace.Start("sim.chunk")
-			e.chunkLeft = e.chunkSize
+			e.chunkLeft = traceChunk
 		}
 	}
 	for _, obs := range e.cfg.Observers {

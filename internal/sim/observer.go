@@ -17,9 +17,6 @@ type DisparityObserver struct {
 	watch    []bool       // indexed by task; false = ignore
 	max      []timeu.Time // indexed by task; zero until observed
 	warm     timeu.Time
-	// CompleteOnly skips jobs with missing inputs anywhere upstream is
-	// not tracked; it skips jobs whose own reads hit an empty channel.
-	CompleteOnly bool
 }
 
 // NewDisparityObserver watches the given tasks (all tasks if none are
@@ -44,9 +41,6 @@ func (o *DisparityObserver) JobFinished(j *Job) {
 	}
 	ti := int(j.Task)
 	if !o.watchAll && (ti >= len(o.watch) || !o.watch[ti]) {
-		return
-	}
-	if o.CompleteOnly && j.EmptyInputs > 0 {
 		return
 	}
 	span := j.Out.Span()

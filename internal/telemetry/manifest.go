@@ -32,15 +32,14 @@ type Manifest struct {
 	Seed   int64 `json:"seed,omitempty"`
 	Config any   `json:"config,omitempty"`
 
-	// Stages is the per-stage wall-clock breakdown, one entry per timer
-	// or histogram in the registry, sorted by name.
+	// Stages is the per-stage wall-clock breakdown, one entry per
+	// histogram in the registry, sorted by name.
 	Stages []Stage `json:"stages,omitempty"`
 	// Counters holds every counter value at Finish.
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
-// Stage is one instrument's time breakdown. Quantiles are present only
-// for histogram-backed stages.
+// Stage is one stage histogram's time breakdown.
 type Stage struct {
 	Name     string  `json:"name"`
 	Count    int64   `json:"count"`
@@ -74,43 +73,17 @@ func (m *Manifest) Finish(reg *metrics.Registry) {
 		reg = metrics.Default
 	}
 	ex := reg.Export()
-	m.Counters = make(map[string]int64, len(ex.Counters))
-	for _, c := range ex.Counters {
-		m.Counters[c.Name] = c.Value
-	}
+	m.Counters = ex.CounterValues()
 	m.Stages = m.Stages[:0]
-	for _, t := range ex.Timers {
-		m.Stages = append(m.Stages, Stage{
-			Name:     t.Name,
-			Count:    t.Count,
-			TotalSec: float64(t.TotalNS) / 1e9,
-		})
-	}
 	for _, h := range ex.Histograms {
-		st := Stage{
+		m.Stages = append(m.Stages, Stage{
 			Name:     h.Name,
 			Count:    h.Count,
 			TotalSec: float64(h.SumNS) / 1e9,
-		}
-		st.P50Sec, st.P90Sec, st.P99Sec = histQuantiles(h)
-		m.Stages = append(m.Stages, st)
-	}
-	sortStages(m.Stages)
-}
-
-// histQuantiles recomputes p50/p90/p99 from an exported bucket
-// snapshot (the quantile math lives in metrics; this mirrors
-// Registry.Snapshot's expansion).
-func histQuantiles(h metrics.HistogramValue) (p50, p90, p99 float64) {
-	qs := metrics.QuantilesFromBuckets(h.Buckets, []float64{0.50, 0.90, 0.99})
-	return qs[0].Seconds(), qs[1].Seconds(), qs[2].Seconds()
-}
-
-func sortStages(stages []Stage) {
-	for i := 1; i < len(stages); i++ {
-		for j := i; j > 0 && stages[j].Name < stages[j-1].Name; j-- {
-			stages[j], stages[j-1] = stages[j-1], stages[j]
-		}
+			P50Sec:   h.P50.Seconds(),
+			P90Sec:   h.P90.Seconds(),
+			P99Sec:   h.P99.Seconds(),
+		})
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/explain"
 	"repro/internal/metrics"
 )
 
@@ -115,22 +116,14 @@ func promName(name string) string {
 }
 
 // WritePrometheus renders the registry in the text exposition format
-// (version 0.0.4). Counters map to counters, timers to summaries
-// (sum/count only), histograms to native Prometheus histograms with
-// the power-of-two bucket bounds in seconds. Durations are seconds, as
-// the Prometheus conventions require.
+// (version 0.0.4). Counters map to counters, histograms to native
+// Prometheus histograms with the power-of-two bucket bounds in seconds.
+// Durations are seconds, as the Prometheus conventions require.
 func WritePrometheus(w io.Writer, reg *metrics.Registry) error {
 	ex := reg.Export()
 	for _, c := range ex.Counters {
 		name := promName(c.Name) + "_total"
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, c.Value); err != nil {
-			return err
-		}
-	}
-	for _, t := range ex.Timers {
-		name := promName(t.Name) + "_seconds"
-		if _, err := fmt.Fprintf(w, "# TYPE %s summary\n%s_sum %s\n%s_count %d\n",
-			name, name, seconds(t.TotalNS), name, t.Count); err != nil {
 			return err
 		}
 	}
@@ -161,70 +154,36 @@ func WritePrometheus(w io.Writer, reg *metrics.Registry) error {
 	return nil
 }
 
-// WriteDerivedGauges renders the decision-telemetry ratio gauges the
-// raw counters imply: the pair-bound
-// dominance prune ratio, and the jump-ahead engagement rate across
-// sweep simulation runs. Gauges with no underlying activity are
-// omitted so scrapes before any run stay clean.
+// WriteDerivedGauges renders the decision record's ratios as gauges:
+// explain.Derive over the registry's counter totals, so every gauge
+// carries the -explain record's definition. Gauges with no underlying
+// activity are omitted so scrapes before any run stay clean.
 func WriteDerivedGauges(w io.Writer, reg *metrics.Registry) error {
-	ex := reg.Export()
-	counters := make(map[string]int64, len(ex.Counters))
-	for _, c := range ex.Counters {
-		counters[c.Name] = c.Value
+	rec := explain.Derive(reg.Export().CounterValues())
+	var b strings.Builder
+	gauge := func(name, value string) {
+		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %s\n", name, name, value)
 	}
-	ratio := func(num, den int64) string {
-		return strconv.FormatFloat(float64(num)/float64(den), 'g', -1, 64)
-	}
-
-	if bounded, pruned := counters["core.pairs.bounded"], counters["core.pairs.pruned"]; bounded+pruned > 0 {
-		if _, err := fmt.Fprintf(w, "# TYPE disparity_pair_prune_ratio gauge\ndisparity_pair_prune_ratio %s\n",
-			ratio(pruned, bounded+pruned)); err != nil {
-			return err
+	ratio := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	if p := rec.Pairs; p != nil {
+		gauge("disparity_pair_prune_ratio", ratio(p.PruneRatio))
+		if p.SubtreePruned > 0 {
+			gauge("disparity_subtree_prune_ratio", ratio(p.SubtreePruneRatio))
 		}
 	}
-
-	// Fraction of the pair volume skipped wholesale by the subtree
-	// branch-and-bound, over everything the bound-only loop saw:
-	// evaluated + per-pair pruned + block-pruned pairs.
-	if subtree := counters["core.pairs.subtree_pruned"]; subtree > 0 {
-		total := counters["core.pairs.bounded"] + counters["core.pairs.pruned"] + subtree
-		if _, err := fmt.Fprintf(w, "# TYPE disparity_subtree_prune_ratio gauge\ndisparity_subtree_prune_ratio %s\n",
-			ratio(subtree, total)); err != nil {
-			return err
+	if len(rec.JumpRuns) > 0 {
+		gauge("disparity_jump_engagement_rate", ratio(rec.JumpEngagement()))
+	}
+	if c := rec.Chains; c != nil {
+		if c.Truncated > 0 {
+			gauge("disparity_truncations", strconv.FormatInt(c.Truncated, 10))
+		}
+		if c.MaskMode != "" {
+			gauge("disparity_mask_exact", ratio(c.MaskExact()))
 		}
 	}
-
-	var engaged, jumpTotal int64
-	for name, v := range counters {
-		if strings.HasPrefix(name, "exp.sim.jump.") {
-			jumpTotal += v
-		}
-	}
-	engaged = counters["exp.sim.jump.engaged"]
-	if jumpTotal > 0 {
-		if _, err := fmt.Fprintf(w, "# TYPE disparity_jump_engagement_rate gauge\ndisparity_jump_engagement_rate %s\n",
-			ratio(engaged, jumpTotal)); err != nil {
-			return err
-		}
-	}
-
-	if truncated := counters["chains.truncated"] + counters["core.disparity.truncated"]; truncated > 0 {
-		if _, err := fmt.Fprintf(w, "# TYPE disparity_truncations gauge\ndisparity_truncations %d\n", truncated); err != nil {
-			return err
-		}
-	}
-
-	// Fraction of built chain indexes whose c=1 fast test ran on exact
-	// path bitsets (single- or multi-word) rather than falling back to
-	// the full per-pair decomposition under the mask word budget.
-	word, multi, skipped := counters["chains.masks.word"], counters["chains.masks.multi"], counters["chains.masks.skipped"]
-	if total := word + multi + skipped; total > 0 {
-		if _, err := fmt.Fprintf(w, "# TYPE disparity_mask_exact gauge\ndisparity_mask_exact %s\n",
-			ratio(word+multi, total)); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // seconds renders nanoseconds as a decimal seconds literal.

@@ -6,17 +6,20 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/explain"
 	"repro/internal/metrics"
 )
 
 func testRegistry() *metrics.Registry {
 	reg := metrics.NewRegistry()
 	reg.Counter("exp.graphs.used").Add(12)
-	reg.Timer("old.timer").Observe(250 * time.Millisecond)
+	reg.Histogram("old.timer").Observe(250 * time.Millisecond)
 	h := reg.Histogram("exp.stage.analysis")
 	h.Observe(time.Millisecond)
 	h.Observe(2 * time.Millisecond)
@@ -33,7 +36,7 @@ func TestPrometheusExposition(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE disparity_exp_graphs_used_total counter\n",
 		"disparity_exp_graphs_used_total 12\n",
-		"# TYPE disparity_old_timer_seconds summary\n",
+		"# TYPE disparity_old_timer_seconds histogram\n",
 		"disparity_old_timer_seconds_sum 0.25\n",
 		"disparity_old_timer_seconds_count 1\n",
 		"# TYPE disparity_exp_stage_analysis_seconds histogram\n",
@@ -82,21 +85,54 @@ func TestDerivedGauges(t *testing.T) {
 	reg.Counter("exp.sim.jump.engaged").Add(9)
 	reg.Counter("exp.sim.jump.fallback.random-exec").Add(1)
 	reg.Counter("chains.truncated").Add(4)
+	reg.Counter("core.disparity.truncated").Add(3)
+	reg.Counter("chains.masks.word").Add(2)
+	reg.Counter("chains.masks.multi").Add(1)
+	reg.Counter("chains.masks.skipped").Add(1)
 
 	var sb strings.Builder
 	if err := WriteDerivedGauges(&sb, reg); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
+	// The prune ratio is over the whole pair volume, subtree-pruned
+	// pairs included (2 / 32), and truncations count enumerations that
+	// hit a limit, not the analyses that saw a truncated index.
 	for _, want := range []string{
-		"disparity_pair_prune_ratio 0.25\n",
+		"disparity_pair_prune_ratio 0.0625\n",
 		"disparity_subtree_prune_ratio 0.75\n",
 		"disparity_jump_engagement_rate 0.9\n",
 		"disparity_truncations 4\n",
+		"disparity_mask_exact 0.75\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("derived gauges missing %q:\n%s", want, out)
 		}
+	}
+
+	// Every gauge is the -explain record's value for the same counters.
+	rec := explain.Derive(reg.Export().CounterValues())
+	want := map[string]float64{
+		"disparity_pair_prune_ratio":     rec.Pairs.PruneRatio,
+		"disparity_subtree_prune_ratio":  rec.Pairs.SubtreePruneRatio,
+		"disparity_jump_engagement_rate": rec.JumpEngagement(),
+		"disparity_truncations":          float64(rec.Chains.Truncated),
+		"disparity_mask_exact":           rec.Chains.MaskExact(),
+	}
+	got := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, value, _ := strings.Cut(line, " ")
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("bad gauge line %q: %v", line, err)
+		}
+		got[name] = v
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("gauges %v, record %v", got, want)
 	}
 }
 
@@ -243,7 +279,10 @@ func TestManifest(t *testing.T) {
 	if hist.Count != 3 || hist.P50Sec <= 0 || hist.P99Sec < hist.P50Sec {
 		t.Errorf("stage = %+v", *hist)
 	}
-	// Stages sorted by name.
+	// One stage per histogram, sorted by name.
+	if len(m.Stages) != 2 {
+		t.Fatalf("stages = %+v, want one per histogram (2)", m.Stages)
+	}
 	for i := 1; i < len(m.Stages); i++ {
 		if m.Stages[i].Name < m.Stages[i-1].Name {
 			t.Errorf("stages unsorted: %q before %q", m.Stages[i-1].Name, m.Stages[i].Name)
