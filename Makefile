@@ -49,6 +49,14 @@
 #                 (core.TestDescentMatchesReference), the public
 #                 GenerateFleet tests, and the pinned fleet generator
 #                 golden
+#   verify-model - graph loader tier: vet + race tests of internal/model
+#                 and internal/timeu (the schema decoder == the reference
+#                 encoding/json decoder on 300 random graphs and on fleet
+#                 graphs of the benchmark's sizes, the R1–R3 rejection
+#                 table, the adjacency property test, the checked time
+#                 parser), then 30 s of FuzzReadJSON (the loader against
+#                 the reference decoder) and 15 s of FuzzParse (the time
+#                 parser against math/big)
 #   verify-bench - the repository benchmark's own module (bench/, which
 #                 the root ./... does not reach): a smoke run of every
 #                 workload through the public facade, BENCHMARK.json
@@ -64,7 +72,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-json verify-obs verify-latency verify-sim-cycle verify-explain verify-scale verify-bench bench-gate check
+.PHONY: build test race bench bench-smoke bench-json verify-obs verify-latency verify-sim-cycle verify-explain verify-scale verify-model verify-bench bench-gate check
 
 build:
 	$(GO) build ./...
@@ -113,6 +121,12 @@ verify-scale:
 	$(GO) test -race -run 'TestDescentMatchesReference' ./internal/core/...
 	$(GO) test -run 'TestGenerateFleet' .
 	$(GO) test -run 'TestGoldenGenTopologies/fleet' ./cmd/disparity-gen/...
+
+verify-model:
+	$(GO) vet ./internal/model/... ./internal/timeu/...
+	$(GO) test -race ./internal/model/... ./internal/timeu/...
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 30s ./internal/model/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/timeu/
 
 verify-bench:
 	cd bench && $(GO) test .

@@ -9,6 +9,7 @@
 package disparity_test
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -219,6 +220,24 @@ func BenchmarkChainIndexFleet(b *testing.B) {
 		}
 		if _, stride := idx.PathMasks(); stride < 2 {
 			b.Fatalf("fleet masks stride = %d, want multi-word", stride)
+		}
+	}
+}
+
+// BenchmarkReadGraphFleet times loading the fleet workload from its
+// WriteJSON bytes, serialized before the timer: decoding, building and
+// validating ~2000 tasks. tools/bench_compare divides it by
+// BenchmarkChainIndexFleet, the same graph's trie build.
+func BenchmarkReadGraphFleet(b *testing.B) {
+	g, _ := fleetBenchGraph(b)
+	var doc bytes.Buffer
+	if err := g.WriteJSON(&doc); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := disparity.ReadGraph(bytes.NewReader(doc.Bytes())); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"container/heap"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/timeu"
 )
@@ -301,22 +300,51 @@ func (g *Graph) HasEdge(src, dst TaskID) bool {
 	return ok
 }
 
+// ensureAdj rebuilds succ and pred, each list sorted by ID, as
+// capacity-capped windows of two flat arrays. Two linear passes sort
+// them without comparisons: scanning the successor buckets in ascending
+// source order appends every predecessor list in order, and scanning
+// those in ascending destination order then refills the successor lists
+// in order.
 func (g *Graph) ensureAdj() {
 	if g.adjValid {
 		return
 	}
-	n := len(g.tasks)
-	g.succ = make([][]TaskID, n)
-	g.pred = make([][]TaskID, n)
+	n, m := len(g.tasks), len(g.edges)
+	deg := make([]int, 2*n) // out-degrees, then in-degrees
+	for _, e := range g.edges {
+		deg[e.Src]++
+		deg[n+int(e.Dst)]++
+	}
+	flat := make([]TaskID, 2*m)
+	g.succ, g.pred = windows(flat[:m], deg[:n]), windows(flat[m:], deg[n:])
 	for _, e := range g.edges {
 		g.succ[e.Src] = append(g.succ[e.Src], e.Dst)
-		g.pred[e.Dst] = append(g.pred[e.Dst], e.Src)
 	}
-	for i := 0; i < n; i++ {
-		sort.Slice(g.succ[i], func(a, b int) bool { return g.succ[i][a] < g.succ[i][b] })
-		sort.Slice(g.pred[i], func(a, b int) bool { return g.pred[i][a] < g.pred[i][b] })
+	for v, out := range g.succ {
+		for _, w := range out {
+			g.pred[w] = append(g.pred[w], TaskID(v))
+		}
+		g.succ[v] = out[:0]
+	}
+	for w, in := range g.pred {
+		for _, v := range in {
+			g.succ[v] = append(g.succ[v], TaskID(w))
+		}
 	}
 	g.adjValid = true
+}
+
+// windows cuts flat into len(deg) empty slices, the i-th with capacity
+// deg[i], so appending to one never spills into the next.
+func windows(flat []TaskID, deg []int) [][]TaskID {
+	out := make([][]TaskID, len(deg))
+	off := 0
+	for i, d := range deg {
+		out[i] = flat[off : off : off+d]
+		off += d
+	}
+	return out
 }
 
 // Successors returns the tasks reading from id's output channels.
@@ -386,13 +414,7 @@ func (g *Graph) TasksByECU() [][]TaskID {
 		}
 	}
 	// One backing array, each ECU's entry a capacity-capped window of it.
-	flat := make([]TaskID, scheduled)
-	out := make([][]TaskID, len(g.ecus))
-	off := 0
-	for e, c := range count {
-		out[e] = flat[off : off : off+c]
-		off += c
-	}
+	out := windows(make([]TaskID, scheduled), count)
 	for i := range g.tasks {
 		if e := g.tasks[i].ECU; e >= 0 && int(e) < len(g.ecus) {
 			out[e] = append(out[e], TaskID(i))

@@ -1,11 +1,14 @@
 package model
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/timeu"
 )
@@ -88,102 +91,444 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 }
 
 // ReadJSON deserializes a graph written by WriteJSON and validates it.
+//
+// The decoder is written for this one schema. It reads the document
+// into memory, scans it once into compact records and then builds the
+// graph, accepting what decoding into the schema with encoding/json and
+// unknown fields disallowed accepts: keys match case-insensitively
+// (bytes.EqualFold), null leaves a field unset or a list empty, strings
+// with escapes or non-ASCII bytes unquote as encoding/json unquotes
+// them, prio and cap are JSON integers, and "ecus" may follow "tasks".
+// It deliberately rejects three kinds of document that encoding/json
+// lets through:
+//
+//   - R1: anything but white space after the top-level value;
+//   - R2: a key repeated within one object, case folds included;
+//   - R3: two ECUs or two tasks whose names coincide once an empty name
+//     has been defaulted to "ecuN" or "taskN".
 func ReadJSON(r io.Reader) (*Graph, error) {
-	var in graphJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
+	data, err := readAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("model: decoding graph: %w", err)
 	}
-	g := NewGraph()
-	ecuByName := make(map[string]ECUID)
-	for _, e := range in.ECUs {
+	d := decoder{buf: data, n: len(data)}
+	if err := d.document(); err != nil {
+		return nil, fmt.Errorf("model: decoding graph: %w", err)
+	}
+	return d.build()
+}
+
+// readAll reads r to the end, in one allocation when r reports its
+// length as bytes.Reader, strings.Reader and bytes.Buffer do.
+func readAll(r io.Reader) ([]byte, error) {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// The document's lists, in key order.
+const (
+	ecuList = iota
+	taskList
+	edgeList
+)
+
+// Key positions within a record. A task's six time fields are
+// contiguous, from taskWCET to taskOffset.
+const (
+	ecuName, ecuKind = 0, 1
+
+	taskName, taskWCET, taskOffset, taskECU, taskSem, taskPrio = 0, 1, 6, 7, 8, 9
+
+	edgeSrc, edgeDst, edgeCap = 0, 1, 2
+)
+
+// schema lists the keys of one kind of object. The value of key num is
+// a JSON integer; every other value is a string.
+type schema struct {
+	keys []string
+	num  int
+}
+
+var (
+	docKeys = []string{"ecus", "tasks", "edges"}
+	schemas = [...]schema{
+		ecuList:  {[]string{"name", "kind"}, -1},
+		taskList: {[]string{"name", "wcet", "bcet", "period", "max_period", "deadline", "offset", "ecu", "sem", "prio"}, taskPrio},
+		edgeList: {[]string{"src", "dst", "cap"}, edgeCap},
+	}
+)
+
+// span locates a string value in decoder.buf; the zero span is "".
+type span struct{ off, end int }
+
+// record is one scanned ECU, task or edge object: each string value as
+// a span, by key position, and the integer value.
+type record struct {
+	text [taskPrio]span
+	num  int
+}
+
+// decoder scans a graph document held in memory.
+type decoder struct {
+	// buf holds the document in buf[:n], followed by the unquoted form of
+	// each string that needed encoding/json's unquoting.
+	buf []byte
+	n   int
+	pos int
+
+	recs  []record
+	lists [3][2]int // recs[lo:hi] of each list
+}
+
+func (d *decoder) errorf(format string, args ...any) error {
+	return fmt.Errorf("offset %d: %s", d.pos, fmt.Sprintf(format, args...))
+}
+
+// unexpected reports the byte at the cursor, or the end of the input,
+// where want was due.
+func (d *decoder) unexpected(want string) error {
+	if d.pos >= d.n {
+		return d.errorf("unexpected end of input, want %s", want)
+	}
+	return d.errorf("invalid character %q, want %s", d.buf[d.pos], want)
+}
+
+// peek skips JSON white space and returns the next byte, or 0 at the end.
+func (d *decoder) peek() byte {
+	for ; d.pos < d.n; d.pos++ {
+		switch c := d.buf[d.pos]; c {
+		case ' ', '\t', '\n', '\r':
+		default:
+			return c
+		}
+	}
+	return 0
+}
+
+// null consumes a null literal if one is next.
+func (d *decoder) null() (bool, error) {
+	if d.peek() != 'n' {
+		return false, nil
+	}
+	if string(d.buf[d.pos:min(d.pos+4, d.n)]) != "null" {
+		return false, d.unexpected("null")
+	}
+	d.pos += 4
+	return true, nil
+}
+
+// document scans the top-level object into records.
+func (d *decoder) document() error {
+	// Every object opens with a brace, so their count bounds the records.
+	// Braces inside strings inflate it, so it is capped at one record per
+	// 16 input bytes, which any WriteJSON record exceeds; a denser
+	// document grows the slice instead.
+	d.recs = make([]record, 0, min(bytes.Count(d.buf[:d.n], []byte{'{'}), d.n/16))
+	err := d.object(docKeys, func(list int) error {
+		lo := len(d.recs)
+		err := d.array(func() error { return d.record(list) })
+		d.lists[list] = [2]int{lo, len(d.recs)}
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	d.peek()
+	if d.pos < d.n {
+		return d.errorf("invalid character %q after the top-level value", d.buf[d.pos])
+	}
+	return nil
+}
+
+// record scans one object of the list's schema, or null, into a new
+// record.
+func (d *decoder) record(list int) error {
+	sc := &schemas[list]
+	d.recs = append(d.recs, record{})
+	rec := &d.recs[len(d.recs)-1]
+	return d.object(sc.keys, func(k int) (err error) {
+		if k == sc.num {
+			rec.num, err = d.integer()
+		} else {
+			rec.text[k], err = d.stringValue()
+		}
+		return err
+	})
+}
+
+// object scans an object, or null. Each key must fold-match one of
+// keys, at most once; value(k) scans the value of key k.
+func (d *decoder) object(keys []string, value func(k int) error) error {
+	if ok, err := d.null(); ok || err != nil {
+		return err
+	}
+	if d.peek() != '{' {
+		return d.unexpected("an object")
+	}
+	d.pos++
+	if d.peek() == '}' {
+		d.pos++
+		return nil
+	}
+	var seen uint32
+	for {
+		if d.peek() != '"' {
+			return d.unexpected("a key")
+		}
+		sp, err := d.text()
+		if err != nil {
+			return err
+		}
+		key := d.slice(sp)
+		k := match(keys, key)
+		if k < 0 {
+			return d.errorf("unknown field %q", key)
+		}
+		if seen&(1<<k) != 0 {
+			return d.errorf("repeated field %q", key)
+		}
+		seen |= 1 << k
+		if d.peek() != ':' {
+			return d.unexpected("':'")
+		}
+		d.pos++
+		if err := value(k); err != nil {
+			return err
+		}
+		switch d.peek() {
+		case ',':
+			d.pos++
+		case '}':
+			d.pos++
+			return nil
+		default:
+			return d.unexpected("',' or '}'")
+		}
+	}
+}
+
+// match returns the position of the key that key equals under Unicode
+// case folding, or -1.
+func match(keys []string, key []byte) int {
+	for k, name := range keys {
+		if string(key) == name {
+			return k
+		}
+	}
+	for k, name := range keys {
+		if bytes.EqualFold(key, []byte(name)) {
+			return k
+		}
+	}
+	return -1
+}
+
+// array scans an array, or null, calling elem on each element.
+func (d *decoder) array(elem func() error) error {
+	if ok, err := d.null(); ok || err != nil {
+		return err
+	}
+	if d.peek() != '[' {
+		return d.unexpected("an array")
+	}
+	d.pos++
+	if d.peek() == ']' {
+		d.pos++
+		return nil
+	}
+	for {
+		if err := elem(); err != nil {
+			return err
+		}
+		switch d.peek() {
+		case ',':
+			d.pos++
+		case ']':
+			d.pos++
+			return nil
+		default:
+			return d.unexpected("',' or ']'")
+		}
+	}
+}
+
+// stringValue scans a string, or null as the empty string.
+func (d *decoder) stringValue() (span, error) {
+	if ok, err := d.null(); ok || err != nil {
+		return span{}, err
+	}
+	if d.peek() != '"' {
+		return span{}, d.unexpected("a string")
+	}
+	return d.text()
+}
+
+// text scans the string literal at the cursor. A literal of plain
+// printable ASCII is its own value; any other is unquoted by
+// encoding/json, whose result is appended to buf.
+func (d *decoder) text() (span, error) {
+	start := d.pos + 1
+	i := start
+	for ; i < d.n; i++ {
+		c := d.buf[i]
+		if c == '"' {
+			d.pos = i + 1
+			return span{start, i}, nil
+		}
+		if c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
+			break
+		}
+	}
+	for ; i < d.n && d.buf[i] != '"'; i++ {
+		if d.buf[i] == '\\' {
+			i++
+		}
+	}
+	if i >= d.n {
+		d.pos = d.n
+		return span{}, d.unexpected("the end of a string")
+	}
+	var s string
+	if err := json.Unmarshal(d.buf[start-1:i+1], &s); err != nil {
+		return span{}, d.errorf("%v", err)
+	}
+	d.pos = i + 1
+	off := len(d.buf)
+	d.buf = append(d.buf, s...)
+	return span{off, len(d.buf)}, nil
+}
+
+// integer scans a JSON number that must be an integer in int's range,
+// or null as zero.
+func (d *decoder) integer() (int, error) {
+	if ok, err := d.null(); ok || err != nil {
+		return 0, err
+	}
+	neg := d.pos < d.n && d.buf[d.pos] == '-'
+	if neg {
+		d.pos++
+	}
+	limit := uint64(math.MaxInt)
+	if neg {
+		limit++
+	}
+	first := d.pos
+	var v uint64
+	for ; d.pos < d.n && '0' <= d.buf[d.pos] && d.buf[d.pos] <= '9'; d.pos++ {
+		digit := uint64(d.buf[d.pos] - '0')
+		if v > (limit-digit)/10 {
+			return 0, d.errorf("integer out of range")
+		}
+		v = v*10 + digit
+	}
+	switch {
+	case d.pos == first:
+		return 0, d.unexpected("an integer")
+	case d.buf[first] == '0' && d.pos > first+1:
+		return 0, d.errorf("integer with a leading zero")
+	case d.pos < d.n && (d.buf[d.pos] == '.' || d.buf[d.pos] == 'e' || d.buf[d.pos] == 'E'):
+		return 0, d.errorf("number is not an integer")
+	case neg:
+		return int(-v), nil // wraps to the negative value, MinInt included
+	}
+	return int(v), nil
+}
+
+func (d *decoder) slice(s span) []byte { return d.buf[s.off:s.end] }
+
+func (d *decoder) list(l int) []record { return d.recs[d.lists[l][0]:d.lists[l][1]] }
+
+// build makes the graph from the records, sized by them, resolving names
+// as written, and validates it.
+func (d *decoder) build() (*Graph, error) {
+	ecus, tasks, edges := d.list(ecuList), d.list(taskList), d.list(edgeList)
+	g := &Graph{
+		tasks:   make([]Task, 0, len(tasks)),
+		ecus:    make([]ECU, 0, len(ecus)),
+		edges:   make([]Edge, 0, len(edges)),
+		edgeIdx: make(map[[2]TaskID]int, len(edges)),
+	}
+	ecuByName := make(map[string]ECUID, len(ecus))
+	for i := range ecus {
+		name, kindText := d.slice(ecus[i].text[ecuName]), d.slice(ecus[i].text[ecuKind])
 		var kind ECUKind
-		switch e.Kind {
+		switch string(kindText) {
 		case "compute", "":
 			kind = Compute
 		case "bus":
 			kind = Bus
 		default:
-			return nil, fmt.Errorf("model: ECU %q has unknown kind %q", e.Name, e.Kind)
+			return nil, fmt.Errorf("model: ECU %q has unknown kind %q", name, kindText)
 		}
-		if _, dup := ecuByName[e.Name]; dup {
-			return nil, fmt.Errorf("model: duplicate ECU name %q", e.Name)
+		if _, dup := ecuByName[string(name)]; dup {
+			return nil, fmt.Errorf("model: duplicate ECU name %q", name)
 		}
-		ecuByName[e.Name] = g.AddECU(e.Name, kind)
+		s := string(name)
+		ecuByName[s] = g.AddECU(s, kind)
 	}
-	taskByName := make(map[string]TaskID)
-	parse := func(what, name, s string, def timeu.Time) (timeu.Time, error) {
-		if s == "" {
-			return def, nil
+	// Written names are distinct, so at most one was empty and defaulted
+	// to "ecuN", which must not be written elsewhere (R3).
+	if id, ok := ecuByName[""]; ok {
+		if _, dup := ecuByName[g.ecus[id].Name]; dup {
+			return nil, fmt.Errorf("model: duplicate ECU name %q", g.ecus[id].Name)
 		}
-		d, err := timeu.Parse(s)
-		if err != nil {
-			return 0, fmt.Errorf("model: task %q %s: %w", name, what, err)
-		}
-		return d, nil
 	}
-	for _, t := range in.Tasks {
-		if _, dup := taskByName[t.Name]; dup {
-			return nil, fmt.Errorf("model: duplicate task name %q", t.Name)
+	taskByName := make(map[string]TaskID, len(tasks))
+	for i := range tasks {
+		rec := &tasks[i]
+		name := d.slice(rec.text[taskName])
+		if _, dup := taskByName[string(name)]; dup {
+			return nil, fmt.Errorf("model: duplicate task name %q", name)
 		}
-		wcet, err := parse("wcet", t.Name, t.WCET, 0)
-		if err != nil {
-			return nil, err
-		}
-		bcet, err := parse("bcet", t.Name, t.BCET, 0)
-		if err != nil {
-			return nil, err
-		}
-		period, err := parse("period", t.Name, t.Period, 0)
-		if err != nil {
-			return nil, err
-		}
-		maxPeriod, err := parse("max_period", t.Name, t.MaxPeriod, 0)
-		if err != nil {
-			return nil, err
-		}
-		deadline, err := parse("deadline", t.Name, t.Deadline, 0)
-		if err != nil {
-			return nil, err
-		}
-		offset, err := parse("offset", t.Name, t.Offset, 0)
-		if err != nil {
-			return nil, err
-		}
-		ecu := NoECU
-		if t.ECU != "" {
-			id, ok := ecuByName[t.ECU]
-			if !ok {
-				return nil, fmt.Errorf("model: task %q references unknown ECU %q", t.Name, t.ECU)
+		t := Task{Name: string(name), Prio: rec.num, ECU: NoECU}
+		for f, field := range [...]*timeu.Time{&t.WCET, &t.BCET, &t.Period, &t.MaxPeriod, &t.Deadline, &t.Offset} {
+			text := d.slice(rec.text[taskWCET+f])
+			if len(text) == 0 {
+				continue
 			}
-			ecu = id
+			v, err := timeu.ParseBytes(text)
+			if err != nil {
+				return nil, fmt.Errorf("model: task %q %s: %w", name, schemas[taskList].keys[taskWCET+f], err)
+			}
+			*field = v
 		}
-		var sem Semantics
-		switch t.Sem {
+		if ecu := d.slice(rec.text[taskECU]); len(ecu) > 0 {
+			id, ok := ecuByName[string(ecu)]
+			if !ok {
+				return nil, fmt.Errorf("model: task %q references unknown ECU %q", name, ecu)
+			}
+			t.ECU = id
+		}
+		switch sem := d.slice(rec.text[taskSem]); string(sem) {
 		case "", "implicit":
-			sem = Implicit
 		case "let":
-			sem = LET
+			t.Sem = LET
 		default:
-			return nil, fmt.Errorf("model: task %q has unknown semantics %q", t.Name, t.Sem)
+			return nil, fmt.Errorf("model: task %q has unknown semantics %q", name, sem)
 		}
-		taskByName[t.Name] = g.AddTask(Task{
-			Name: t.Name, WCET: wcet, BCET: bcet, Period: period,
-			MaxPeriod: maxPeriod, Deadline: deadline, Offset: offset,
-			Prio: t.Prio, ECU: ecu, Sem: sem,
-		})
+		taskByName[t.Name] = g.AddTask(t)
 	}
-	for _, e := range in.Edges {
-		src, ok := taskByName[e.Src]
-		if !ok {
-			return nil, fmt.Errorf("model: edge references unknown task %q", e.Src)
+	// As for ECUs: a defaulted "taskN" must not be written elsewhere (R3).
+	if id, ok := taskByName[""]; ok {
+		if _, dup := taskByName[g.tasks[id].Name]; dup {
+			return nil, fmt.Errorf("model: duplicate task name %q", g.tasks[id].Name)
 		}
-		dst, ok := taskByName[e.Dst]
+	}
+	for i := range edges {
+		rec := &edges[i]
+		src, ok := taskByName[string(d.slice(rec.text[edgeSrc]))]
 		if !ok {
-			return nil, fmt.Errorf("model: edge references unknown task %q", e.Dst)
+			return nil, fmt.Errorf("model: edge references unknown task %q", d.slice(rec.text[edgeSrc]))
 		}
-		capacity := e.Cap
+		dst, ok := taskByName[string(d.slice(rec.text[edgeDst]))]
+		if !ok {
+			return nil, fmt.Errorf("model: edge references unknown task %q", d.slice(rec.text[edgeDst]))
+		}
+		capacity := rec.num
 		if capacity == 0 {
 			capacity = 1
 		}

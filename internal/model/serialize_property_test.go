@@ -1,7 +1,10 @@
 package model
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -110,5 +113,84 @@ func TestJSONRoundTripProperty(t *testing.T) {
 				t.Fatalf("trial %d: ECU %d kind mismatch", trial, i)
 			}
 		}
+	}
+}
+
+// TestReadJSONMatchesReference runs both decoders on the WriteJSON
+// output of 300 random graphs: they must build the same graph.
+func TestReadJSONMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 300; trial++ {
+		var doc bytes.Buffer
+		if err := randomGraph(rng).WriteJSON(&doc); err != nil {
+			t.Fatal(err)
+		}
+		if checkAgainstReference(t, doc.Bytes()) == nil {
+			t.Fatalf("trial %d: both decoders reject a written graph:\n%s", trial, doc.Bytes())
+		}
+	}
+}
+
+// sortedAdjacency builds every successor and predecessor list the
+// straightforward way: appended edge by edge, then sorted.
+func sortedAdjacency(g *Graph) (succ, pred [][]TaskID) {
+	succ, pred = make([][]TaskID, g.NumTasks()), make([][]TaskID, g.NumTasks())
+	for _, e := range g.Edges() {
+		succ[e.Src] = append(succ[e.Src], e.Dst)
+		pred[e.Dst] = append(pred[e.Dst], e.Src)
+	}
+	for i := range succ {
+		sort.Slice(succ[i], func(a, b int) bool { return succ[i][a] < succ[i][b] })
+		sort.Slice(pred[i], func(a, b int) bool { return pred[i][a] < pred[i][b] })
+	}
+	return succ, pred
+}
+
+// TestAdjacencyMatchesSortedLists holds Successors and Predecessors to
+// sortedAdjacency on random graphs, on the same graphs with their edges
+// added in shuffled order, and after SplitOverBus rewrites them through
+// removeEdge and AddEdge. Every list must also be capacity-capped, so
+// appending to one cannot overwrite its neighbour.
+func TestAdjacencyMatchesSortedLists(t *testing.T) {
+	check := func(trial int, what string, g *Graph) {
+		t.Helper()
+		succ, pred := sortedAdjacency(g)
+		for i := range succ {
+			id := TaskID(i)
+			s, p := g.Successors(id), g.Predecessors(id)
+			if !slices.Equal(s, succ[i]) || !slices.Equal(p, pred[i]) {
+				t.Fatalf("trial %d, %s: task %d has successors %v and predecessors %v, want %v and %v",
+					trial, what, i, s, p, succ[i], pred[i])
+			}
+			if cap(s) != len(s) || cap(p) != len(p) {
+				t.Fatalf("trial %d, %s: task %d adjacency is not capacity-capped", trial, what, i)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 300; trial++ {
+		g := randomGraph(rng)
+		check(trial, "random", g)
+
+		shuffled := NewGraph()
+		for _, e := range g.ECUs() {
+			shuffled.AddECU(e.Name, e.Kind)
+		}
+		for _, task := range g.Tasks() {
+			shuffled.AddTask(task)
+		}
+		edges := g.Edges()
+		for _, k := range rng.Perm(len(edges)) {
+			if err := shuffled.AddBufferedEdge(edges[k].Src, edges[k].Dst, edges[k].Cap); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(trial, "shuffled", shuffled)
+
+		bus := shuffled.AddECU("bus", Bus)
+		if _, err := shuffled.SplitOverBus(bus, 1, 1); err != nil {
+			t.Fatalf("trial %d: SplitOverBus: %v", trial, err)
+		}
+		check(trial, "split over a bus", shuffled)
 	}
 }

@@ -10,8 +10,11 @@ package timeu
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Time is a point on, or a distance along, the discrete simulation
@@ -84,62 +87,109 @@ func formatFrac(d, unit Time, digits int, suffix string) string {
 
 // Parse parses a time written as a decimal number followed by one of the
 // units "ns", "us", "ms", "s", or "min". A bare number is rejected so that
-// configuration files are always explicit about units.
-func Parse(s string) (Time, error) {
-	s = strings.TrimSpace(s)
-	unit := Time(0)
-	var suffix string
-	for _, u := range []struct {
-		suffix string
-		unit   Time
-	}{{"min", Minute}, {"ns", Nanosecond}, {"us", Microsecond}, {"ms", Millisecond}, {"s", Second}} {
-		if strings.HasSuffix(s, u.suffix) {
-			unit, suffix = u.unit, u.suffix
-			break
-		}
-	}
-	if unit == 0 {
+// configuration files are always explicit about units. The number takes
+// at most one sign, and its value must be a whole number of nanoseconds
+// of magnitude at most MaxInt64: a literal beyond that range is an error,
+// never a wrapped value.
+func Parse(s string) (Time, error) { return parse(s) }
+
+// ParseBytes is Parse on a byte slice. It allocates only for its error.
+func ParseBytes(b []byte) (Time, error) { return parse(b) }
+
+func parse[S string | []byte](s S) (Time, error) {
+	s = trimSpace(s)
+	unit, suffix := Time(0), 0
+	switch n := len(s); {
+	case n >= 3 && s[n-3] == 'm' && s[n-2] == 'i' && s[n-1] == 'n':
+		unit, suffix = Minute, 3
+	case n >= 2 && s[n-1] == 's' && s[n-2] == 'n':
+		unit, suffix = Nanosecond, 2
+	case n >= 2 && s[n-1] == 's' && s[n-2] == 'u':
+		unit, suffix = Microsecond, 2
+	case n >= 2 && s[n-1] == 's' && s[n-2] == 'm':
+		unit, suffix = Millisecond, 2
+	case n >= 1 && s[n-1] == 's':
+		unit, suffix = Second, 1
+	default:
 		return 0, fmt.Errorf("timeu: %q has no unit suffix (ns/us/ms/s/min)", s)
 	}
-	num := strings.TrimSpace(strings.TrimSuffix(s, suffix))
-	if num == "" {
+	num := trimSpace(s[:len(s)-suffix])
+	if len(num) == 0 {
 		return 0, fmt.Errorf("timeu: %q has no numeric part", s)
 	}
-	if i, err := strconv.ParseInt(num, 10, 64); err == nil {
-		return Time(i) * unit, nil
+	neg := num[0] == '-'
+	if neg || num[0] == '+' {
+		num = num[1:]
 	}
-	// Exact decimal parsing: "4.75us" must be exactly 4750 ns regardless
-	// of float rounding. Split at the decimal point and scale the
-	// fractional digits by the unit.
-	neg := strings.HasPrefix(num, "-")
-	body := strings.TrimPrefix(num, "-")
-	intPart, fracPart, found := strings.Cut(body, ".")
-	if !found {
+	// Exact decimal parsing in checked int64 arithmetic: "4.75us" is
+	// exactly 4750 ns regardless of float rounding, and a value past
+	// MaxInt64 is reported instead of wrapping.
+	var whole int64
+	i := 0
+	for ; i < len(num) && '0' <= num[i] && num[i] <= '9'; i++ {
+		d := int64(num[i] - '0')
+		if whole > (math.MaxInt64-d)/10 {
+			return 0, fmt.Errorf("timeu: %q is out of range", s)
+		}
+		whole = whole*10 + d
+	}
+	frac := num[i:]
+	if len(frac) > 0 && frac[0] == '.' {
+		frac = frac[1:]
+	} else if len(frac) > 0 || i == 0 {
 		return 0, fmt.Errorf("timeu: cannot parse %q", s)
 	}
-	if intPart == "" {
-		intPart = "0"
+	if whole > math.MaxInt64/int64(unit) {
+		return 0, fmt.Errorf("timeu: %q is out of range", s)
 	}
-	ip, err := strconv.ParseInt(intPart, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("timeu: cannot parse %q: %v", s, err)
-	}
-	total := Time(ip) * unit
-	scale := unit
-	for _, digit := range fracPart {
-		if digit < '0' || digit > '9' {
+	total := whole * int64(unit)
+	scale := int64(unit)
+	for j := 0; j < len(frac); j++ {
+		d := frac[j]
+		if d < '0' || d > '9' {
 			return 0, fmt.Errorf("timeu: cannot parse %q", s)
 		}
 		if scale%10 != 0 {
 			return 0, fmt.Errorf("timeu: %q has more precision than a nanosecond", s)
 		}
 		scale /= 10
-		total += Time(digit-'0') * scale
+		add := int64(d-'0') * scale
+		if total > math.MaxInt64-add {
+			return 0, fmt.Errorf("timeu: %q is out of range", s)
+		}
+		total += add
 	}
 	if neg {
 		total = -total
 	}
-	return total, nil
+	return Time(total), nil
+}
+
+// trimSpace is strings.TrimSpace for either argument type: it drops
+// leading and trailing Unicode white space.
+func trimSpace[S string | []byte](s S) S {
+	var buf [utf8.UTFMax]byte
+	for len(s) > 0 {
+		r, n := rune(s[0]), 1
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRune(buf[:copy(buf[:], s)])
+		}
+		if !unicode.IsSpace(r) {
+			break
+		}
+		s = s[n:]
+	}
+	for len(s) > 0 {
+		r, n := rune(s[len(s)-1]), 1
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeLastRune(buf[:copy(buf[:], s[max(0, len(s)-utf8.UTFMax):])])
+		}
+		if !unicode.IsSpace(r) {
+			break
+		}
+		s = s[:len(s)-n]
+	}
+	return s
 }
 
 // MustParse is Parse for trusted literals; it panics on error.

@@ -232,6 +232,12 @@ func TestParseAndString(t *testing.T) {
 		{"-0.5ms", -500 * Microsecond},
 		{"1234.567ms", 1234567 * Microsecond},
 		{"0.000000001s", 1},
+		{"+.5ms", 500 * Microsecond},
+		{"9223372036854775807ns", math.MaxInt64},
+		{"-9223372036854775807ns", -math.MaxInt64},
+		{"9223372036.854775807s", math.MaxInt64},
+		{"5ms\u00a0", 5 * Millisecond},
+		{"\u3000 5\u2003ms", 5 * Millisecond},
 	}
 	for _, c := range cases {
 		got, err := Parse(c.in)
@@ -242,11 +248,30 @@ func TestParseAndString(t *testing.T) {
 		if got != c.want {
 			t.Errorf("Parse(%q) = %d, want %d", c.in, got, c.want)
 		}
+		if got, err := ParseBytes([]byte(c.in)); err != nil || got != c.want {
+			t.Errorf("ParseBytes(%q) = %d, %v, want %d", c.in, got, err, c.want)
+		}
+	}
+}
+
+// TestParseBytesAllocs pins that parsing from bytes allocates nothing
+// on success, Unicode white space included.
+func TestParseBytesAllocs(t *testing.T) {
+	in := []byte("\u00a0 1234.567ms ")
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ParseBytes(in); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("ParseBytes allocates %v times per call, want 0", allocs)
 	}
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, in := range []string{"", "5", "ms", "x5ms", "5 kg", "1.2.3ms", "1.xms", "0.0000000001s", "1e3ms"} {
+	for _, in := range []string{"", "5", "ms", "x5ms", "5 kg", "1.2.3ms", "1.xms", "0.0000000001s", "1e3ms",
+		// Beyond int64 or a second sign: these once wrapped or flipped.
+		"10000000000s", "200000000min", "-9223372036854775808ns", "9223372036.854775808s",
+		"--3.5ms", "-+3ms", "+-3ms", "+ms", "-ms"} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q): expected error", in)
 		}

@@ -20,6 +20,7 @@
 //	PairBounds     / PairBoundsReference    (trie fast-path speedup)
 //	ChainIndexFleet / ChainIndex            (fleet-tier index build scaling)
 //	WCRTFleet      / ChainIndexFleet        (fleet-tier WCRT stage)
+//	ReadGraphFleet / ChainIndexFleet        (fleet-tier graph load)
 //	PairBoundsFleet / PairBounds            (fleet-tier bound scaling)
 //	PairBoundsFleet / PairBoundsFleetReference (fleet-tier descent speedup)
 //
@@ -61,6 +62,7 @@ var ratioPairs = [][2]string{
 	{"BenchmarkPairBounds", "BenchmarkPairBoundsReference"},
 	{"BenchmarkChainIndexFleet", "BenchmarkChainIndex"},
 	{"BenchmarkWCRTFleet", "BenchmarkChainIndexFleet"},
+	{"BenchmarkReadGraphFleet", "BenchmarkChainIndexFleet"},
 	{"BenchmarkPairBoundsFleet", "BenchmarkPairBounds"},
 	{"BenchmarkPairBoundsFleet", "BenchmarkPairBoundsFleetReference"},
 }

@@ -97,6 +97,26 @@ func TestWCRTStageRatioGated(t *testing.T) {
 	}
 }
 
+// TestReadGraphRatioGated slows the fleet graph load 1.5x against the
+// trie build of the same graph; the load's own ratio pair must catch it.
+func TestReadGraphRatioGated(t *testing.T) {
+	const fixture = `{"current": {
+	  "BenchmarkChainIndexFleet": {"ns_op": 300000, "allocs_op": 30},
+	  "BenchmarkReadGraphFleet": {"ns_op": 4000000, "allocs_op": 5600}
+	}}`
+	dir := t.TempDir()
+	base := writeBench(t, dir, "base.json", fixture)
+	fresh := writeBench(t, dir, "fresh.json", strings.Replace(fixture,
+		`"BenchmarkReadGraphFleet": {"ns_op": 4000000`, `"BenchmarkReadGraphFleet": {"ns_op": 6000000`, 1))
+	var out bytes.Buffer
+	if err := run([]string{"-abs-tolerance", "10", base, fresh}, &out); err == nil {
+		t.Fatalf("1.5x fleet graph load regression passed the gate:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "BenchmarkReadGraphFleet/BenchmarkChainIndexFleet") {
+		t.Errorf("regression report missing the graph load ratio:\n%s", out.String())
+	}
+}
+
 // TestFleetDescentRatioGated slows the fleet descent 1.5x against the
 // reference pipeline on the same graph, about what losing the subtree
 // skips costs; the pair between them must catch it.
