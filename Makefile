@@ -46,7 +46,13 @@
 #                 internal/integration rides the -run pattern), the
 #                 descent == reference bound and argmax rank at forced
 #                 block caps, serial and parallel, under -race
-#                 (core.TestDescentMatchesReference), the public
+#                 (core.TestDescentMatchesReference, with a pinned
+#                 graph a Theorem-1-only S-diff prune gets wrong), the
+#                 S-diff prune's closed-form bounds (core.TestSDiffPrune*:
+#                 evaluated value ≤ pair U ≤ row bound ≤ block bound on
+#                 every pair, and U against the recursion it replaces)
+#                 and the ℬ split identity they rest on
+#                 (backward.TestTrieBoundsSplitAtTask), the public
 #                 GenerateFleet tests, and the pinned fleet generator
 #                 golden
 #   verify-model - graph loader tier: vet + race tests of internal/model
@@ -118,7 +124,8 @@ verify-scale:
 	$(GO) vet ./internal/bitset/... ./internal/chains/... ./internal/randgraph/... ./internal/waters/...
 	$(GO) test -race ./internal/bitset/... ./internal/chains/... ./internal/randgraph/... ./internal/waters/...
 	$(GO) test -race -run 'TestScale' ./internal/integration/...
-	$(GO) test -race -run 'TestDescentMatchesReference' ./internal/core/...
+	$(GO) test -race -run 'TestDescentMatchesReference|TestSDiffPrune' ./internal/core/...
+	$(GO) test -race -run 'TestTrieBoundsSplitAtTask' ./internal/backward/...
 	$(GO) test -run 'TestGenerateFleet' .
 	$(GO) test -run 'TestGoldenGenTopologies/fleet' ./cmd/disparity-gen/...
 

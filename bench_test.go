@@ -17,6 +17,7 @@ import (
 	"repro/internal/chains"
 	"repro/internal/exp"
 	"repro/internal/metrics"
+	"repro/internal/randgraph"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/timeu"
@@ -293,6 +294,75 @@ func BenchmarkPairBoundsFleet(b *testing.B) {
 // denominator of the fleet descent's ratio in tools/bench_compare.
 func BenchmarkPairBoundsFleetReference(b *testing.B) {
 	g, sink := fleetBenchGraph(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, err := disparity.Analyze(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := a.DisparityReference(sink, disparity.SDiff, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// denseBenchGraph builds the fusion-dense shape of the repository
+// benchmark — five WATERS layers of width 6, fanout 3, 4 ECUs, the
+// single sink analyzed — from a fixed seed, redrawing until the graph
+// is NP-FP schedulable: 516 chains and 132 870 pairs, 39% of them
+// sharing a task below their join point (c ≥ 2).
+func denseBenchGraph(b *testing.B) (*disparity.Graph, disparity.TaskID) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(1))
+	for attempt := 0; attempt < 100; attempt++ {
+		g, err := randgraph.Layered([]int{6, 6, 6, 6, 6}, 3, randgraph.Config{ECUs: 4, StimulusSources: true}, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		waters.Populate(g, rng)
+		if sched.Analyze(g, sched.NonPreemptiveFP).Schedulable {
+			return g, g.Sinks()[0]
+		}
+	}
+	b.Fatal("no schedulable dense benchmark graph found")
+	return nil, 0
+}
+
+// BenchmarkPairBoundsDense times the S-diff descent where c ≥ 2 pairs
+// dominate: a fresh analysis, then DisparityBound on the dense graph.
+// It asserts that the closed-form bounds keep Theorem 2's recursion
+// rare: the pairs evaluated in full stay at most 5% of the pair count,
+// where running it on every c ≥ 2 pair would take 39%.
+func BenchmarkPairBoundsDense(b *testing.B) {
+	g, sink := denseBenchGraph(b)
+	bounded := metrics.C("core.pairs.bounded")
+	b0 := bounded.Load()
+	var numPairs int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, err := disparity.Analyze(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		td, err := a.DisparityBound(sink, disparity.SDiff, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		numPairs = td.NumPairs
+	}
+	b.StopTimer()
+	if evaluated := bounded.Load() - b0; evaluated > int64(b.N)*int64(numPairs)/20 {
+		b.Fatalf("S-diff prune ineffective: %d pairs evaluated over %d iterations of %d pairs (want ≤ 5%%)",
+			evaluated, b.N, numPairs)
+	}
+}
+
+// BenchmarkPairBoundsDenseReference is the reference pipeline on the
+// BenchmarkPairBoundsDense graph, every pair enumerated, stripped and
+// bounded: the denominator of the dense descent's ratio in
+// tools/bench_compare.
+func BenchmarkPairBoundsDenseReference(b *testing.B) {
+	g, sink := denseBenchGraph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a, err := disparity.Analyze(g)

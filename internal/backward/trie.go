@@ -253,3 +253,28 @@ func (tb *TrieBounds) segBCBT(u, v int32) timeu.Time {
 	// inclusive, minus the tail's response time.
 	return tb.bsum[u] - tb.bsum[v] + tb.a.g.Task(vt).BCET - tb.a.wcrt.R(vt) + b
 }
+
+// SplitExcess returns e(t), what ℬ loses when a segment is split at
+// task t: for trie nodes x below t below y on one path,
+//
+//	ℬ(x..y) = ℬ(x..t) + ℬ(t..y) + e(t),
+//
+// while 𝒲 splits exactly. t lies strictly inside the segment, so it
+// has a predecessor and is scheduled, and all three segments take the
+// same segBCBT branch: LET sums one period per scheduled non-tail task
+// and splits exactly (e = 0); Dürr keeps only −R(tail), so the split
+// adds a −R(t) (e = R(t)); Lemma 5 counts t's BCET in both halves and
+// subtracts R(t) at the first one's tail (e = R(t) − BCET(t)). e is
+// never negative, because R ≥ WCET ≥ BCET, and it is 0 for an
+// unscheduled stimulus (R = BCET = 0).
+func (tb *TrieBounds) SplitExcess(t model.TaskID) timeu.Time {
+	tsk := tb.a.g.Task(t)
+	switch {
+	case tsk.ECU != model.NoECU && tsk.Sem == model.LET:
+		return 0
+	case tb.a.method == Duerr:
+		return tb.a.wcrt.R(t)
+	default:
+		return tb.a.wcrt.R(t) - tsk.BCET
+	}
+}

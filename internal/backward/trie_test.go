@@ -166,3 +166,74 @@ func TestSubtreeAggsMatchBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestTrieBoundsSplitAtTask pins the split identities behind the S-diff
+// descent's closed-form prune: for trie nodes x below t below y on one
+// path, 𝒲(x..y) = 𝒲(x..t) + 𝒲(t..y) and ℬ(x..y) = ℬ(x..t) + ℬ(t..y) +
+// SplitExcess(t), exactly, and SplitExcess is never negative — on
+// random tries under Lemma 5 and Dürr, all-implicit and all-LET, with
+// buffered edges and with sporadic tasks.
+func TestTrieBoundsSplitAtTask(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	var checked, positive int
+	for trial := 0; trial < 40; trial++ {
+		n := 6 + rng.Intn(10)
+		g, err := randgraph.GNM(n, 2*n, randgraph.DefaultConfig(), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waters.Populate(g, rng)
+		switch trial % 4 {
+		case 1:
+			for i := 0; i < g.NumTasks(); i++ {
+				g.Task(model.TaskID(i)).Sem = model.LET
+			}
+		case 2:
+			for _, e := range g.Edges() {
+				if rng.Intn(2) == 0 {
+					if err := g.SetBuffer(e.Src, e.Dst, 2+rng.Intn(3)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		case 3:
+			for i := 0; i < g.NumTasks(); i++ {
+				if tsk := g.Task(model.TaskID(i)); rng.Intn(3) == 0 {
+					tsk.MaxPeriod = tsk.Period + tsk.Period/2
+				}
+			}
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		res := sched.Analyze(g, sched.NonPreemptiveFP)
+		idx := chains.NewIndex(g, g.Sinks()[0], 0)
+		for _, method := range []Method{NonPreemptive, Duerr} {
+			tb := NewAnalyzer(g, res, method).TrieBounds(idx)
+			for x := int32(0); x < int32(idx.NumNodes()); x++ {
+				for tn := idx.NodeParent(x); tn >= 0; tn = idx.NodeParent(tn) {
+					e := tb.SplitExcess(idx.NodeTask(tn))
+					if e < 0 {
+						t.Fatalf("trial %d %v: SplitExcess(%s) = %v < 0", trial, method, g.Task(idx.NodeTask(tn)).Name, e)
+					}
+					if e > 0 {
+						positive++
+					}
+					for y := idx.NodeParent(tn); y >= 0; y = idx.NodeParent(y) {
+						w, b := tb.Bounds(x, y)
+						w1, b1 := tb.Bounds(x, tn)
+						w2, b2 := tb.Bounds(tn, y)
+						if w != w1+w2 || b != b1+b2+e {
+							t.Fatalf("trial %d %v: split of %d..%d at %s: 𝒲 %v vs %v+%v, ℬ %v vs %v+%v+%v",
+								trial, method, x, y, g.Task(idx.NodeTask(tn)).Name, w, w1, w2, b, b1, b2, e)
+						}
+						checked++
+					}
+				}
+			}
+		}
+	}
+	if checked < 1000 || positive == 0 {
+		t.Fatalf("vacuous corpus: %d splits checked, %d with e > 0", checked, positive)
+	}
+}

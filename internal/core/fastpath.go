@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -30,8 +31,9 @@ import (
 var (
 	disparityTruncated = metrics.C("core.disparity.truncated")
 	// pairsPruned counts chain pairs the dominance prune skipped (their
-	// cheap upper bound could not reach the running maximum), the
-	// complement of core.pairs.bounded. Blocks accumulate both counts
+	// cheap upper bound, or their row's in an S-diff cross block, could
+	// not reach the running maximum), the complement of
+	// core.pairs.bounded. Blocks accumulate both counts
 	// locally and bulk-add, so the hot loop stays free of shared atomics.
 	pairsPruned = metrics.C("core.pairs.pruned")
 	// boundParallelRuns counts DisparityBound evaluations that crossed
@@ -81,9 +83,11 @@ type pairEval struct {
 	wFull, bFull []timeu.Time
 	// headTask[i] is chain i's source task.
 	headTask []model.TaskID
-	// period and sporadic are indexed by TaskID.
+	// period, sporadic and excess are indexed by TaskID; excess[t] is
+	// tb.SplitExcess(t), the e(t) of the S-diff prune (subtree.go).
 	period   []timeu.Time
 	sporadic []bool
+	excess   []timeu.Time
 	// lat is the lazily built reaction-prefix table of the latency
 	// metrics (latency.go); it reads the backward analyzer, so retarget
 	// never carries it across Analyses.
@@ -149,11 +153,21 @@ func newPairEval(a *Analysis, task model.TaskID, maxChains int) *pairEval {
 		ev.period[t] = tsk.Period
 		ev.sporadic[t] = tsk.Sporadic()
 	}
+	ev.excess = splitExcess(tb, nt)
 	ev.headTask = make([]model.TaskID, idx.NumChains())
 	for i := range ev.headTask {
 		ev.headTask[i] = idx.NodeTask(idx.Leaf(i))
 	}
 	return ev
+}
+
+// splitExcess tabulates tb.SplitExcess over the graph's tasks.
+func splitExcess(tb *backward.TrieBounds, numTasks int) []timeu.Time {
+	e := make([]timeu.Time, numTasks)
+	for t := range e {
+		e[t] = tb.SplitExcess(model.TaskID(t))
+	}
+	return e
 }
 
 // fullBounds returns every leaf's full-chain (root segment) bounds.
@@ -171,6 +185,7 @@ func fullBounds(idx *chains.Index, tb *backward.TrieBounds) (w, b []timeu.Time) 
 // graph only in buffer capacities — the greedy optimizer's rounds —
 // while sharing everything a capacity change cannot touch: the trie,
 // chain store, masks, LCA lifting, head tasks, and per-task periods.
+// The e(t) table follows the new analyzer, whose method may differ.
 func (ev *pairEval) retarget(a *Analysis) *pairEval {
 	tb := a.bw.TrieBounds(ev.idx)
 	wFull, bFull := fullBounds(ev.idx, tb)
@@ -179,6 +194,7 @@ func (ev *pairEval) retarget(a *Analysis) *pairEval {
 		masks: ev.masks, maskStride: ev.maskStride,
 		wFull: wFull, bFull: bFull, headTask: ev.headTask,
 		period: ev.period, sporadic: ev.sporadic,
+		excess: splitExcess(tb, len(ev.period)),
 	}
 }
 
@@ -391,12 +407,74 @@ func (ev *pairEval) sdiffC1(u, w, f int32, i, laLen, nuLen int, sameHead bool, v
 	}
 }
 
-// sdiffC1UB returns the pre-flooring c = 1 value for the dominance
-// prune; only meaningful when the exact-mask test proved c = 1.
-func (ev *pairEval) sdiffC1UB(u, w, f int32) timeu.Time {
+// pairUB returns the closed-form upper bound U on the pre-flooring
+// S-diff value of chains i, j (leaves u, w joining at f) for the
+// dominance prune; it never runs Theorem 2's recursion. The split sums
+// are only taken when the exact-mask test finds a common task below f.
+// Requires masks.
+func (ev *pairEval) pairUB(i, j int, u, w, f int32) timeu.Time {
 	wa, ba := ev.tb.Bounds(u, f)
 	wb, bb := ev.tb.Bounds(w, f)
-	return timeu.Max(timeu.Abs(wa-bb), timeu.Abs(wb-ba))
+	var e, s timeu.Time
+	if c1, _ := ev.maskC1(u, w, f, ev.headTask[i], ev.headTask[i] == ev.headTask[j]); !c1 {
+		e, s, _ = ev.splitSums(i, j, u, w, f, 0, ev.maskStride)
+	}
+	return sdiffUB(wb-ba, bb-wa, e, s)
+}
+
+// sdiffUB is U for a stripped pair (the derivation is in subtree.go's
+// package comment): a = 𝒲ν − ℬλ and b = ℬν − 𝒲λ are Theorem 1's two
+// terms, and e, s are splitSums of the pair's common tasks. With
+// e = s = 0 — a c = 1 pair — it is exactly the Theorem-1 value.
+func sdiffUB(a, b, e, s timeu.Time) timeu.Time {
+	return max(timeu.Abs(a), timeu.Abs(b), timeu.Abs(a+e), timeu.Abs(a+e-s), timeu.Abs(b-e), timeu.Abs(b-e+s))
+}
+
+// splitSums returns E and S of chains i, j (leaves u, w joining at f):
+// the common sums of masks[u] & masks[w] &^ masks[f] with a shared
+// head's bit cleared, which are the split points o₁…o_{c−1} of
+// Theorem 2's recursion. Only mask words [lo, hi) are read, so they
+// must hold every such task. shared reports whether there is one.
+func (ev *pairEval) splitSums(i, j int, u, w, f int32, lo, hi int) (e, s timeu.Time, shared bool) {
+	skip := -1
+	if ev.headTask[i] == ev.headTask[j] {
+		skip = int(ev.headTask[i])
+	}
+	return ev.commonSums(ev.maskRow(u), ev.maskRow(w), ev.maskRow(f), lo, hi, skip)
+}
+
+// commonSums returns Σ e(t) and Σ (T(t) − 1) over the tasks t of
+// x & y &^ f in mask words [lo, hi) other than task skip (−1: none),
+// and whether there is any.
+func (ev *pairEval) commonSums(x, y, f []uint64, lo, hi, skip int) (e, s timeu.Time, shared bool) {
+	for k := lo; k < hi; k++ {
+		common := x[k] & y[k] &^ f[k]
+		if skip >= 0 && skip>>6 == k {
+			common &^= 1 << (uint(skip) & 63)
+		}
+		if common != 0 {
+			we, ws := ev.wordSums(k, common)
+			e, s, shared = e+we, s+ws, true
+		}
+	}
+	return e, s, shared
+}
+
+// wordSums sums e(t) and T(t) − 1 over the tasks in word k of a mask
+// row.
+func (ev *pairEval) wordSums(k int, word uint64) (e, s timeu.Time) {
+	for ; word != 0; word &= word - 1 {
+		t := k<<6 | bits.TrailingZeros64(word)
+		e += ev.excess[t]
+		s += ev.period[t] - 1
+	}
+	return e, s
+}
+
+// maskRow returns trie node n's path-mask row. Requires masks.
+func (ev *pairEval) maskRow(n int32) []uint64 {
+	st := ev.maskStride
+	return ev.masks[int(n)*st : int(n+1)*st]
 }
 
 // maskC1 applies the exact-mask c = 1 test to the stripped pair with
@@ -562,12 +640,13 @@ func (a *Analysis) DisparityBound(task model.TaskID, m Method, maxChains int) (*
 }
 
 // evalPair evaluates pair (i, j) into v with the per-pair dominance
-// prune: evaluated is false when the pair's cheap upper bound could
-// not reach the shared running maximum. threshold only grows, and a
-// stale read merely prunes less, so the shared atomic is sound under
-// concurrency; the result never depends on it (a pruned pair's bound
-// is strictly below the final maximum, so it can attain neither the
-// maximum nor the first-attaining rank).
+// prune: evaluated is false when the pair's cheap upper bound (pdiffUB,
+// or pairUB when the index has masks) could not reach the shared
+// running maximum. threshold only grows, and a stale read merely
+// prunes less, so the shared atomic is sound under concurrency; the
+// result never depends on it (a pruned pair's bound is strictly below
+// the final maximum, so it can attain neither the maximum nor the
+// first-attaining rank).
 func (ev *pairEval) evalPair(m Method, i, j int, s *pairScratch, v *pairVals, threshold *atomic.Int64) (evaluated bool, err error) {
 	if m == PDiff {
 		if ev.pdiffUB(i, j) < timeu.Time(threshold.Load()) {
@@ -578,9 +657,7 @@ func (ev *pairEval) evalPair(m Method, i, j int, s *pairScratch, v *pairVals, th
 	}
 	if ev.maskStride != 0 {
 		u, w := ev.idx.Leaf(i), ev.idx.Leaf(j)
-		f := ev.idx.LCA(u, w)
-		c1, _ := ev.maskC1(u, w, f, ev.headTask[i], ev.headTask[i] == ev.headTask[j])
-		if c1 && ev.sdiffC1UB(u, w, f) < timeu.Time(threshold.Load()) {
+		if ev.pairUB(i, j, u, w, ev.idx.LCA(u, w)) < timeu.Time(threshold.Load()) {
 			return false, nil
 		}
 	}

@@ -4,31 +4,77 @@
 // The trie groups chains by shared prefix, and backward.SubtreeAggs
 // gives every trie node the min/max envelope of its leaves' segment
 // keys. For two disjoint sibling subtrees hanging off a join node f,
-// every cross pair diverges exactly at f, so the pairwise Theorem-1
-// combination max(|𝒲λ−ℬν|, |𝒲ν−ℬλ|) is bounded above by combining the
-// two envelopes — one interval comparison for the whole leaf-range ×
-// leaf-range block. The descent below expands the pair space into
-// O(NumPairs/subtreeRectCap) such blocks, orders them by optimistic
-// bound, and lets the CAS-lifted running maximum skip whole blocks
-// before a single pair in them is enumerated. Surviving blocks fall
-// through to the exact per-pair evaluation, so the result —
-// bound, argmax pair, every intermediate — stays bit-identical to
-// DisparityReference (pinned by the differential harnesses).
+// every cross pair diverges exactly at f, so combining the two
+// envelopes bounds every pair of the leaf-range × leaf-range block in
+// one interval comparison. The descent below expands the pair space
+// into O(NumPairs/subtreeRectCap) such blocks, orders them by
+// optimistic bound, and lets the CAS-lifted running maximum skip whole
+// blocks before a single pair in them is enumerated. Inside a
+// surviving block, rows and then pairs face the same test with tighter
+// bounds, and the pairs that survive it go through the exact per-pair
+// evaluation, so the result — bound, argmax pair, every intermediate —
+// stays bit-identical to DisparityReference (pinned by the
+// differential harnesses).
 //
-// Soundness of skipping a block: the block bound dominates each
+// Soundness of skipping: a block, row or pair bound dominates each
 // member pair's pre-flooring value (flooring only rounds down), the
 // threshold is the maximum of already-evaluated final pair bounds and
 // therefore never exceeds the final maximum, and the skip test is
 // strict (<). A skipped pair's bound is thus strictly below the final
 // maximum: it can attain neither the maximum nor the first-attaining
-// rank. S-diff blocks are only ever skipped when the subtree union
-// masks prove every member pair is a c = 1 pair (no shared task
-// strictly below f) — for c ≥ 2 pairs Theorem 2's alignment recursion
-// is not bounded by the envelope combination, so unproven blocks keep
-// the +∞ sentinel and are always enumerated. The same union test rules
-// out shared heads (a source task below f would survive the mask
-// subtraction), so proven-c1 pairs never floor and evaluate on the
-// direct c = 1 path.
+// rank.
+//
+// P-diff pairs combine full-chain windows, so their block bound is the
+// Theorem-1 envelope combination completed at the root. S-diff pairs
+// evaluate the stripped chains λ = u..f and ν = w..f, and a pair that
+// shares tasks below f runs Theorem 2's alignment recursion, bounded
+// in closed form without running it:
+//
+//   - Setup. The common tasks are o₁…o_c with o_c = f, c ≥ 2 (a shared
+//     head is not a common task). The segments are A₀ = u..o₁ and
+//     A_k = o_k..o_{k+1} on λ, B_k likewise on ν. The recursion's
+//     ceiling gives x_k·T(o_k) ∈ [N_k, N_k + T(o_k) − 1] with
+//     N_k = ℬ(A_k) − 𝒲(B_k) + x_{k+1}·T(o_{k+1}), and its floor gives
+//     y_k·T(o_k) ∈ [M_k − T(o_k) + 1, M_k] with
+//     M_k = 𝒲(A_k) − ℬ(B_k) + y_{k+1}·T(o_{k+1}); x_c = y_c = 0.
+//   - Splitting. 𝒲 is a prefix sum and splits exactly at a node. ℬ
+//     splits as ℬ(x..y) = ℬ(x..t) + ℬ(t..y) + e(t), with e(t) from
+//     backward.TrieBounds.SplitExcess. Every split point o₁…o_{c−1} is
+//     scheduled — Validate lets only sources be unscheduled, and a
+//     source on a path is its head — and e(t) ≥ 0.
+//   - Summing the steps. With a = 𝒲(ν) − ℬ(λ) and b = ℬ(ν) − 𝒲(λ)
+//     (Theorem 1's two terms on the stripped pair),
+//     E = Σ_{k<c} e(o_k) and S = Σ_{k<c} (T(o_k) − 1):
+//     𝒲(B₀) − ℬ(A₀) − x₁T(o₁) ∈ [a+E−S, a+E] and
+//     ℬ(B₀) − 𝒲(A₀) − y₁T(o₁) ∈ [b−E, b−E+S].
+//   - Per pair. U = max(|a|, |b|, |a+E|, |a+E−S|, |b−E|, |b−E+S|)
+//     (sdiffUB) bounds the pre-flooring value: the four interval ends
+//     bound Theorem 2's two terms, and |a|, |b| cover the c = 1 case
+//     (E = S = 0) and the sporadic fallbacks, which evaluate Theorem 1
+//     on the stripped pair. E and S come from the bits of
+//     masks[u] & masks[w] &^ masks[f], a shared head cleared
+//     (splitSums).
+//   - Per block and per row. For a block P × Q at f, a and b range
+//     over the envelopes at f (the LET hull included), and E ≤ E⁺,
+//     S ≤ S⁺, the sums over the tasks of (∪P ∧ ∪Q) ∖ path(f) read off
+//     the subtree union masks (every term is ≥ 0). As E, S ≥ 0, each
+//     |·| of U is at most one of a_hi+E⁺, S⁺−a_lo, E⁺−b_lo, b_hi+S⁺,
+//     and their maximum is the block bound (crossUB). A row is the
+//     block {λ} × Q: the same maximum with λ's exact 𝒲/ℬ, the exact
+//     extremes over Q's leaves, and the sums over
+//     (path(λ) ∧ ∪Q) ∖ path(f), so pair U ≤ row bound ≤ block bound.
+//     When an intersection is empty every pair of the block or row is
+//     c = 1 with distinct heads, E⁺ = S⁺ = 0, the bound is the plain
+//     Theorem-1 combination, and the pairs skip the mask work and
+//     evaluate on the direct c = 1 path.
+//
+// A pruned pair never runs the recursion, so it never reaches the
+// infeasible-alignment guard (x_k > y_k) either. For sound 𝒲/ℬ the
+// guard is unreachable — the real backward job chains give a feasible
+// alignment — so DisparityBound can report it only on pairs it
+// evaluates, while Disparity and DisparityReference evaluate every
+// pair. An index without masks (over MaskBudgetWords) gives S-diff
+// blocks the +∞ sentinel, and their pairs are evaluated unpruned.
 package core
 
 import (
@@ -48,7 +94,7 @@ var (
 	// pairsSubtreePruned counts chain pairs skipped wholesale by the
 	// subtree descent — pairs inside a block whose optimistic bound
 	// could not reach the running maximum. Disjoint from
-	// core.pairs.pruned (the per-pair dominance prune inside surviving
+	// core.pairs.pruned (the row and pair prunes inside surviving
 	// blocks) and core.pairs.bounded (evaluated pairs); the three sum
 	// to the pair count of every bound-only run.
 	pairsSubtreePruned = metrics.C("core.pairs.subtree_pruned")
@@ -64,8 +110,8 @@ var (
 const subtreeRectCap = 1024
 
 // ubSentinel marks a block whose optimistic bound is unavailable
-// (triangles with mixed join nodes, S-diff blocks not proven all-c1):
-// it is never skipped, only enumerated.
+// (triangles with mixed join nodes, S-diff blocks of an index without
+// masks): it is never skipped, only enumerated.
 const ubSentinel = timeu.Time(math.MaxInt64)
 
 // pairRect is one block of the pair space: the cross product
@@ -76,11 +122,12 @@ type pairRect struct {
 	pLo, pHi int32
 	qLo, qHi int32
 	f        int32
+	// wLo, wHi span the mask words in which the two runs' union masks
+	// meet strictly below f (S-diff only), so every pair's common tasks
+	// lie in them. wLo = wHi: every pair of the block is c = 1 with
+	// distinct heads.
+	wLo, wHi int32
 	ub       timeu.Time
-	// c1 records that the union-mask test proved every pair of the
-	// block shares nothing strictly below f: evaluation may take the
-	// direct c = 1 path without per-pair LCA or mask work.
-	c1 bool
 }
 
 // rectCollector expands the pair space into rects during the descent.
@@ -90,7 +137,7 @@ type rectCollector struct {
 	cap       int64
 	aggs      []backward.SubtreeAgg
 	hasLET    bool
-	sub       []uint64 // subtree union masks (nil: no c1 block proofs)
+	sub       []uint64 // subtree union masks (nil: no S-diff block bounds)
 	subStride int
 	rects     []pairRect
 }
@@ -223,49 +270,46 @@ func splitRun(c *rectCollector, run []int32) (a, b []int32) {
 	return kids[:mid], kids[mid:]
 }
 
-// emitCross computes the block's optimistic bound. P-diff pairs use
-// full-chain windows, so the envelopes are completed at the root;
-// S-diff blocks get a bound only when proven all-c1 (see the package
-// comment), completed at the divergence node f.
+// emitCross computes the block's optimistic bound: the Theorem-1
+// envelope combination completed at the root for P-diff, the
+// closed-form S-diff bound at the divergence node f otherwise (see the
+// package comment), unless the index built no masks.
 func (c *rectCollector) emitCross(f int32, pLo, pHi, qLo, qHi int32, P, Q []int32) {
 	r := pairRect{pLo: pLo, pHi: pHi, qLo: qLo, qHi: qHi, f: f, ub: ubSentinel}
 	if c.m == PDiff {
-		r.ub = c.blockUB(0, P, Q)
-	} else if c.provenC1(f, P, Q) {
-		r.c1 = true
-		r.ub = c.blockUB(f, P, Q)
+		r.ub = c.blockUB(0, P, Q, 0, 0)
+	} else if c.subStride != 0 {
+		// E⁺ and S⁺ sum over every task the runs share outside the join
+		// path f..root: each cross pair's common tasks below f, and a
+		// shared source head (no task on f..root is a source).
+		mf := c.ev.maskRow(f)
+		var e, s timeu.Time
+		for k := 0; k < c.subStride; k++ {
+			orP := c.union(P, k)
+			if orP == 0 {
+				continue
+			}
+			if common := orP & c.union(Q, k) &^ mf[k]; common != 0 {
+				we, ws := c.ev.wordSums(k, common)
+				e, s = e+we, s+ws
+				if r.wLo == r.wHi {
+					r.wLo = int32(k)
+				}
+				r.wHi = int32(k + 1)
+			}
+		}
+		r.ub = c.blockUB(f, P, Q, e, s)
 	}
 	c.rects = append(c.rects, r)
 }
 
-// provenC1 applies the subtree union-mask test: no task bit shared by
-// the two runs survives outside the join path f..root. It implies,
-// pair by pair, the per-pair maskC1 test with sameHead = false — a
-// shared source head below f would survive the subtraction (every
-// task on f..root has predecessors, hence is no source).
-func (c *rectCollector) provenC1(f int32, P, Q []int32) bool {
-	s := c.subStride
-	if s == 0 {
-		return false
+// union returns word k of the OR of the run's subtree union masks.
+func (c *rectCollector) union(run []int32, k int) uint64 {
+	var or uint64
+	for _, x := range run {
+		or |= c.sub[int(x)*c.subStride+k]
 	}
-	masks := c.ev.masks
-	for w := 0; w < s; w++ {
-		var orP uint64
-		for _, p := range P {
-			orP |= c.sub[int(p)*s+w]
-		}
-		if orP == 0 {
-			continue
-		}
-		var orQ uint64
-		for _, q := range Q {
-			orQ |= c.sub[int(q)*s+w]
-		}
-		if orP&orQ&^masks[int(f)*s+w] != 0 {
-			return false
-		}
-	}
-	return true
+	return or
 }
 
 // foldRun folds the envelopes of a run's nodes (all non-empty).
@@ -277,23 +321,27 @@ func (c *rectCollector) foldRun(run []int32) backward.SubtreeAgg {
 	return agg
 }
 
-// blockUB combines the two runs' envelopes at join node f into an
-// upper bound on every cross pair's pre-flooring Theorem-1 value
-// max(|𝒲λ−ℬν|, |𝒲ν−ℬλ|): each |x−y| with x ∈ [xl,xh], y ∈ [yl,yh] is
-// at most max(xh−yl, yh−xl).
-func (c *rectCollector) blockUB(f int32, P, Q []int32) timeu.Time {
+// blockUB bounds every cross pair of the two runs at join node f from
+// their envelopes: with λ from P and ν from Q, Theorem 1's terms
+// a = 𝒲ν − ℬλ and b = ℬν − 𝒲λ lie in [minWQ−maxBP, maxWQ−minBP] and
+// [minBQ−maxWP, maxBQ−minWP], and e, s are the split sums E⁺, S⁺ (zero
+// for P-diff).
+func (c *rectCollector) blockUB(f int32, P, Q []int32, e, s timeu.Time) timeu.Time {
 	wOff, bOff, bletOff := c.ev.tb.BlockOffsets(f)
 	ap, aq := c.foldRun(P), c.foldRun(Q)
 	minWP, maxWP := ap.MinW+wOff, ap.MaxW+wOff
 	minWQ, maxWQ := aq.MinW+wOff, aq.MaxW+wOff
 	minBP, maxBP := hullB(&ap, bOff, bletOff, c.hasLET)
 	minBQ, maxBQ := hullB(&aq, bOff, bletOff, c.hasLET)
-	ub := timeu.Max(maxWP-minBQ, maxBQ-minWP)
-	ub = timeu.Max(ub, timeu.Max(maxWQ-minBP, maxBP-minWQ))
-	if ub < 0 {
-		ub = 0
-	}
-	return ub
+	return crossUB(minWQ-maxBP, maxWQ-minBP, minBQ-maxWP, maxBQ-minWP, e, s)
+}
+
+// crossUB is max(aHi+e, s−aLo, e−bLo, bHi+s), clamped at 0. For
+// a ∈ [aLo, aHi], b ∈ [bLo, bHi], 0 ≤ E ≤ e and 0 ≤ S ≤ s it dominates
+// sdiffUB(a, b, E, S); with e = s = 0 it is the Theorem-1 combination
+// max(|a|, |b|) over the intervals.
+func crossUB(aLo, aHi, bLo, bHi, e, s timeu.Time) timeu.Time {
+	return max(aHi+e, s-aLo, e-bLo, bHi+s, 0)
 }
 
 // hullB brackets a run's ℬ values. Which segBCBT branch applies is per
@@ -329,17 +377,22 @@ func (ev *pairEval) boundSubtree(m Method, n, cap int, parallel bool) blockBest 
 	sort.SliceStable(rects, func(i, j int) bool { return rects[i].ub > rects[j].ub })
 	var threshold atomic.Int64
 	results := make([]blockBest, len(rects))
-	results[0] = ev.evalRect(m, n, &rects[0], &threshold)
+	workers := 1
+	if parallel {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	scratch := make([]rectScratch, workers)
+	results[0] = ev.evalRect(m, n, &rects[0], &threshold, &scratch[0])
 	if rest := len(rects) - 1; rest > 0 && parallel {
 		boundParallelRuns.Inc()
-		_ = par.Runner{Workers: runtime.GOMAXPROCS(0)}.RunIndexed(context.Background(), rest,
-			func(_ context.Context, _, b int) error {
-				results[b+1] = ev.evalRect(m, n, &rects[b+1], &threshold)
+		_ = par.Runner{Workers: workers}.RunIndexed(context.Background(), rest,
+			func(_ context.Context, worker, b int) error {
+				results[b+1] = ev.evalRect(m, n, &rects[b+1], &threshold, &scratch[worker])
 				return nil
 			})
 	} else {
 		for b := 1; b < len(rects); b++ {
-			results[b] = ev.evalRect(m, n, &rects[b], &threshold)
+			results[b] = ev.evalRect(m, n, &rects[b], &threshold, &scratch[0])
 		}
 	}
 	best := blockBest{rank: -1}
@@ -358,18 +411,82 @@ func (ev *pairEval) boundSubtree(m Method, n, cap int, parallel bool) blockBest 
 	return best
 }
 
+// rectScratch is one worker's state, reused across the blocks it
+// evaluates: the decomposition walk's tables and the S-diff cross
+// loop's per-leaf bounds at the join node and union of path masks.
+type rectScratch struct {
+	pair   pairScratch
+	wq, bq []timeu.Time
+	orQ    []uint64
+}
+
+// leafEnv describes the Q leaves of an S-diff cross block at its join
+// node: the exact extremes of their 𝒲 and ℬ, and the union of their
+// path masks in the block's shared words [lo, hi).
+type leafEnv struct {
+	minW, maxW, minB, maxB timeu.Time
+	union                  []uint64
+	lo, hi                 int
+}
+
+// leafBounds fills sc.wq and sc.bq with 𝒲 and ℬ of the segments
+// leaf..f of the block's Q chains, indexed from qLo, and returns their
+// leafEnv.
+func (ev *pairEval) leafBounds(r *pairRect, sc *rectScratch) leafEnv {
+	k := int(r.qHi - r.qLo)
+	if cap(sc.wq) < k {
+		sc.wq, sc.bq = make([]timeu.Time, k), make([]timeu.Time, k)
+	}
+	sc.wq, sc.bq = sc.wq[:k], sc.bq[:k]
+	env := leafEnv{minW: math.MaxInt64, maxW: math.MinInt64, minB: math.MaxInt64, maxB: math.MinInt64}
+	for j := range sc.wq {
+		w, b := ev.tb.Bounds(ev.idx.Leaf(int(r.qLo)+j), r.f)
+		sc.wq[j], sc.bq[j] = w, b
+		env.minW, env.maxW = min(env.minW, w), max(env.maxW, w)
+		env.minB, env.maxB = min(env.minB, b), max(env.maxB, b)
+	}
+	if r.wLo < r.wHi {
+		if cap(sc.orQ) < ev.maskStride {
+			sc.orQ = make([]uint64, ev.maskStride)
+		}
+		env.union, env.lo, env.hi = sc.orQ[:ev.maskStride], int(r.wLo), int(r.wHi)
+		clear(env.union[env.lo:env.hi])
+		for j := r.qLo; j < r.qHi; j++ {
+			row := ev.maskRow(ev.idx.Leaf(int(j)))
+			for k := env.lo; k < env.hi; k++ {
+				env.union[k] |= row[k]
+			}
+		}
+	}
+	return env
+}
+
+// rowUB bounds U over one row of an S-diff cross block, the block
+// {λ} × Q: λ's exact 𝒲 = wl and ℬ = bl (leaf u) against the extremes of
+// the Q leaves, with the split sums over the tasks λ's path shares with
+// their union strictly below f. shared reports whether there is one;
+// without it every pair of the row is c = 1 with distinct heads.
+func (ev *pairEval) rowUB(env *leafEnv, u, f int32, wl, bl timeu.Time) (ub timeu.Time, shared bool) {
+	var e, s timeu.Time
+	if env.lo < env.hi {
+		e, s, shared = ev.commonSums(ev.maskRow(u), env.union, ev.maskRow(f), env.lo, env.hi, -1)
+	}
+	return crossUB(env.minW-bl, env.maxW-bl, env.minB-wl, env.maxB-wl, e, s), shared
+}
+
 // evalRect evaluates one block: skip it outright when its optimistic
 // bound cannot reach the threshold, otherwise enumerate its pairs with
-// the per-pair dominance prune (proven-c1 blocks on the direct c = 1
-// path, everything else through the generic evaluation).
-func (ev *pairEval) evalRect(m Method, n int, r *pairRect, threshold *atomic.Int64) blockBest {
+// the per-pair dominance prune. S-diff cross blocks test each row's
+// bound before its pairs and each pair's U before evaluating it; pairs
+// sharing nothing below f take the direct c = 1 path, the rest the
+// generic evaluation.
+func (ev *pairEval) evalRect(m Method, n int, r *pairRect, threshold *atomic.Int64, sc *rectScratch) blockBest {
 	best := blockBest{rank: -1}
 	if r.ub != ubSentinel && r.ub < timeu.Time(threshold.Load()) {
 		pairsSubtreePruned.Add(int64(r.pHi-r.pLo) * int64(r.qHi-r.qLo))
 		blocksPruned.Inc()
 		return best
 	}
-	var s pairScratch
 	var v pairVals
 	var evaluated, prunedCount int64
 	defer func() {
@@ -392,7 +509,7 @@ func (ev *pairEval) evalRect(m Method, n int, r *pairRect, threshold *atomic.Int
 	if r.qLo < 0 { // triangle
 		for i := int(r.pLo); i < int(r.pHi); i++ {
 			for j := i + 1; j < int(r.pHi); j++ {
-				ok, err := ev.evalPair(m, i, j, &s, &v, threshold)
+				ok, err := ev.evalPair(m, i, j, &sc.pair, &v, threshold)
 				if err != nil {
 					best.err = err
 					return best
@@ -406,19 +523,40 @@ func (ev *pairEval) evalRect(m Method, n int, r *pairRect, threshold *atomic.Int
 		}
 		return best
 	}
-	if r.c1 {
+	if m == SDiff && ev.maskStride != 0 {
 		idx := ev.idx
-		fDepth := idx.NodeDepth(r.f)
+		f, fDepth := r.f, idx.NodeDepth(r.f)
+		env := ev.leafBounds(r, sc)
 		for i := int(r.pLo); i < int(r.pHi); i++ {
 			u := idx.Leaf(i)
+			wl, bl := ev.tb.Bounds(u, f)
+			rowBound, rowShared := ev.rowUB(&env, u, f, wl, bl)
+			if rowBound < timeu.Time(threshold.Load()) {
+				prunedCount += int64(r.qHi - r.qLo)
+				continue
+			}
 			laLen := int(idx.NodeDepth(u) - fDepth + 1)
 			for j := int(r.qLo); j < int(r.qHi); j++ {
 				w := idx.Leaf(j)
-				if ev.sdiffC1UB(u, w, r.f) < timeu.Time(threshold.Load()) {
+				var e, s timeu.Time
+				shared, sameHead := false, false
+				if rowShared {
+					sameHead = ev.headTask[i] == ev.headTask[j]
+					e, s, shared = ev.splitSums(i, j, u, w, f, env.lo, env.hi)
+				}
+				k := j - int(r.qLo)
+				if sdiffUB(sc.wq[k]-bl, sc.bq[k]-wl, e, s) < timeu.Time(threshold.Load()) {
 					prunedCount++
 					continue
 				}
-				ev.sdiffC1(u, w, r.f, i, laLen, int(idx.NodeDepth(w)-fDepth+1), false, &v)
+				if shared {
+					if err := ev.evalSDiff(i, j, &sc.pair, &v); err != nil {
+						best.err = err
+						return best
+					}
+				} else {
+					ev.sdiffC1(u, w, f, i, laLen, int(idx.NodeDepth(w)-fDepth+1), sameHead, &v)
+				}
 				take(pairRank(n, i, j))
 			}
 		}
@@ -426,7 +564,7 @@ func (ev *pairEval) evalRect(m Method, n int, r *pairRect, threshold *atomic.Int
 	}
 	for i := int(r.pLo); i < int(r.pHi); i++ {
 		for j := int(r.qLo); j < int(r.qHi); j++ {
-			ok, err := ev.evalPair(m, i, j, &s, &v, threshold)
+			ok, err := ev.evalPair(m, i, j, &sc.pair, &v, threshold)
 			if err != nil {
 				best.err = err
 				return best

@@ -14,9 +14,12 @@ var literalNumber = regexp.MustCompile(`^[+-]?([0-9]+\.?[0-9]*|\.[0-9]*)$`)
 
 // exactValue evaluates a time literal with math/big, independently of
 // Parse's int64 arithmetic: the value in nanoseconds, and whether the
-// literal is in Parse's grammar at all.
+// literal is in Parse's grammar at all. "inf" is Infinity, 2^62 − 1.
 func exactValue(s string) (*big.Rat, bool) {
 	s = strings.TrimSpace(s)
+	if s == "inf" {
+		return new(big.Rat).SetInt64(1<<62 - 1), true
+	}
 	for _, u := range []struct {
 		suffix string
 		unit   int64
@@ -55,6 +58,7 @@ func FuzzParse(f *testing.F) {
 		"10000000000s", "200000000min", "-9223372036854775808ns", "--3.5ms",
 		"-+3ms", "+.5ms", "-9223372036854775807ns", "9223372036.854775807s",
 		"9223372036.854775808s", "153722867.280912930min",
+		"inf", "4611686018427387903ns",
 	} {
 		f.Add(seed)
 	}

@@ -90,7 +90,8 @@ func formatFrac(d, unit Time, digits int, suffix string) string {
 // configuration files are always explicit about units. The number takes
 // at most one sign, and its value must be a whole number of nanoseconds
 // of magnitude at most MaxInt64: a literal beyond that range is an error,
-// never a wrapped value.
+// never a wrapped value. The literal "inf", which String renders for
+// Infinity, parses back to Infinity.
 func Parse(s string) (Time, error) { return parse(s) }
 
 // ParseBytes is Parse on a byte slice. It allocates only for its error.
@@ -98,6 +99,9 @@ func ParseBytes(b []byte) (Time, error) { return parse(b) }
 
 func parse[S string | []byte](s S) (Time, error) {
 	s = trimSpace(s)
+	if len(s) == 3 && s[0] == 'i' && s[1] == 'n' && s[2] == 'f' {
+		return Infinity, nil
+	}
 	unit, suffix := Time(0), 0
 	switch n := len(s); {
 	case n >= 3 && s[n-3] == 'm' && s[n-2] == 'i' && s[n-1] == 'n':

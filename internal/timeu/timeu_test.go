@@ -271,7 +271,9 @@ func TestParseErrors(t *testing.T) {
 	for _, in := range []string{"", "5", "ms", "x5ms", "5 kg", "1.2.3ms", "1.xms", "0.0000000001s", "1e3ms",
 		// Beyond int64 or a second sign: these once wrapped or flipped.
 		"10000000000s", "200000000min", "-9223372036854775808ns", "9223372036.854775808s",
-		"--3.5ms", "-+3ms", "+-3ms", "+ms", "-ms"} {
+		"--3.5ms", "-+3ms", "+-3ms", "+ms", "-ms",
+		// Only the exact literal String renders for Infinity.
+		"Inf", "-inf", "+inf", "infinity", "infms"} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q): expected error", in)
 		}

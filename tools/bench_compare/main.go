@@ -23,6 +23,7 @@
 //	ReadGraphFleet / ChainIndexFleet        (fleet-tier graph load)
 //	PairBoundsFleet / PairBounds            (fleet-tier bound scaling)
 //	PairBoundsFleet / PairBoundsFleetReference (fleet-tier descent speedup)
+//	PairBoundsDense / PairBoundsDenseReference (c ≥ 2-heavy S-diff descent)
 //
 // A ratio regressing past -ratio-tolerance (default 20%) is a real
 // slowdown regardless of machine noise. Absolute per-benchmark ns/op
@@ -65,6 +66,7 @@ var ratioPairs = [][2]string{
 	{"BenchmarkReadGraphFleet", "BenchmarkChainIndexFleet"},
 	{"BenchmarkPairBoundsFleet", "BenchmarkPairBounds"},
 	{"BenchmarkPairBoundsFleet", "BenchmarkPairBoundsFleetReference"},
+	{"BenchmarkPairBoundsDense", "BenchmarkPairBoundsDenseReference"},
 }
 
 type tolerances struct {

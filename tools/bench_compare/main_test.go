@@ -138,6 +138,28 @@ func TestFleetDescentRatioGated(t *testing.T) {
 	}
 }
 
+// TestDenseDescentRatioGated slows the dense S-diff descent 1.5x
+// against the reference pipeline on the same graph, a small part of
+// what evaluating every c ≥ 2 pair costs; the pair between them must
+// catch it.
+func TestDenseDescentRatioGated(t *testing.T) {
+	const fixture = `{"current": {
+	  "BenchmarkPairBoundsDense": {"ns_op": 2000000, "allocs_op": 170},
+	  "BenchmarkPairBoundsDenseReference": {"ns_op": 190000000, "allocs_op": 532000}
+	}}`
+	dir := t.TempDir()
+	base := writeBench(t, dir, "base.json", fixture)
+	fresh := writeBench(t, dir, "fresh.json", strings.Replace(fixture,
+		`"BenchmarkPairBoundsDense": {"ns_op": 2000000`, `"BenchmarkPairBoundsDense": {"ns_op": 3000000`, 1))
+	var out bytes.Buffer
+	if err := run([]string{"-abs-tolerance", "10", base, fresh}, &out); err == nil {
+		t.Fatalf("1.5x dense descent regression passed the gate:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "BenchmarkPairBoundsDense/BenchmarkPairBoundsDenseReference") {
+		t.Errorf("regression report missing the dense descent ratio:\n%s", out.String())
+	}
+}
+
 // TestWarmJumpAheadRatioGated triples the warm-up run's ns/op, about
 // what simulating its warm-up in full costs. Its own ratio pair against
 // the disabled run must catch that while the warm-up-free pair, which
