@@ -33,8 +33,11 @@
 #                 explain recorder/witness, the metrics registry export
 #                 that the record, the derived telemetry gauges and the
 #                 manifest all read, the shared CLI -explain lifecycle,
-#                 the bench gate tool, and the pinned WATERS -explain
-#                 golden
+#                 the bench gate tool, race tests of internal/methods
+#                 (whose simulation runs write the exp.sim.jump.*
+#                 counters the record's jump_runs reads), disparity-sim's
+#                 jump tally (its -explain jump_runs == its counter
+#                 delta), and the pinned WATERS -explain golden
 #   verify-scale - fleet-scale tier: vet + race tests of the bitset,
 #                 chains, and fleet generator packages, the >64-task
 #                 differential harness (100 fleet-tier workloads fast
@@ -117,6 +120,8 @@ verify-sim-cycle:
 verify-explain:
 	$(GO) vet ./internal/explain/... ./tools/bench_compare/...
 	$(GO) test -race ./internal/explain/... ./internal/metrics/... ./internal/telemetry/... ./internal/cli/... ./tools/bench_compare/...
+	$(GO) test -race ./internal/methods/...
+	$(GO) test -race -run 'TestRunSimJumpTally' ./cmd/disparity-sim/...
 	$(GO) test -run 'TestGoldenExplainWaters' ./cmd/disparity-analyze/...
 	$(GO) test -run 'TestReportExplainSection' ./internal/report/...
 

@@ -143,8 +143,25 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Every analytic bound in the method registry gets a section; the
-	// labels and pair breakdowns come from the methods themselves.
+	// End-to-end latency metric family, off the same chain trie.
+	fmt.Fprintf(stdout, "\nend-to-end latency bounds of %s:\n", g.Task(task).Name)
+	for _, l := range backward.Latencies() {
+		tl, err := a.Latency(task, l, *maxChains)
+		if err != nil {
+			return err
+		}
+		worst := ""
+		if len(tl.ArgMax) > 0 {
+			worst = "  worst: " + tl.ArgMax.Format(g)
+		}
+		fmt.Fprintf(stdout, "  %-5s %-8v (%s)%s\n", l, tl.Bound, l.Ref(), worst)
+		if tl.Truncated {
+			fmt.Fprintf(stdout, "  WARNING: chain enumeration truncated at the cap; the bound covers a partial chain set (raise -max-chains)\n")
+		}
+	}
+
+	// Each plain bound gets a section; the labels and pair breakdowns
+	// come from the methods themselves.
 	ctx := context.Background()
 	// FullDetail: the -pairs flag prints every chain pair, which only the
 	// complete per-pair analysis materializes. Past streamPairLimit the
@@ -154,23 +171,6 @@ func run(args []string, stdout io.Writer) error {
 	// pair, O(1) pair memory.
 	streamPairs := chains.NumPairs(idx.NumChains()) > streamPairLimit
 	ec := &methods.Context{Analysis: a, MaxChains: *maxChains, FullDetail: !streamPairs}
-
-	// End-to-end latency metric family, off the same chain trie.
-	fmt.Fprintf(stdout, "\nend-to-end latency bounds of %s:\n", g.Task(task).Name)
-	for _, m := range methods.LatencyAnalytic() {
-		r, err := m.Eval(ctx, ec, g, task)
-		if err != nil {
-			return err
-		}
-		worst := ""
-		if r.Latency != nil && len(r.Latency.ArgMax) > 0 {
-			worst = "  worst: " + r.Latency.ArgMax.Format(g)
-		}
-		fmt.Fprintf(stdout, "  %-5s %-8v (%s)%s\n", m.Name(), r.Bound, m.Ref(), worst)
-		if r.Truncated {
-			fmt.Fprintf(stdout, "  WARNING: chain enumeration truncated at the cap; the bound covers a partial chain set (raise -max-chains)\n")
-		}
-	}
 
 	// witnessTD is the per-pair detail the witness is extracted from:
 	// the S-diff bound when available (the tighter exact analysis),
@@ -210,7 +210,7 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}
 		if *pairs && streamPairs {
-			if cm, ok := methods.CoreMethod(m.Name()); ok {
+			if cm, ok := methods.CoreMethod(m); ok {
 				var streamErr error
 				if _, err := a.ForEachPairBound(task, cm, *maxChains, func(_ int, pb *core.PairBound) bool {
 					_, streamErr = fmt.Fprintf(stdout, "  %v | %v: %v (x1=%d y1=%d)\n",

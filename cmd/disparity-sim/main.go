@@ -141,7 +141,7 @@ func run(args []string) error {
 			Exec:             exec,
 			Trace:            track,
 			DisableJumpAhead: *noJump,
-		}, warmup, seed, *runs, *randomOffsets, app.Explain)
+		}, warmup, seed, *runs, *randomOffsets)
 		if err != nil {
 			return err
 		}
@@ -190,7 +190,7 @@ func run(args []string) error {
 	fmt.Printf("simulated %v (%d jobs, %d overruns, exec=%s, seed=%d)\n",
 		horizon, res.Jobs, res.Overruns, *execName, seed)
 	logJump(res.Jump)
-	app.Explain.JumpRun(res.Jump.Code())
+	explain.CountJump(res.Jump)
 	app.Explain.Sim(explain.SimRecord{
 		Label: "run", Runs: 1, Jobs: res.Jobs, Jump: explain.JumpFrom(res.Jump),
 	})
@@ -290,11 +290,12 @@ func resolveHorizon(s string, paper bool, g *disparity.Graph, warmup timeu.Time,
 
 // runBatch executes n variants through one shared engine: fresh
 // disparity observers per run, fresh offsets when requested, and seeds
-// drawn from one deterministic stream. It returns aggregate counters,
-// the per-run jump-ahead outcome tally (keyed by reason code, with
+// drawn from one deterministic stream. Each run's jump-ahead outcome
+// goes to explain.CountJump. It returns aggregate counters, the
+// per-run jump-ahead outcome tally (keyed by reason code, with
 // "engaged" counting the fast-path runs), the last run's jump stats,
 // and the per-task maximum disparity over all runs.
-func runBatch(g *disparity.Graph, base sim.Config, warmup timeu.Time, seed int64, n int, randomOffsets bool, rec *explain.Recorder) (jobs, overruns int64, jumpCodes map[string]int64, lastJump sim.JumpStats, maxDisp []timeu.Time, err error) {
+func runBatch(g *disparity.Graph, base sim.Config, warmup timeu.Time, seed int64, n int, randomOffsets bool) (jobs, overruns int64, jumpCodes map[string]int64, lastJump sim.JumpStats, maxDisp []timeu.Time, err error) {
 	batch, err := sim.NewBatch(g, base)
 	if err != nil {
 		return 0, 0, nil, sim.JumpStats{}, nil, err
@@ -319,7 +320,7 @@ func runBatch(g *disparity.Graph, base sim.Config, warmup timeu.Time, seed int64
 		jobs += res.Stats.Jobs
 		overruns += res.Stats.Overruns
 		jumpCodes[res.Jump.Code()]++
-		rec.JumpRun(res.Jump.Code())
+		explain.CountJump(res.Jump)
 		lastJump = res.Jump
 		for i := 0; i < g.NumTasks(); i++ {
 			id := model.TaskID(i)

@@ -2,11 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/explain"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/trace"
 )
@@ -146,5 +149,41 @@ func TestRunSimObservabilityFlags(t *testing.T) {
 	}
 	if m.Command != "disparity-sim" {
 		t.Errorf("manifest command = %q", m.Command)
+	}
+}
+
+// TestRunSimJumpTally pins the one jump-ahead tally: a batch's -explain
+// record reports as jump_runs exactly what explain.Derive reads from
+// the run's exp.sim.jump.* counter delta — the counters -metrics dumps
+// and the /metrics gauge derives from. Under the default extremes exec
+// model every run falls back with "random-exec".
+func TestRunSimJumpTally(t *testing.T) {
+	path := writeFixture(t)
+	explainPath := filepath.Join(filepath.Dir(path), "explain.json")
+	before := metrics.Default.Export().CounterValues()
+	err := run([]string{
+		"-graph", path, "-horizon", "500ms", "-warmup", "100ms",
+		"-runs", "3", "-random-offsets", "-explain", explainPath,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := metrics.Default.Export().CounterValues()
+	for name, v := range before {
+		delta[name] -= v
+	}
+	data, err := os.ReadFile(explainPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec explain.Record
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]int64{"random-exec": 3}; !maps.Equal(rec.JumpRuns, want) {
+		t.Errorf("jump_runs = %v, want %v", rec.JumpRuns, want)
+	}
+	if counted := explain.Derive(delta).JumpRuns; !maps.Equal(rec.JumpRuns, counted) {
+		t.Errorf("jump_runs = %v, but the exp.sim.jump.* counter delta derives %v", rec.JumpRuns, counted)
 	}
 }

@@ -1,6 +1,7 @@
 package disparity_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	disparity "repro"
 	"repro/internal/model"
 	"repro/internal/sched"
+	"repro/internal/trace/span"
 )
 
 const ms = disparity.Millisecond
@@ -140,6 +142,42 @@ func TestMeasureBackwardNoData(t *testing.T) {
 		Horizon: 200 * ms,
 	}); err == nil {
 		t.Error("expected an error when no data flows")
+	}
+}
+
+// TestMeasureBackwardTwoChains drives MeasureBackward on a generated
+// Fig. 6(c) two-chain graph: the observed backward range from chain λ's
+// source to the shared sink lies inside λ's analytical [ℬ, 𝒲], and the
+// engine sees the whole SimConfig — Trace set records a sim.run span.
+func TestMeasureBackwardTwoChains(t *testing.T) {
+	g, la, _, err := disparity.GenerateTwoChains(3, disparity.GenConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wcbt, bcbt, err := disparity.BackwardBounds(g, la)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := span.New()
+	lo, hi, err := disparity.MeasureBackward(g, la.Tail(), la[0], disparity.SimConfig{
+		Horizon: 10 * disparity.Second,
+		Warmup:  disparity.Second,
+		Exec:    disparity.ExecUniform,
+		Seed:    42,
+		Trace:   tr.Track("sim"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo < bcbt || hi > wcbt {
+		t.Errorf("observed backward [%v, %v] outside analytical [%v, %v]", lo, hi, bcbt, wcbt)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"name":"sim.run"`) {
+		t.Errorf("MeasureBackward with Trace set recorded no sim.run span:\n%s", buf.String())
 	}
 }
 

@@ -37,7 +37,7 @@ const (
 	LatencyMRDA
 )
 
-// Latencies returns all metrics in canonical (registration/report) order.
+// Latencies returns all metrics in canonical (report) order.
 func Latencies() []Latency {
 	return []Latency{LatencyMRT, LatencyMRRT, LatencyMDA, LatencyMRDA}
 }

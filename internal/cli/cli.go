@@ -98,7 +98,7 @@ var flagDefs = []struct {
 	name string
 	desc string
 }{
-	{Metrics, "metrics", "dump internal counters and timers after the run"},
+	{Metrics, "metrics", "dump internal counters and histograms after the run"},
 	{Pprof, "pprof", "write a CPU profile of the run to this file"},
 	{Trace, "trace", "write a Chrome trace-event JSON of the %s (view in ui.perfetto.dev)"},
 	{Telemetry, "telemetry", "serve live telemetry on this address (e.g. :9090): Prometheus /metrics, /progress JSON, pprof"},

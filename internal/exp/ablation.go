@@ -38,9 +38,9 @@ import (
 // bounded-worker fan-out leaves every table bit-identical to the old
 // serial loops (pinned by sweep_identity_test.go).
 
-// sdiffBound evaluates the S-diff task bound through the method
-// registry on a throwaway analysis, the common step of the backward/
-// utilization/priority ablations. ok=false rejects the graph.
+// sdiffBound evaluates the S-diff task bound through methods.SDiff on
+// a throwaway analysis, the common step of the backward/utilization/
+// priority ablations. ok=false rejects the graph.
 func sdiffBound(ctx context.Context, cfg Config, a *core.Analysis, g *model.Graph, task model.TaskID) (methods.Result, bool) {
 	r, err := methods.SDiff.Eval(ctx, &methods.Context{Analysis: a, MaxChains: cfg.MaxChains}, g, task)
 	if err != nil {

@@ -197,9 +197,9 @@ func evalGNMGraph(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi int
 	return graphResult{}, nil
 }
 
-// simulateMaxDisparity wraps the registry's simulation method with the
-// sweep's stage accounting: cfg.OffsetsPerGraph runs with fresh random
-// offsets, returning the maximum observed disparity of the task.
+// simulateMaxDisparity wraps methods.Sim with the sweep's stage
+// accounting: cfg.OffsetsPerGraph runs with fresh random offsets,
+// returning the maximum observed disparity of the task.
 func simulateMaxDisparity(ctx context.Context, cfg Config, tk *span.Track, g *model.Graph, task model.TaskID, rng *rand.Rand) (timeu.Time, error) {
 	defer stage(simHist, tk, "simulate")()
 	res, err := methods.Sim.Eval(ctx, cfg.simContext(rng, tk), g, task)

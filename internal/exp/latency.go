@@ -102,21 +102,19 @@ func evalGNMLatency(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi i
 			continue
 		}
 		sink := g.Sinks()[0]
-		ec := cfg.boundContext(a)
 		var r latencyResult
 		truncated := false
-		for _, m := range methods.LatencyAnalytic() {
-			l, _ := m.Metric().Latency()
-			res, err := m.Eval(ctx, ec, g, sink)
+		for _, l := range backward.Latencies() {
+			tl, err := a.Latency(sink, l, cfg.MaxChains)
 			if err != nil {
 				stop()
 				return latencyResult{}, err
 			}
-			if res.Truncated {
+			if tl.Truncated {
 				truncated = true
 				break
 			}
-			r.bound[l] = res.Bound.Milliseconds()
+			r.bound[l] = tl.Bound.Milliseconds()
 		}
 		stop()
 		if truncated {

@@ -158,10 +158,9 @@ type Record struct {
 // sites need no enablement branches. A non-nil Recorder is safe for
 // concurrent use (sweep workers may record sim outcomes in parallel).
 type Recorder struct {
-	mu       sync.Mutex
-	rec      Record
-	base     map[string]int64
-	jumpRuns map[string]int64
+	mu   sync.Mutex
+	rec  Record
+	base map[string]int64
 }
 
 // New returns an enabled Recorder for one command run, snapshotting
@@ -206,21 +205,6 @@ func (r *Recorder) Sim(s SimRecord) {
 	r.mu.Unlock()
 }
 
-// JumpRun tallies one simulation run's jump-ahead outcome code
-// directly (for frontends that drive the engine themselves rather
-// than through the sweep pipeline's counters). No-op on nil.
-func (r *Recorder) JumpRun(code string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if r.jumpRuns == nil {
-		r.jumpRuns = make(map[string]int64)
-	}
-	r.jumpRuns[code]++
-	r.mu.Unlock()
-}
-
 // SetWitness attaches the worst-case witness. No-op on nil.
 func (r *Recorder) SetWitness(w *Witness) {
 	if r == nil || w == nil {
@@ -233,9 +217,8 @@ func (r *Recorder) SetWitness(w *Witness) {
 
 // Record materializes the decision record: the explicitly recorded
 // sections plus the engine sections Derive computes from the counter
-// deltas since New, with the JumpRun tallies merged into JumpRuns. It
-// can be called repeatedly; each call re-reads the registry. Returns
-// nil on a nil recorder.
+// deltas since New. It can be called repeatedly; each call re-reads
+// the registry. Returns nil on a nil recorder.
 func (r *Recorder) Record() *Record {
 	if r == nil {
 		return nil
@@ -249,13 +232,21 @@ func (r *Recorder) Record() *Record {
 	d := Derive(delta)
 	rec := r.rec // shallow copy; slices are append-only
 	rec.Pairs, rec.Chains, rec.JumpRuns = d.Pairs, d.Chains, d.JumpRuns
-	for code, n := range r.jumpRuns {
-		if rec.JumpRuns == nil {
-			rec.JumpRuns = make(map[string]int64)
-		}
-		rec.JumpRuns[code] += n
-	}
 	return &rec
+}
+
+// CountJump tallies one simulation run's jump-ahead outcome on the
+// exp.sim.jump.* counters that Derive reads back as JumpRuns:
+// exp.sim.jump.engaged, or exp.sim.jump.fallback.<code> with the run's
+// reason code. Every frontend that runs the engine calls it once per
+// run, so the -explain record, -metrics and the /metrics gauge all see
+// the same tally.
+func CountJump(j sim.JumpStats) {
+	if j.Engaged {
+		metrics.C("exp.sim.jump.engaged").Inc()
+		return
+	}
+	metrics.C("exp.sim.jump.fallback." + j.Code()).Inc()
 }
 
 // Derive computes a record's engine sections — Pairs, Chains and

@@ -10,80 +10,6 @@ import (
 	"repro/internal/timeu"
 )
 
-// TestLatencyRegistry pins the latency method families: one analytic
-// and one "-sim" measured method per metric, in backward.Latencies
-// order, none of them leaking into the disparity Bounds() set.
-func TestLatencyRegistry(t *testing.T) {
-	ana, mea := LatencyAnalytic(), LatencyMeasured()
-	lats := backward.Latencies()
-	if len(ana) != len(lats) || len(mea) != len(lats) {
-		t.Fatalf("latency methods = %d analytic, %d measured; want %d each",
-			len(ana), len(mea), len(lats))
-	}
-	for i, l := range lats {
-		if ana[i].Name() != l.String() {
-			t.Errorf("LatencyAnalytic()[%d] = %q, want %q", i, ana[i].Name(), l)
-		}
-		if mea[i].Name() != l.String()+"-sim" {
-			t.Errorf("LatencyMeasured()[%d] = %q, want %q", i, mea[i].Name(), l.String()+"-sim")
-		}
-		if ana[i].Metric() != MetricOf(l) || mea[i].Metric() != MetricOf(l) {
-			t.Errorf("%v: Metric mismatch (%v / %v)", l, ana[i].Metric(), mea[i].Metric())
-		}
-		if ana[i].Ref() == "" {
-			t.Errorf("%v has no literature reference", l)
-		}
-		if got, ok := MetricOf(l).Latency(); !ok || got != l {
-			t.Errorf("MetricOf(%v).Latency() = %v, %v", l, got, ok)
-		}
-	}
-	for _, m := range Bounds() {
-		if m.Metric() != MetricDisparity {
-			t.Errorf("Bounds() contains latency method %q", m.Name())
-		}
-	}
-	if MetricDisparity.String() != "disparity" {
-		t.Errorf("MetricDisparity.String() = %q", MetricDisparity)
-	}
-	if _, ok := MetricDisparity.Latency(); ok {
-		t.Error("MetricDisparity maps to a latency")
-	}
-}
-
-// TestLatencyAnalyticEvalMatchesCore checks the registry methods route
-// to Analysis.Latency, propagating the detail and the Truncated flag.
-func TestLatencyAnalyticEvalMatchesCore(t *testing.T) {
-	g, ec, sink := fig2Context(t)
-	ctx := context.Background()
-	for _, m := range LatencyAnalytic() {
-		l, _ := m.Metric().Latency()
-		want, err := ec.Analysis.Latency(sink, l, ec.MaxChains)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := m.Eval(ctx, ec, g, sink)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Bound != want.Bound || r.Latency == nil || r.Latency.Bound != want.Bound {
-			t.Errorf("%s: Eval bound %v, want %v", m.Name(), r.Bound, want.Bound)
-		}
-		if r.Truncated != want.Truncated {
-			t.Errorf("%s: Truncated %v, want %v", m.Name(), r.Truncated, want.Truncated)
-		}
-	}
-	// A capped evaluation surfaces Truncated instead of silently
-	// reporting a partial bound.
-	capped := &Context{Analysis: ec.Analysis, MaxChains: 1}
-	r, err := LatencyAnalytic()[0].Eval(ctx, capped, g, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Truncated {
-		t.Error("capped latency Eval not flagged Truncated")
-	}
-}
-
 // TestLatencySimDeterministic checks the measured family: same seed →
 // same values, the definitional orderings hold, and every observed
 // value stays below its analytic bound on the fixture.
@@ -124,25 +50,6 @@ func TestLatencySimDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same seed, different values: %v vs %v", a, b)
-	}
-	// The per-method Eval slices the same pass.
-	g, _, sink := fig2Context(t)
-	for _, m := range LatencyMeasured() {
-		sec := &Context{
-			Horizon: 2 * timeu.Second,
-			Warmup:  200 * timeu.Millisecond,
-			Runs:    3,
-			Exec:    sim.ExtremesExec{P: 0.5},
-			RNG:     rand.New(rand.NewSource(7)),
-		}
-		r, err := m.Eval(ctx, sec, g, sink)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, _ := m.Metric().Latency()
-		if r.Bound != run().Get(l) {
-			t.Errorf("%s: Eval %v != SimLatencies %v", m.Name(), r.Bound, run().Get(l))
-		}
 	}
 }
 

@@ -26,27 +26,8 @@ func fig2Context(t *testing.T) (*model.Graph, *Context, model.TaskID) {
 	return g, &Context{Analysis: a, MaxChains: 1 << 14, GreedyRounds: 8}, sinks[0]
 }
 
-func TestRegistryContents(t *testing.T) {
-	all := All()
-	want := []Method{PDiff, SDiff, SDiffB, Sim}
-	if len(all) < len(want) {
-		t.Fatalf("All() = %d methods, want at least %d", len(all), len(want))
-	}
-	for i, m := range want {
-		if all[i] != m {
-			t.Errorf("All()[%d] = %q, want %q", i, all[i].Name(), m.Name())
-		}
-	}
-	// Mutating the returned slice must not corrupt the registry.
-	all[0] = nil
-	if All()[0] != PDiff {
-		t.Error("All() leaked its backing array")
-	}
-}
-
-// TestBoundsOrder pins the registry-derived report rows: analytic,
-// non-optimizing methods in registration order. fig2_report.golden
-// depends on this being exactly [P-diff, S-diff].
+// TestBoundsOrder pins the report rows: the plain bounds in row order.
+// fig2_report.golden depends on this being exactly [P-diff, S-diff].
 func TestBoundsOrder(t *testing.T) {
 	bounds := Bounds()
 	if len(bounds) != 2 || bounds[0] != PDiff || bounds[1] != SDiff {
@@ -56,15 +37,13 @@ func TestBoundsOrder(t *testing.T) {
 
 func TestNamesAndRefs(t *testing.T) {
 	cases := []struct {
-		m          Method
-		name, ref  string
-		kind       Kind
-		optimizing bool
+		m         Method
+		name, ref string
 	}{
-		{PDiff, "P-diff", "Theorem 1", Analytic, false},
-		{SDiff, "S-diff", "Theorem 2", Analytic, false},
-		{SDiffB, "S-diff-B", "Algorithm 1", Analytic, true},
-		{Sim, "Sim", "", Measured, false},
+		{PDiff, "P-diff", "Theorem 1"},
+		{SDiff, "S-diff", "Theorem 2"},
+		{SDiffB, "S-diff-B", "Algorithm 1"},
+		{Sim, "Sim", ""},
 	}
 	for _, c := range cases {
 		if c.m.Name() != c.name {
@@ -73,46 +52,23 @@ func TestNamesAndRefs(t *testing.T) {
 		if c.m.Ref() != c.ref {
 			t.Errorf("%s: Ref() = %q, want %q", c.name, c.m.Ref(), c.ref)
 		}
-		if c.m.Kind() != c.kind {
-			t.Errorf("%s: Kind() = %v, want %v", c.name, c.m.Kind(), c.kind)
-		}
-		if c.m.Optimizing() != c.optimizing {
-			t.Errorf("%s: Optimizing() = %v, want %v", c.name, c.m.Optimizing(), c.optimizing)
-		}
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, m := range All() {
-		got, ok := ByName(m.Name())
-		if !ok || got != m {
-			t.Errorf("ByName(%q) = %v, %v", m.Name(), got, ok)
-		}
-	}
-	if _, ok := ByName("no-such-method"); ok {
-		t.Error("ByName accepted an unknown name")
-	}
-}
-
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Register accepted a duplicate name")
-		}
-	}()
-	Register(pdiffMethod{})
-}
-
-// TestAnalyticEvalMatchesCore checks the registry routes to the same
-// core calls the consumers previously hardcoded.
+// TestAnalyticEvalMatchesCore checks each analytic method routes to the
+// core call behind it, and CoreMethod names that call's selector.
 func TestAnalyticEvalMatchesCore(t *testing.T) {
 	g, ec, sink := fig2Context(t)
 	ctx := context.Background()
 
-	for _, m := range []Method{PDiff, SDiff} {
-		method := core.PDiff
-		if m == SDiff {
-			method = core.SDiff
+	for _, c := range []struct {
+		m    Method
+		want core.Method
+	}{{PDiff, core.PDiff}, {SDiff, core.SDiff}} {
+		m := c.m
+		method, ok := CoreMethod(m)
+		if !ok || method != c.want {
+			t.Fatalf("CoreMethod(%s) = %v, %v; want %v", m.Name(), method, ok, c.want)
 		}
 		td, err := ec.Analysis.Disparity(sink, method, ec.MaxChains)
 		if err != nil {
@@ -151,6 +107,11 @@ func TestAnalyticEvalMatchesCore(t *testing.T) {
 		}
 	}
 
+	for _, m := range []Method{SDiffB, Sim} {
+		if _, ok := CoreMethod(m); ok {
+			t.Errorf("CoreMethod(%s) reported a plain bound", m.Name())
+		}
+	}
 	r, err := SDiffB.Eval(ctx, ec, g, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -208,40 +169,55 @@ func TestSimEvalDeterministic(t *testing.T) {
 }
 
 // TestSimEvalCountsJumpOutcomes pins the jump-ahead accounting behind
-// `disparity-exp -metrics`: every simulation run lands in exactly one
-// of exp.sim.jump.engaged or exp.sim.jump.fallback.<code>, so a sweep
-// that stayed slow says why. ExtremesExec draws random execution
-// times, which makes jump-ahead ineligible with code "random-exec".
+// `disparity-exp -metrics` and the -explain record's jump_runs: every
+// run of Sim.Eval and of SimLatencies lands in exactly one of
+// exp.sim.jump.engaged or exp.sim.jump.fallback.<code>, so a sweep that
+// stayed slow says why. ExtremesExec draws random execution times,
+// which makes jump-ahead ineligible with code "random-exec".
 func TestSimEvalCountsJumpOutcomes(t *testing.T) {
 	g, _, sink := fig2Context(t)
-	sec := &Context{
-		Horizon: 2 * timeu.Second,
-		Warmup:  200 * timeu.Millisecond,
-		Runs:    3,
-		Exec:    sim.ExtremesExec{P: 0.5},
-		RNG:     rand.New(rand.NewSource(7)),
-	}
-	fallback := metrics.C("exp.sim.jump.fallback.random-exec").Load()
-	engaged := metrics.C("exp.sim.jump.engaged").Load()
-	if _, err := Sim.Eval(context.Background(), sec, g, sink); err != nil {
-		t.Fatal(err)
-	}
-	if got := metrics.C("exp.sim.jump.fallback.random-exec").Load() - fallback; got != 3 {
-		t.Errorf("fallback.random-exec delta = %d, want 3 (one per run)", got)
-	}
-	if got := metrics.C("exp.sim.jump.engaged").Load() - engaged; got != 0 {
-		t.Errorf("engaged delta = %d, want 0 under a random exec model", got)
+	for _, c := range []struct {
+		name string
+		eval func(*Context) error
+	}{
+		{"Sim.Eval", func(ec *Context) error {
+			_, err := Sim.Eval(context.Background(), ec, g, sink)
+			return err
+		}},
+		{"SimLatencies", func(ec *Context) error {
+			_, err := SimLatencies(context.Background(), ec, g, sink)
+			return err
+		}},
+	} {
+		sec := &Context{
+			Horizon: 2 * timeu.Second,
+			Warmup:  200 * timeu.Millisecond,
+			Runs:    3,
+			Exec:    sim.ExtremesExec{P: 0.5},
+			RNG:     rand.New(rand.NewSource(7)),
+		}
+		fallback := metrics.C("exp.sim.jump.fallback.random-exec").Load()
+		engaged := metrics.C("exp.sim.jump.engaged").Load()
+		if err := c.eval(sec); err != nil {
+			t.Fatal(err)
+		}
+		if got := metrics.C("exp.sim.jump.fallback.random-exec").Load() - fallback; got != 3 {
+			t.Errorf("%s: fallback.random-exec delta = %d, want 3 (one per run)", c.name, got)
+		}
+		if got := metrics.C("exp.sim.jump.engaged").Load() - engaged; got != 0 {
+			t.Errorf("%s: engaged delta = %d, want 0 under a random exec model", c.name, got)
+		}
 	}
 
 	// A deterministic exec model on the periodic fig2 graph engages.
-	sec = &Context{
+	sec := &Context{
 		Horizon: 2 * timeu.Second,
 		Warmup:  200 * timeu.Millisecond,
 		Runs:    1,
 		Exec:    sim.WCETExec{},
 		RNG:     rand.New(rand.NewSource(7)),
 	}
-	engaged = metrics.C("exp.sim.jump.engaged").Load()
+	engaged := metrics.C("exp.sim.jump.engaged").Load()
 	if _, err := Sim.Eval(context.Background(), sec, g, sink); err != nil {
 		t.Fatal(err)
 	}

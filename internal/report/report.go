@@ -184,28 +184,21 @@ func writeTaskAnalysis(b *strings.Builder, g *model.Graph, a *core.Analysis, an 
 	}
 	b.WriteString("\n")
 
-	// The bound rows come from the method registry: every analytic,
-	// non-optimizing method gets a row, labeled by its name and paper
-	// reference. Registering a new bound adds it to every report.
-	// FullDetail: the worst-pair section below reads Pairs[ArgMax], which
-	// only the complete per-pair analysis materializes for every method.
-	ec := &methods.Context{Analysis: a, MaxChains: opts.MaxChains, FullDetail: true}
-
 	// Task-level latency: the maximum of each metric over the task's
 	// chains, with the chain attaining it.
 	fmt.Fprintf(b, "### End-to-end latency\n\n")
 	b.WriteString("| metric | bound | worst chain |\n|---|---|---|\n")
-	for _, m := range methods.LatencyAnalytic() {
-		r, err := m.Eval(context.Background(), ec, g, task)
+	for _, l := range backward.Latencies() {
+		tl, err := a.Latency(task, l, opts.MaxChains)
 		if err != nil {
 			return err
 		}
 		worst := "-"
-		if r.Latency != nil && len(r.Latency.ArgMax) > 0 {
-			worst = r.Latency.ArgMax.Format(g)
+		if len(tl.ArgMax) > 0 {
+			worst = tl.ArgMax.Format(g)
 		}
-		fmt.Fprintf(b, "| %s (%s) | %v | %s |\n", m.Name(), m.Ref(), r.Bound, worst)
-		if r.Truncated {
+		fmt.Fprintf(b, "| %s (%s) | %v | %s |\n", l, l.Ref(), tl.Bound, worst)
+		if tl.Truncated {
 			fmt.Fprintf(b, "| | *truncated at %d chains* | |\n", opts.MaxChains)
 		}
 	}
@@ -215,6 +208,10 @@ func writeTaskAnalysis(b *strings.Builder, g *model.Graph, a *core.Analysis, an 
 		fmt.Fprintf(b, "Fewer than two chains: the time disparity of %s is trivially 0.\n\n", name)
 		return nil
 	}
+	// One row per plain bound, labeled by its name and paper reference.
+	// FullDetail: the worst-pair section below reads Pairs[ArgMax], which
+	// only the complete per-pair analysis materializes.
+	ec := &methods.Context{Analysis: a, MaxChains: opts.MaxChains, FullDetail: true}
 	var sd *core.TaskDisparity
 	fmt.Fprintf(b, "### Worst-case time disparity\n\n")
 	b.WriteString("| method | bound |\n|---|---|\n")
@@ -241,9 +238,6 @@ func writeTaskAnalysis(b *strings.Builder, g *model.Graph, a *core.Analysis, an 
 		opts.Explain.Method(mr)
 	}
 	b.WriteString("\n")
-	if sd == nil {
-		return fmt.Errorf("report: S-diff not in the method registry's bounds")
-	}
 	worst := sd.Pairs[sd.ArgMax]
 	fmt.Fprintf(b, "Worst S-diff pair (after last-joint-task reduction):\n\n")
 	fmt.Fprintf(b, "* λ: %s\n* ν: %s\n* sampling windows %v and %v\n\n",

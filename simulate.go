@@ -87,27 +87,38 @@ type SimResult struct {
 	Jump JumpStats
 }
 
+// engineConfig is the one SimConfig → sim.Config conversion: every
+// field carries over, and the caller's built-in measurement observer
+// runs ahead of cfg.Observers.
+func (cfg SimConfig) engineConfig(builtin Observer) (sim.Config, error) {
+	if cfg.Horizon <= 0 {
+		return sim.Config{}, fmt.Errorf("disparity: non-positive horizon %v", cfg.Horizon)
+	}
+	return sim.Config{
+		Horizon:          cfg.Horizon,
+		Exec:             cfg.Exec,
+		Seed:             cfg.Seed,
+		Observers:        append([]Observer{builtin}, cfg.Observers...),
+		Trace:            cfg.Trace,
+		DisableJumpAhead: cfg.DisableJumpAhead,
+	}, nil
+}
+
 // Simulate runs the discrete-event simulator of §II-B on the graph and
 // returns the observed maximum disparities. The observed value is an
 // achievable lower bound on the worst case: Analyze's bounds must always
 // dominate it.
 func Simulate(g *Graph, cfg SimConfig) (*SimResult, error) {
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("disparity: non-positive horizon %v", cfg.Horizon)
-	}
 	obs := sim.NewDisparityObserver(cfg.Warmup)
+	sc, err := cfg.engineConfig(obs)
+	if err != nil {
+		return nil, err
+	}
 	eng, err := sim.NewEngine(g)
 	if err != nil {
 		return nil, err
 	}
-	stats, err := eng.Run(sim.Config{
-		Horizon:          cfg.Horizon,
-		Exec:             cfg.Exec,
-		Seed:             cfg.Seed,
-		Observers:        append([]Observer{obs}, cfg.Observers...),
-		Trace:            cfg.Trace,
-		DisableJumpAhead: cfg.DisableJumpAhead,
-	})
+	stats, err := eng.Run(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -129,17 +140,12 @@ func Simulate(g *Graph, cfg SimConfig) (*SimResult, error) {
 // backward times from the source task to the tail task, for validating
 // the analytical bounds ℬ(π) ≤ observed ≤ 𝒲(π).
 func MeasureBackward(g *Graph, tail, source TaskID, cfg SimConfig) (min, max Time, err error) {
-	if cfg.Horizon <= 0 {
-		return 0, 0, fmt.Errorf("disparity: non-positive horizon %v", cfg.Horizon)
-	}
 	bo := sim.NewBackwardObserver(tail, source, cfg.Warmup)
-	_, err = sim.Run(g, sim.Config{
-		Horizon:   cfg.Horizon,
-		Exec:      cfg.Exec,
-		Seed:      cfg.Seed,
-		Observers: append([]Observer{bo}, cfg.Observers...),
-	})
+	sc, err := cfg.engineConfig(bo)
 	if err != nil {
+		return 0, 0, err
+	}
+	if _, err := sim.Run(g, sc); err != nil {
 		return 0, 0, err
 	}
 	lo, hi, ok := bo.Range()
