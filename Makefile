@@ -25,10 +25,13 @@
 #                 fast-path unit differentials, the latency observer
 #                 and method tests, and the chains fuzz seed corpus
 #   verify-sim-cycle - steady-state jump-ahead tier: the cycle-detection
-#                 and batch unit tests plus the public-API jump on/off
-#                 determinism test under -race, and every TestJumpAhead*
-#                 differential in internal/integration (the 200-workload
-#                 jump-vs-full harness under four warm-up regimes)
+#                 and batch unit tests, the latency observer tests and the
+#                 test-only age observer they cross-check against, plus
+#                 the public-API jump on/off determinism test under -race,
+#                 every TestJumpAhead* differential in internal/integration
+#                 (the 200-workload jump-vs-full harness under four
+#                 warm-up regimes) and the end-to-end latency bounds
+#                 against the latency observer (TestE2EBoundsContainSimulation)
 #   verify-explain - decision-telemetry tier: vet + race tests of the
 #                 explain recorder/witness, the metrics registry export
 #                 that the record, the derived telemetry gauges and the
@@ -114,8 +117,10 @@ verify-obs:
 verify-sim-cycle:
 	$(GO) vet ./internal/sim/...
 	$(GO) test -race -run 'TestJumpAhead|TestBatch' ./internal/sim/...
+	$(GO) test -race -run 'TestLatencyObserver|TestAgeObserver' ./internal/sim/...
 	$(GO) test -race -run 'TestSimulateJumpAheadDeterministic' .
 	$(GO) test -run 'TestJumpAhead' ./internal/integration/...
+	$(GO) test -run 'TestE2EBoundsContainSimulation' ./internal/integration/...
 
 verify-explain:
 	$(GO) vet ./internal/explain/... ./tools/bench_compare/...

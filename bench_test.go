@@ -468,10 +468,10 @@ func BenchmarkSimJumpAhead(b *testing.B) { benchJumpAhead(b, false, 0) }
 func BenchmarkSimJumpAheadDisabled(b *testing.B) { benchJumpAhead(b, true, 0) }
 
 // BenchmarkSimJumpAheadWarm is BenchmarkSimJumpAhead with the 1 s
-// measurement warm-up every frontend uses. The transient before the
-// warm-up is fast-forwarded too, so the run costs about 1.5× the
-// warm-up-free one (the cycle closes once more after the warm-up)
-// instead of a second of full simulation more.
+// measurement warm-up every frontend uses. The cycle closes before the
+// warm-up, so the run jumps once at the same boundary and keeps one
+// trailing cycle before the horizon: it costs one cycle of simulation
+// more than the warm-up-free run.
 func BenchmarkSimJumpAheadWarm(b *testing.B) { benchJumpAhead(b, false, timeu.Second) }
 
 func benchJumpAhead(b *testing.B, disable bool, warmup timeu.Time) {

@@ -365,8 +365,8 @@ func printDisparities(g *disparity.Graph, get func(model.TaskID) timeu.Time) err
 func logJump(j disparity.JumpStats) {
 	switch {
 	case j.Engaged:
-		fmt.Printf("jump-ahead: skipped %d cycles (%v, last cycle %v), first after a %v transient\n",
-			j.Skipped, j.SkippedTime, j.Cycle, j.Transient)
+		fmt.Printf("jump-ahead: skipped %d cycles of %v (%v) after a %v transient\n",
+			j.Skipped, j.Cycle, j.SkippedTime, j.Transient)
 	case j.Eligible:
 		fmt.Printf("jump-ahead: armed (hyperperiod %v) but no cycle repeated within the horizon\n",
 			j.Hyperperiod)

@@ -88,9 +88,9 @@ type JumpOutcome struct {
 	Reason  string `json:"reason,omitempty"`
 	Engaged bool   `json:"engaged"`
 	// HyperperiodNS, CycleNS, Skipped, and SkippedNS mirror
-	// sim.JumpStats when the feature armed. A run jumps at most twice
-	// (before and after the observers' warm-up): CycleNS is the last
-	// jump's cycle, Skipped and SkippedNS total both jumps.
+	// sim.JumpStats when the feature armed. A run jumps at most once:
+	// CycleNS is its cycle, Skipped and SkippedNS the whole cycles it
+	// fast-forwarded and their span.
 	HyperperiodNS timeu.Time `json:"hyperperiod_ns,omitempty"`
 	CycleNS       timeu.Time `json:"cycle_ns,omitempty"`
 	Skipped       int64      `json:"skipped,omitempty"`

@@ -21,8 +21,8 @@ import (
 // engages on a healthy fraction of the corpus — a vacuously-green
 // differential (nothing ever jumped) is a failure, not a pass.
 //
-// Observer warm-ups split a run into the regions where a jump is sound
-// (before every warm-up, after every warm-up), so the corpus runs under
+// A jump whose matched cycle began before the largest observer warm-up
+// keeps one trailing cycle before the horizon, so the corpus runs under
 // four warm-up regimes: short, long enough that the cycle closes before
 // it, different per observer, and longer than the horizon.
 
@@ -39,19 +39,14 @@ type jumpMetrics struct {
 	BackMin   timeu.Time
 	BackMax   timeu.Time
 	BackOK    bool
-	AgeMin    timeu.Time
-	AgeMax    timeu.Time
-	AgeOK     bool
-	React     timeu.Time
-	ReactOK   bool
 }
 
 // jumpWarmups are the per-observer warm-ups of one regime.
 type jumpWarmups struct {
-	disp, lat, back, age timeu.Time
+	disp, lat, back timeu.Time
 }
 
-func uniformWarmup(w timeu.Time) jumpWarmups { return jumpWarmups{w, w, w, w} }
+func uniformWarmup(w timeu.Time) jumpWarmups { return jumpWarmups{w, w, w} }
 
 func runJumpTrial(t *testing.T, g *model.Graph, cfg sim.Config, warm jumpWarmups, disable bool) (*jumpMetrics, sim.JumpStats) {
 	t.Helper()
@@ -66,8 +61,7 @@ func runJumpTrial(t *testing.T, g *model.Graph, cfg sim.Config, warm jumpWarmups
 	disp := sim.NewDisparityObserver(warm.disp)
 	lat := sim.NewLatencyObserver(sink, origins, warm.lat)
 	back := sim.NewBackwardObserver(sink, origins[0], warm.back)
-	age := sim.NewAgeObserver(sink, origins[0], warm.age)
-	cfg.Observers = []sim.Observer{disp, lat, back, age}
+	cfg.Observers = []sim.Observer{disp, lat, back}
 	cfg.DisableJumpAhead = disable
 
 	eng, err := sim.NewEngine(g)
@@ -95,8 +89,6 @@ func runJumpTrial(t *testing.T, g *model.Graph, cfg sim.Config, warm jumpWarmups
 		m.Fresh = append(m.Fresh, v)
 	}
 	m.BackMin, m.BackMax, m.BackOK = back.Range()
-	m.AgeMin, m.AgeMax, m.AgeOK = age.AgeRange()
-	m.React, m.ReactOK = age.MaxReaction()
 	return m, eng.LastJump()
 }
 
@@ -130,7 +122,9 @@ func TestJumpAheadMatchesFullExecution(t *testing.T) {
 		name string
 		warm jumpWarmups
 		// preWarmup demands a jump that closes before the smallest
-		// warm-up on a healthy fraction of the corpus.
+		// warm-up on a healthy fraction of the corpus. Such a jump
+		// matched a cycle that began before the warm-up, so it takes the
+		// trailing-cycle path.
 		preWarmup bool
 	}{
 		{"warm=100ms", uniformWarmup(100 * timeu.Millisecond), false},
@@ -139,13 +133,12 @@ func TestJumpAheadMatchesFullExecution(t *testing.T) {
 			disp: 300 * timeu.Millisecond,
 			lat:  timeu.Second,
 			back: 0,
-			age:  700 * timeu.Millisecond,
 		}, false},
 		{"warm=5s", uniformWarmup(5 * timeu.Second), false},
 	} {
 		t.Run(regime.name, func(t *testing.T) {
 			w := regime.warm
-			wmin := min(w.disp, w.lat, w.back, w.age)
+			wmin := min(w.disp, w.lat, w.back)
 			engaged, eligible, pre := 0, 0, 0
 			for trial, tc := range corpus {
 				jump, js := runJumpTrial(t, tc.g, tc.cfg, w, false)
@@ -176,7 +169,7 @@ func TestJumpAheadMatchesFullExecution(t *testing.T) {
 					engaged, trials, eligible)
 			}
 			if regime.preWarmup && pre < trials/5 {
-				t.Fatalf("a jump closed before the warm-up on only %d/%d trials — the pre-warm-up region is untested",
+				t.Fatalf("a jump closed before the warm-up on only %d/%d trials — the trailing-cycle path is untested",
 					pre, trials)
 			}
 			t.Logf("jump engaged on %d/%d trials (%d eligible, %d closed before the warm-up)",

@@ -270,8 +270,9 @@ func TestLETDisparityBoundsContainSimulation(t *testing.T) {
 }
 
 // TestE2EBoundsContainSimulation checks the end-to-end latency metrics:
-// observed data ages within [MinDataAge, DataAge] ⊆ [0-ish, Davare], and
-// observed reaction times below the Reaction bound.
+// observed data ages (the reduced age MRDA and the fresh age) within
+// [MinDataAge, DataAge] ⊆ [0-ish, Davare], and observed reduced reaction
+// times (MRRT) below the Reaction bound.
 func TestE2EBoundsContainSimulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(505))
 	for trial := 0; trial < 6; trial++ {
@@ -287,7 +288,7 @@ func TestE2EBoundsContainSimulation(t *testing.T) {
 		waters.RandomOffsets(g, rng)
 		an := backward.NewAnalyzer(g, res, backward.NonPreemptive)
 		src, tail := la.Head(), la.Tail()
-		obs := sim.NewAgeObserver(tail, src, timeu.Second)
+		obs := sim.NewLatencyObserver(tail, []model.TaskID{src}, timeu.Second)
 		if _, err := sim.Run(g, sim.Config{
 			Horizon:   simHorizon,
 			Exec:      execModels[trial%len(execModels)],
@@ -296,10 +297,11 @@ func TestE2EBoundsContainSimulation(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		minAge, maxAge, ok := obs.AgeRange()
+		maxAge, ok := obs.MaxReducedAge(src)
 		if !ok {
 			continue
 		}
+		minAge, _ := obs.MinFreshAge(src)
 		if maxAge > an.DataAge(la) {
 			t.Errorf("trial %d: observed age %v above DataAge bound %v", trial, maxAge, an.DataAge(la))
 		}
@@ -309,7 +311,7 @@ func TestE2EBoundsContainSimulation(t *testing.T) {
 		if an.DataAge(la) > an.DavareBound(la) {
 			t.Errorf("trial %d: DataAge bound above Davare baseline", trial)
 		}
-		if r, ok := obs.MaxReaction(); ok && r > an.Reaction(la) {
+		if r, ok := obs.MaxReducedReaction(src); ok && r > an.Reaction(la) {
 			t.Errorf("trial %d: observed reaction %v above bound %v", trial, r, an.Reaction(la))
 		}
 	}

@@ -136,18 +136,17 @@ func TestBatchOffsetsLeaveGraphUntouched(t *testing.T) {
 	}
 }
 
-// TestBatchAllocsIndependentOfWarmup pins allocation-free jump-ahead
-// detection on a reused engine: boundary snapshots reuse their slots
-// and the jump's visited set and the rng are kept across runs, so a
-// jumped run allocates the same however many boundaries its warm-up
-// leaves to fingerprint.
-func TestBatchAllocsIndependentOfWarmup(t *testing.T) {
+// runAllocs returns how many objects one run allocates on a Batch over
+// the pipeline, with disparity and latency observers at the given
+// warm-up, once a first run has sized the engine's buffers.
+func runAllocs(t *testing.T, warm timeu.Time, disable bool) float64 {
+	t.Helper()
 	g, src, _, b := pipeline(t)
-	batch, err := NewBatch(g, Config{Horizon: 10 * timeu.Second, Exec: WCETExec{}})
+	batch, err := NewBatch(g, Config{Horizon: 10 * timeu.Second, Exec: WCETExec{}, DisableJumpAhead: disable})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(warm timeu.Time) {
+	run := func() {
 		res, err := batch.Run(BatchRun{Seed: 1, Observers: []Observer{
 			NewDisparityObserver(warm),
 			NewLatencyObserver(b, []model.TaskID{src}, warm),
@@ -155,21 +154,33 @@ func TestBatchAllocsIndependentOfWarmup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Jump.Engaged {
-			t.Fatalf("warm-up %v: jump-ahead did not engage: %+v", warm, res.Jump)
+		if res.Jump.Engaged == disable {
+			t.Fatalf("warm-up %v, DisableJumpAhead %v: jump %+v", warm, disable, res.Jump)
 		}
 	}
-	warms := []timeu.Time{200 * ms, 2 * timeu.Second}
-	for _, w := range warms {
-		run(w) // grow the pools, heaps and snapshot slots under both
+	run() // size the pools, heaps and snapshot slots
+	return testing.AllocsPerRun(10, run)
+}
+
+// TestBatchAllocsIndependentOfWarmup pins allocation-free jump-ahead
+// detection on a reused engine: boundary snapshots reuse their slots
+// and the jump's visited set and the rng are kept across runs, so a
+// jumped run allocates the same however many boundaries its warm-up
+// leaves to fingerprint.
+func TestBatchAllocsIndependentOfWarmup(t *testing.T) {
+	short, long := runAllocs(t, 200*ms, false), runAllocs(t, 2*timeu.Second, false)
+	if short != long {
+		t.Errorf("allocations per run depend on the warm-up: %v under 200ms, %v under 2s", short, long)
 	}
-	allocs := make([]float64, len(warms))
-	for i, w := range warms {
-		allocs[i] = testing.AllocsPerRun(10, func() { run(w) })
+	t.Logf("%v allocations per run", short)
+}
+
+// TestBatchDetectionAllocatesNothing pins that, once a reused engine's
+// buffers are sized, jump-ahead detection and the jump allocate
+// nothing: a jumped run allocates exactly as many objects as the same
+// run executed in full.
+func TestBatchDetectionAllocatesNothing(t *testing.T) {
+	if jumped, full := runAllocs(t, 200*ms, false), runAllocs(t, 200*ms, true); jumped != full {
+		t.Errorf("a jumped run allocates %v objects, the full run %v", jumped, full)
 	}
-	if allocs[0] != allocs[1] {
-		t.Errorf("allocations per run depend on the warm-up: %v under %v, %v under %v",
-			allocs[0], warms[0], allocs[1], warms[1])
-	}
-	t.Logf("%v allocations per run", allocs[0])
 }

@@ -18,20 +18,13 @@ import (
 // every live time is shifted by Δ = m·C, job indices by the per-cycle
 // index delta, counters by m times the per-cycle counter delta, and
 // observers are told to rebase their sample-state. The skipped cycles'
-// observer samples are exact time-shifted copies of samples already
-// recorded inside the matched cycle (ages, spans, reactions, and gaps
-// are all differences of times that shift together), so the max/min
-// accumulators need no replay — see DESIGN.md "Steady-state jump-ahead"
-// for the soundness argument.
-//
-// Observer warm-ups split a run into two regions where that argument
-// holds. Before the smallest warm-up wmin no observer records a sample,
-// so a cycle closing at b ≤ wmin may be skipped up to wmin; after the
-// largest warm-up wmax every observer records every sample, so a cycle
-// whose earlier boundary is ≥ wmax may be skipped up to the horizon.
-// Boundaries strictly between wmin and wmax are not fingerprinted, and
-// the snapshots are cleared at the first boundary ≥ wmax, so a run
-// fast-forwards at most twice.
+// observer samples are exact time-shifted copies of samples of the
+// matched cycle (ages, spans, reactions, and gaps are all differences
+// of times that shift together), recorded there or, when a warm-up
+// filtered them out, in a trailing cycle the jump leaves before the
+// horizon (see cycleBoundary), so the max/min accumulators need no
+// replay — see DESIGN.md "Steady-state jump-ahead" for the soundness
+// argument. A run jumps at most once.
 //
 // Jump-ahead arms only when it is provably sound:
 //
@@ -74,14 +67,24 @@ func (BCETExec) DeterministicExec() {}
 // (t − base) and job indices rebased to the engine's next-index
 // counters (k − nextK[task]). Accumulated extrema and counters are
 // excluded on purpose: a fingerprint match certifies that the skipped
-// cycles would only re-deliver samples already folded into them. The
-// warm-up is excluded too; the engine's match rule handles it (see
-// cycleBoundary).
+// cycles would only re-deliver samples already folded into them, or
+// folded in again by the trailing cycle (see cycleBoundary).
 //
 // jumpAhead rebases the same sample-state forward after a jump: times
 // shift by dt, job indices of task t by dk[t].
 //
-// warmup is the instant before which the observer records no sample.
+// warmup is the instant before which the observer records no sample;
+// the engine only takes the largest over all observers. The match rule
+// is exact for an observer that keeps this contract:
+//
+//   - every sample value is a difference of co-shifted times;
+//   - results are max/min accumulators (plus seen flags), so a sample
+//     recorded twice or once counts the same;
+//   - the sample-state evolves the same before and after the warm-up,
+//     which only decides whether a sample is recorded;
+//   - a filter that compares pending state against an absolute time
+//     (LatencyObserver drops reactions to stimuli released before its
+//     warm-up) is encoded as one bit per pending item.
 type cycleObserver interface {
 	appendCycleState(enc *cycleEnc, base timeu.Time, nextK []int64)
 	jumpAhead(dt timeu.Time, dk []int64)
@@ -105,11 +108,9 @@ type JumpStats struct {
 	// Hyperperiod is the boundary spacing L (0 when not eligible).
 	Hyperperiod timeu.Time
 	// Engaged reports that a fingerprint match occurred and cycles were
-	// skipped. A run jumps at most twice: once before every observer's
-	// warm-up and once after all of them. Transient is the boundary at
-	// which the cycle first closed, Cycle the cycle length of the last
-	// jump, and Skipped and SkippedTime the whole cycles fast-forwarded
-	// and their span, summed over both jumps.
+	// skipped. A run jumps at most once: Transient is the boundary at
+	// which the cycle closed, Cycle its length, and Skipped and
+	// SkippedTime the whole cycles fast-forwarded and their span.
 	Engaged     bool
 	Transient   timeu.Time
 	Cycle       timeu.Time
@@ -130,8 +131,8 @@ type JumpStats struct {
 //	"foreign-observer"      an observer needs per-job callbacks
 //	"no-finite-hyperperiod" hyperperiod missing, overflowing, or > horizon
 //	"snapshot-cap"          still transient after maxCycleSnaps boundaries
-//	"cycle-exceeds-horizon" cycle found, but no whole cycle fit before
-//	                        the horizon
+//	"cycle-exceeds-horizon" cycle found, but no whole cycle could be
+//	                        skipped before the horizon
 func (j JumpStats) Code() string {
 	switch {
 	case j.Engaged:
@@ -203,8 +204,8 @@ type chanCounters struct {
 
 // cycleSnap is one boundary fingerprint plus the counter values needed
 // to compute per-cycle deltas when a later boundary matches it. Slots
-// keep their arrays when the snapshots are cleared, so a reused engine
-// stores boundaries without allocating.
+// keep their arrays from run to run, so a reused engine stores
+// boundaries without allocating.
 type cycleSnap struct {
 	boundary timeu.Time
 	state    []uint64
@@ -219,11 +220,10 @@ type cycleState struct {
 	active bool
 	period timeu.Time // hyperperiod L
 	next   timeu.Time // next boundary to fingerprint
+	wmax   timeu.Time // largest observer warm-up (see cycleBoundary)
 
-	// wmin and wmax are the smallest and largest observer warm-up; post
-	// is set at the first boundary ≥ wmax (see cycleBoundary).
-	wmin, wmax timeu.Time
-	post       bool
+	// periods lists every task's period, built once per engine.
+	periods []timeu.Time
 
 	snaps []cycleSnap
 	index map[uint64]int32 // fingerprint hash → first snaps index
@@ -265,24 +265,16 @@ func (e *Engine) cycleInit() {
 			return
 		}
 	}
-	c.wmin, c.wmax, c.post = 0, 0, false
-	for i, obs := range e.cfg.Observers {
+	c.wmax = 0
+	for _, obs := range e.cfg.Observers {
 		co, ok := obs.(cycleObserver)
 		if !ok {
 			reason("foreign-observer", "observer requires per-job callbacks")
 			return
 		}
-		if w := co.warmup(); i == 0 {
-			c.wmin, c.wmax = w, w
-		} else {
-			c.wmin, c.wmax = timeu.Min(c.wmin, w), timeu.Max(c.wmax, w)
-		}
+		c.wmax = timeu.Max(c.wmax, co.warmup())
 	}
-	periods := make([]timeu.Time, e.g.NumTasks())
-	for i := range periods {
-		periods[i] = e.info[i].period
-	}
-	l, err := timeu.HyperperiodChecked(periods, e.cfg.Horizon)
+	l, err := timeu.HyperperiodChecked(c.periods, e.cfg.Horizon)
 	if err != nil {
 		reason("no-finite-hyperperiod", err.Error())
 		return
@@ -321,66 +313,46 @@ func (e *Engine) cycleAdvance(now timeu.Time) bool {
 }
 
 // cycleBoundary fingerprints the state at boundary b, matching it
-// against earlier boundaries. A match may jump in two regions only:
+// against earlier boundaries. The first match, against b0 = b − C,
+// jumps m = ⌊(horizon − b)/C⌋ whole cycles, one fewer when b0 precedes
+// the largest warm-up wmax, and ends detection:
 //
-//   - b ≤ wmin: every skipped instant precedes every warm-up, so the
-//     jump stops at min(wmin, horizon); short of the horizon, detection
-//     restarts from the new position.
-//   - the matched boundary is ≥ wmax: every observer samples
-//     throughout, so the jump runs to the horizon and detection ends.
+//   - b0 ≥ wmax: every observer records every sample from b0 on, so the
+//     skipped cycles re-deliver samples already recorded in [b0, b).
+//   - b0 < wmax: a sample in [b0, b) may have been filtered out by a
+//     warm-up while its skipped copies would be recorded. The cycle
+//     left before the horizon replays every skipped sample, later and
+//     so past the same warm-ups, and records it.
 //
-// Boundaries strictly between wmin and wmax are skipped, and the first
-// boundary ≥ wmax clears the earlier snapshots, so no match spans a
-// warm-up. It returns true when a jump was applied.
+// It returns true when a jump was applied.
 func (e *Engine) cycleBoundary(b timeu.Time) bool {
 	c := &e.cyc
-	if !c.post {
-		if b >= c.wmax {
-			c.post = true
-			c.clearSnaps()
-		} else if b > c.wmin {
-			return false
-		}
-	}
 	c.enc.buf = c.enc.buf[:0]
 	e.encodeCycleState(&c.enc, b)
 	h := hashWords(c.enc.buf)
 	if i, ok := c.index[h]; ok && wordsEqual(c.snaps[i].state, c.enc.buf) {
+		c.active = false
 		snap := &c.snaps[i]
 		cycle := b - snap.boundary
-		limit := e.cfg.Horizon
-		if !c.post {
-			limit = timeu.Min(limit, c.wmin)
+		m := int64((e.cfg.Horizon - b) / cycle)
+		if snap.boundary < c.wmax {
+			m-- // keep the trailing cycle
 		}
-		if m := int64((limit - b) / cycle); m >= 1 {
-			e.applyJump(b, snap, cycle, m)
-			if limit < e.cfg.Horizon {
-				// Stopped at wmin: detection goes on past the warm-up.
-				c.clearSnaps()
-				c.next += timeu.Time(m) * cycle
-			} else {
-				// Less than one cycle is left before the horizon.
-				e.cycleDeactivate()
-			}
-			return true
-		}
-		if limit == e.cfg.Horizon {
-			// A cycle exists but less than one fits before the horizon;
-			// nothing to skip, and every later boundary would re-match.
+		if m < 1 {
+			// Nothing to skip, and every later boundary would re-match.
 			c.jump.ReasonCode = "cycle-exceeds-horizon"
-			c.jump.Reason = "cycle detected but no whole cycle fits before the horizon"
-			e.cycleDeactivate()
+			c.jump.Reason = "cycle detected but no whole cycle can be skipped before the horizon"
+			return false
 		}
-		// Otherwise less than one cycle is left before wmin; the state
-		// is already stored.
-		return false
+		e.applyJump(b, snap, cycle, m)
+		return true
 	}
 	if len(c.snaps) >= maxCycleSnaps {
 		// Still transient after many hyperperiods — stop paying for
 		// snapshots.
 		c.jump.ReasonCode = "snapshot-cap"
 		c.jump.Reason = "still transient after the boundary-snapshot cap"
-		e.cycleDeactivate()
+		c.active = false
 		return false
 	}
 	if _, dup := c.index[h]; !dup {
@@ -405,17 +377,6 @@ func (e *Engine) cycleBoundary(b timeu.Time) bool {
 		snap.chans[i] = chanCounters{writes: ch.writes, reads: ch.reads, lost: ch.lost}
 	}
 	return false
-}
-
-// clearSnaps forgets every stored boundary, keeping the slots' arrays.
-func (c *cycleState) clearSnaps() {
-	c.snaps = c.snaps[:0]
-	clear(c.index)
-}
-
-func (e *Engine) cycleDeactivate() {
-	e.cyc.active = false
-	e.cyc.clearSnaps()
 }
 
 // encodeCycleState appends the complete dynamic engine state, rebased
@@ -626,13 +587,11 @@ func (e *Engine) applyJump(b timeu.Time, snap *cycleSnap, cycle timeu.Time, m in
 		obs.(cycleObserver).jumpAhead(dt, dk)
 	}
 
-	if !c.jump.Engaged {
-		c.jump.Engaged = true
-		c.jump.Transient = b
-	}
+	c.jump.Engaged = true
+	c.jump.Transient = b
 	c.jump.Cycle = cycle
-	c.jump.Skipped += m
-	c.jump.SkippedTime += dt
+	c.jump.Skipped = m
+	c.jump.SkippedTime = dt
 }
 
 // Insertion sorts for the fingerprint scratch slices. Live populations

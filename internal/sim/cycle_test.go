@@ -44,24 +44,53 @@ func disparityObs(warm timeu.Time) func() []Observer {
 	return func() []Observer { return []Observer{NewDisparityObserver(warm)} }
 }
 
+// observerSuite builds the disparity, backward and latency observers
+// of the src → b flow, all with the same warm-up.
+func observerSuite(src, b model.TaskID, warm timeu.Time) func() []Observer {
+	return func() []Observer {
+		return []Observer{
+			NewDisparityObserver(warm),
+			NewBackwardObserver(b, src, warm),
+			NewLatencyObserver(b, []model.TaskID{src}, warm),
+		}
+	}
+}
+
 func checkIdentical(t *testing.T, g *model.Graph, jump, full *Stats, jumpObs, fullObs []Observer) {
 	t.Helper()
 	if !reflect.DeepEqual(jump, full) {
 		t.Errorf("stats diverge:\n jump: %+v\n full: %+v", jump, full)
 	}
 	for i := range jumpObs {
-		jo, ok := jumpObs[i].(*DisparityObserver)
-		if !ok {
-			continue
+		if jr, fr := observed(g, jumpObs[i]), observed(g, fullObs[i]); !reflect.DeepEqual(jr, fr) {
+			t.Errorf("observer %d (%T) diverges:\n jump: %v\n full: %v", i, jumpObs[i], jr, fr)
 		}
-		fo := fullObs[i].(*DisparityObserver)
+	}
+}
+
+// observed flattens every result an observer reports, with its
+// presence flags, into one comparable slice.
+func observed(g *model.Graph, obs Observer) []any {
+	var out []any
+	switch o := obs.(type) {
+	case *DisparityObserver:
 		for task := 0; task < g.NumTasks(); task++ {
-			id := model.TaskID(task)
-			if jo.Max(id) != fo.Max(id) {
-				t.Errorf("task %d disparity: jump %v, full %v", task, jo.Max(id), fo.Max(id))
+			out = append(out, o.Max(model.TaskID(task)))
+		}
+	case *BackwardObserver:
+		lo, hi, ok := o.Range()
+		out = append(out, lo, hi, ok)
+	case *LatencyObserver:
+		for _, src := range o.Sources() {
+			for _, get := range []func(model.TaskID) (timeu.Time, bool){
+				o.MaxReducedAge, o.MaxAge, o.MaxReducedReaction, o.MaxReaction, o.MinFreshAge,
+			} {
+				v, ok := get(src)
+				out = append(out, v, ok)
 			}
 		}
 	}
+	return out
 }
 
 func TestJumpAheadEngagesAndMatchesFull(t *testing.T) {
@@ -218,52 +247,47 @@ func TestJumpAheadHorizonShorterThanHyperperiod(t *testing.T) {
 	}
 }
 
-// TestJumpAheadObserverStateRebased drives the full latency observer
-// family through a jump and checks every metric against the full run.
+// TestJumpAheadObserverSuiteMatchesFull drives the full latency
+// observer family through a jump and checks every metric against the
+// full run.
 func TestJumpAheadObserverSuiteMatchesFull(t *testing.T) {
 	g, src, _, b := pipeline(t)
-	mk := func() []Observer {
-		return []Observer{
-			NewDisparityObserver(40 * ms),
-			NewBackwardObserver(b, src, 40*ms),
-			NewAgeObserver(b, src, 40*ms),
-			NewLatencyObserver(b, []model.TaskID{src}, 40*ms),
-		}
-	}
 	cfg := Config{Horizon: 8 * 1000 * ms}
-	jump, full, js, jo, fo := runTwice(t, g, cfg, mk)
+	jump, full, js, jo, fo := runTwice(t, g, cfg, observerSuite(src, b, 40*ms))
 	if !js.Engaged {
 		t.Fatalf("no jump: %+v", js)
 	}
-	if !reflect.DeepEqual(jump, full) {
-		t.Errorf("stats diverge:\n jump: %+v\n full: %+v", jump, full)
-	}
-	jb, fb := jo[1].(*BackwardObserver), fo[1].(*BackwardObserver)
-	jmin, jmax, jok := jb.Range()
-	fmin, fmax, fok := fb.Range()
-	if jmin != fmin || jmax != fmax || jok != fok {
-		t.Errorf("backward range: jump [%v,%v,%v], full [%v,%v,%v]", jmin, jmax, jok, fmin, fmax, fok)
-	}
-	ja, fa := jo[2].(*AgeObserver), fo[2].(*AgeObserver)
-	if !reflect.DeepEqual(*ja, *fa) {
-		t.Errorf("age observer state diverges:\n jump: %+v\n full: %+v", *ja, *fa)
-	}
-	jl, fl := jo[3].(*LatencyObserver), fo[3].(*LatencyObserver)
-	for _, metric := range []struct {
-		name string
-		get  func(*LatencyObserver) (timeu.Time, bool)
+	checkIdentical(t, g, jump, full, jo, fo)
+}
+
+// TestJumpAheadTrailingCycle pins the one-jump rule on the pipeline
+// (hyperperiod and cycle 20ms, first match at 40ms against 20ms): the
+// jump skips every whole cycle before the horizon, one fewer when the
+// matched cycle began before a warm-up, and none when that leaves
+// nothing to skip.
+func TestJumpAheadTrailingCycle(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		horizon, warm timeu.Time
+		skipped       int64 // 0: no jump
 	}{
-		{"MRDA", func(o *LatencyObserver) (timeu.Time, bool) { return o.MaxReducedAge(src) }},
-		{"MDA", func(o *LatencyObserver) (timeu.Time, bool) { return o.MaxAge(src) }},
-		{"MRRT", func(o *LatencyObserver) (timeu.Time, bool) { return o.MaxReducedReaction(src) }},
-		{"MRT", func(o *LatencyObserver) (timeu.Time, bool) { return o.MaxReaction(src) }},
-		{"fresh", func(o *LatencyObserver) (timeu.Time, bool) { return o.MinFreshAge(src) }},
+		{"no-warmup", 2 * timeu.Second, 0, 98},
+		{"warmup-after-match", 2 * timeu.Second, 500 * ms, 97},
+		{"no-cycle-to-skip", 70 * ms, 70 * ms, 0},
 	} {
-		jv, jok := metric.get(jl)
-		fv, fok := metric.get(fl)
-		if jv != fv || jok != fok {
-			t.Errorf("%s: jump %v,%v, full %v,%v", metric.name, jv, jok, fv, fok)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			g, src, _, b := pipeline(t)
+			jump, full, js, jo, fo := runTwice(t, g, Config{Horizon: tc.horizon}, observerSuite(src, b, tc.warm))
+			if tc.skipped == 0 {
+				if js.Engaged || js.Code() != "cycle-exceeds-horizon" {
+					t.Errorf("jump %+v (code %s), want cycle-exceeds-horizon", js, js.Code())
+				}
+			} else if !js.Engaged || js.Transient != 40*ms || js.Cycle != 20*ms ||
+				js.Skipped != tc.skipped || js.SkippedTime != timeu.Time(tc.skipped)*js.Cycle {
+				t.Errorf("jump %+v, want %d cycles of 20ms skipped after a 40ms transient", js, tc.skipped)
+			}
+			checkIdentical(t, g, jump, full, jo, fo)
+		})
 	}
 }
 

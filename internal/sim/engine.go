@@ -254,10 +254,12 @@ func NewEngine(g *model.Graph) (*Engine, error) {
 		originIdx:    make([]int32, g.NumTasks()),
 		info:         make([]taskInfo, g.NumTasks()),
 	}
+	e.cyc.periods = make([]timeu.Time, g.NumTasks())
 	for i := range e.info {
 		t := g.Task(model.TaskID(i))
 		ti := &e.info[i]
 		ti.period = t.Period
+		e.cyc.periods[i] = t.Period
 		if t.Sporadic() {
 			ti.sporadicSpan = int64(t.MaxPeriod-t.Period) + 1
 		}
