@@ -59,8 +59,13 @@
 #                 every pair, and U against the recursion it replaces)
 #                 and the ℬ split identity they rest on
 #                 (backward.TestTrieBoundsSplitAtTask), the public
-#                 GenerateFleet tests, and the pinned fleet generator
-#                 golden
+#                 GenerateFleet tests, the pinned fleet generator
+#                 golden, ten -race runs of internal/par (the
+#                 atomic-counter dispatcher the parallel descent runs
+#                 its blocks on) and the greedy optimizer against its
+#                 oracle under -race (TestDifferentialGreedyVsOracle,
+#                 whose rounds stop their descent at the incumbent
+#                 bound)
 #   verify-model - graph loader tier: vet + race tests of internal/model
 #                 and internal/timeu (the schema decoder == the reference
 #                 encoding/json decoder on 300 random graphs and on fleet
@@ -138,6 +143,8 @@ verify-scale:
 	$(GO) test -race -run 'TestTrieBoundsSplitAtTask' ./internal/backward/...
 	$(GO) test -run 'TestGenerateFleet' .
 	$(GO) test -run 'TestGoldenGenTopologies/fleet' ./cmd/disparity-gen/...
+	$(GO) test -race -count=10 ./internal/par/...
+	$(GO) test -race -run 'TestDifferentialGreedyVsOracle' ./internal/integration/...
 
 verify-model:
 	$(GO) vet ./internal/model/... ./internal/timeu/...

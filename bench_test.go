@@ -375,6 +375,29 @@ func BenchmarkPairBoundsDenseReference(b *testing.B) {
 	}
 }
 
+// BenchmarkGreedyDense times the fusion-dense workload's op on the
+// BenchmarkPairBoundsDense graph: a fresh analysis, the S-diff verdict
+// (DisparityBound), then the greedy S-diff-B buffer optimizer, whose
+// rounds stop their descent once they have lost. Its ratio to
+// BenchmarkPairBoundsDense in tools/bench_compare is what the greedy
+// adds to the verdict.
+func BenchmarkGreedyDense(b *testing.B) {
+	g, sink := denseBenchGraph(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, err := disparity.Analyze(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := a.DisparityBound(sink, disparity.SDiff, 0); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := a.OptimizeTaskGreedy(sink, 0, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimulateSecond times simulating one second of the 25-task
 // workload (reported allocations dominate the merge of source stamps).
 func BenchmarkSimulateSecond(b *testing.B) {

@@ -20,9 +20,12 @@ import (
 // Each graph runs at the production block cap and at a cap of 4 that
 // forces deep splits and many cross-block ties, both serially and with
 // the blocks on all CPUs — under -race the latter is the data-race test
-// of the parallel evaluation. It also pins the pair accounting the
-// decision record and the repository benchmark read: every
-// boundSubtree call and every DisparityBound call moves
+// of the parallel evaluation. Every such run is repeated at the
+// cutoffs 0, max/2, max and max+1 of the reference bound max: a cutoff
+// at or below max must return some pair's bound ≥ the cutoff, and one
+// above it the exact bound and rank. It also pins the pair accounting
+// the decision record and the repository benchmark read: every
+// boundSubtree call, cut or not, and every DisparityBound call moves
 // core.pairs.bounded + core.pairs.pruned + core.pairs.subtree_pruned
 // by exactly NumPairs, and every Disparity call moves
 // core.pairs.bounded by exactly NumPairs. The last trial is a pinned
@@ -81,18 +84,25 @@ func TestDescentMatchesReference(t *testing.T) {
 			numPairs := int64(want.NumPairs)
 			for _, cap := range []int{subtreeRectCap, 4} {
 				for _, parallel := range []bool{false, true} {
-					before := accounted()
-					got := ev.boundSubtree(m, n, cap, parallel)
-					if got.err != nil {
-						t.Fatalf("trial %d %v cap=%d parallel=%v: %v", trial, m, cap, parallel, got.err)
-					}
-					if got.bound != want.Bound || got.rank != want.ArgMax {
-						t.Errorf("trial %d %v cap=%d parallel=%v: descent %v at rank %d, reference %v at rank %d",
-							trial, m, cap, parallel, got.bound, got.rank, want.Bound, want.ArgMax)
-					}
-					if d := accounted() - before; d != numPairs {
-						t.Errorf("trial %d %v cap=%d parallel=%v: pair counters moved %d, want NumPairs %d",
-							trial, m, cap, parallel, d, numPairs)
+					for _, cutoff := range []timeu.Time{noCutoff, 0, want.Bound / 2, want.Bound, want.Bound + 1} {
+						before := accounted()
+						got := ev.boundSubtree(m, n, cap, parallel, cutoff)
+						if got.err != nil {
+							t.Fatalf("trial %d %v cap=%d parallel=%v cutoff=%v: %v", trial, m, cap, parallel, cutoff, got.err)
+						}
+						if cutoff == noCutoff || cutoff > want.Bound {
+							if got.bound != want.Bound || got.rank != want.ArgMax {
+								t.Errorf("trial %d %v cap=%d parallel=%v cutoff=%v: descent %v at rank %d, reference %v at rank %d",
+									trial, m, cap, parallel, cutoff, got.bound, got.rank, want.Bound, want.ArgMax)
+							}
+						} else if got.rank < 0 || got.bound < cutoff || got.bound > want.Bound {
+							t.Errorf("trial %d %v cap=%d parallel=%v cutoff=%v: cut descent %v at rank %d, want a pair's bound in [cutoff, %v]",
+								trial, m, cap, parallel, cutoff, got.bound, got.rank, want.Bound)
+						}
+						if d := accounted() - before; d != numPairs {
+							t.Errorf("trial %d %v cap=%d parallel=%v cutoff=%v: pair counters moved %d, want NumPairs %d",
+								trial, m, cap, parallel, cutoff, d, numPairs)
+						}
 					}
 				}
 			}
@@ -211,7 +221,7 @@ func TestSDiffPruneBoundsNest(t *testing.T) {
 		}
 		ev := a.pairEvalFor(sink, 0)
 		for _, cap := range []int{subtreeRectCap, 4} {
-			got := ev.boundSubtree(SDiff, ev.idx.NumChains(), cap, false)
+			got := ev.boundSubtree(SDiff, ev.idx.NumChains(), cap, false, noCutoff)
 			if got.err != nil || got.bound != want.Bound || got.rank != want.ArgMax {
 				t.Errorf("%s cap=%d: descent %v at rank %d (err %v), reference %v at rank %d",
 					name, cap, got.bound, got.rank, got.err, want.Bound, want.ArgMax)

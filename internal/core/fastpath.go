@@ -613,13 +613,21 @@ type blockBest struct {
 // result), and above parallelPairThreshold pairs the blocks run on all
 // CPUs with a deterministic (bound, rank) reduction.
 func (a *Analysis) DisparityBound(task model.TaskID, m Method, maxChains int) (*TaskDisparity, error) {
+	return a.disparityBound(task, m, maxChains, noCutoff)
+}
+
+// disparityBound is DisparityBound with a descent cutoff (boundSubtree):
+// once a pair's bound reaches cutoff the search stops, and Bound is
+// then only known to be ≥ cutoff. With noCutoff, or when no pair
+// reaches it, the result is DisparityBound's.
+func (a *Analysis) disparityBound(task model.TaskID, m Method, maxChains int, cutoff timeu.Time) (*TaskDisparity, error) {
 	ev := a.pairEvalFor(task, maxChains)
 	td := ev.taskDisparity(task)
 	if td.NumPairs == 0 {
 		return td, nil
 	}
 	n := ev.idx.NumChains()
-	best := ev.boundSubtree(m, n, subtreeRectCap, td.NumPairs >= parallelPairThreshold)
+	best := ev.boundSubtree(m, n, subtreeRectCap, td.NumPairs >= parallelPairThreshold, cutoff)
 	if best.err != nil {
 		return nil, best.err
 	}

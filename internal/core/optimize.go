@@ -168,7 +168,9 @@ func (a *Analysis) OptimizeTaskGreedy(task model.TaskID, maxChains, maxRounds in
 		// the bound prefix sums rebuilt — each round costs O(trie nodes +
 		// pairs), not a fresh enumeration.
 		nextA.adoptEval(task, maxChains, cur.pairEvalFor(task, maxChains).retarget(nextA))
-		nextTd, err := nextA.DisparityBound(task, SDiff, maxChains)
+		// The round only has to beat the incumbent: its descent stops
+		// at the first pair reaching res.After, and a cut round has lost.
+		nextTd, err := nextA.disparityBound(task, SDiff, maxChains, res.After)
 		if err != nil {
 			return nil, err
 		}

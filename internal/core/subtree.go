@@ -78,10 +78,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/backward"
@@ -114,6 +115,10 @@ const subtreeRectCap = 1024
 // masks): it is never skipped, only enumerated.
 const ubSentinel = timeu.Time(math.MaxInt64)
 
+// noCutoff is the cutoff of a descent that runs to the end: pair
+// bounds are never negative, so only a cutoff ≥ 0 can stop a descent.
+const noCutoff = timeu.Time(-1)
+
 // pairRect is one block of the pair space: the cross product
 // [pLo, pHi) × [qLo, qHi) of chain indices diverging exactly at trie
 // node f, or — when qLo < 0 — the triangle of all pairs inside
@@ -128,6 +133,16 @@ type pairRect struct {
 	// distinct heads.
 	wLo, wHi int32
 	ub       timeu.Time
+}
+
+// pairsFrom counts the block's pairs in rows i and after;
+// pairsFrom(pLo) is its pair count.
+func (r *pairRect) pairsFrom(i int) int64 {
+	k := int64(int(r.pHi) - i)
+	if r.qLo < 0 {
+		return k * (k - 1) / 2
+	}
+	return k * int64(r.qHi-r.qLo)
 }
 
 // rectCollector expands the pair space into rects during the descent.
@@ -366,33 +381,53 @@ func pairRank(n, i, j int) int {
 	return i*(n-1) - i*(i-1)/2 + j - i - 1
 }
 
+// descent is the state one boundSubtree call shares among its blocks.
+// It belongs to the call, not to pairEval, whose tables concurrent
+// analyses share.
+type descent struct {
+	// threshold is the running maximum of taken pair bounds.
+	threshold atomic.Int64
+	// cutoff, unless noCutoff, stops the descent: the first taken pair
+	// bound ≥ cutoff sets cut.
+	cutoff timeu.Time
+	cut    atomic.Bool
+}
+
 // boundSubtree runs DisparityBound's branch and bound over the n
 // chains: collect blocks of at most cap pairs, order them most-promising
 // first (so the threshold rises early and later blocks die on one
 // comparison), evaluate the first block serially to seed the threshold,
 // then the rest serially or, when parallel, on all CPUs. The (bound,
 // rank) reduction keeps the result independent of evaluation order.
-func (ev *pairEval) boundSubtree(m Method, n, cap int, parallel bool) blockBest {
+//
+// A descent that takes a pair bound ≥ cutoff stops early: blocks not
+// yet started are skipped and running blocks stop at their next row,
+// the skipped pairs counted as subtree-pruned and pruned. Its result
+// is then only some bound ≥ cutoff, which is all a caller asking "does
+// any pair reach the cutoff?" needs. A descent that never reaches the
+// cutoff, and every descent with noCutoff, returns the exact maximum
+// and its first-attaining rank.
+func (ev *pairEval) boundSubtree(m Method, n, cap int, parallel bool, cutoff timeu.Time) blockBest {
 	rects := ev.collectRects(m, cap)
-	sort.SliceStable(rects, func(i, j int) bool { return rects[i].ub > rects[j].ub })
-	var threshold atomic.Int64
+	slices.SortStableFunc(rects, func(a, b pairRect) int { return cmp.Compare(b.ub, a.ub) })
+	d := &descent{cutoff: cutoff}
 	results := make([]blockBest, len(rects))
 	workers := 1
 	if parallel {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	scratch := make([]rectScratch, workers)
-	results[0] = ev.evalRect(m, n, &rects[0], &threshold, &scratch[0])
+	results[0] = ev.evalRect(m, n, &rects[0], d, &scratch[0])
 	if rest := len(rects) - 1; rest > 0 && parallel {
 		boundParallelRuns.Inc()
 		_ = par.Runner{Workers: workers}.RunIndexed(context.Background(), rest,
 			func(_ context.Context, worker, b int) error {
-				results[b+1] = ev.evalRect(m, n, &rects[b+1], &threshold, &scratch[worker])
+				results[b+1] = ev.evalRect(m, n, &rects[b+1], d, &scratch[worker])
 				return nil
 			})
 	} else {
 		for b := 1; b < len(rects); b++ {
-			results[b] = ev.evalRect(m, n, &rects[b], &threshold, &scratch[0])
+			results[b] = ev.evalRect(m, n, &rects[b], d, &scratch[0])
 		}
 	}
 	best := blockBest{rank: -1}
@@ -474,16 +509,18 @@ func (ev *pairEval) rowUB(env *leafEnv, u, f int32, wl, bl timeu.Time) (ub timeu
 	return crossUB(env.minW-bl, env.maxW-bl, env.minB-wl, env.maxB-wl, e, s), shared
 }
 
-// evalRect evaluates one block: skip it outright when its optimistic
-// bound cannot reach the threshold, otherwise enumerate its pairs with
-// the per-pair dominance prune. S-diff cross blocks test each row's
-// bound before its pairs and each pair's U before evaluating it; pairs
-// sharing nothing below f take the direct c = 1 path, the rest the
-// generic evaluation.
-func (ev *pairEval) evalRect(m Method, n int, r *pairRect, threshold *atomic.Int64, sc *rectScratch) blockBest {
+// evalRect evaluates one block: skip it outright when the descent was
+// cut or its optimistic bound cannot reach the threshold, otherwise
+// enumerate its pairs with the per-pair dominance prune, stopping at
+// the first row that starts after a cut. S-diff cross blocks test each
+// row's bound before its pairs and each pair's U before evaluating it;
+// pairs sharing nothing below f take the direct c = 1 path, the rest
+// the generic evaluation.
+func (ev *pairEval) evalRect(m Method, n int, r *pairRect, d *descent, sc *rectScratch) blockBest {
 	best := blockBest{rank: -1}
-	if r.ub != ubSentinel && r.ub < timeu.Time(threshold.Load()) {
-		pairsSubtreePruned.Add(int64(r.pHi-r.pLo) * int64(r.qHi-r.qLo))
+	threshold := &d.threshold
+	if d.cut.Load() || (r.ub != ubSentinel && r.ub < timeu.Time(threshold.Load())) {
+		pairsSubtreePruned.Add(r.pairsFrom(int(r.pLo)))
 		blocksPruned.Inc()
 		return best
 	}
@@ -505,9 +542,16 @@ func (ev *pairEval) evalRect(m Method, n int, r *pairRect, threshold *atomic.Int
 				break
 			}
 		}
+		if d.cutoff >= 0 && v.bound >= d.cutoff {
+			d.cut.Store(true)
+		}
 	}
 	if r.qLo < 0 { // triangle
 		for i := int(r.pLo); i < int(r.pHi); i++ {
+			if d.cut.Load() {
+				prunedCount += r.pairsFrom(i)
+				break
+			}
 			for j := i + 1; j < int(r.pHi); j++ {
 				ok, err := ev.evalPair(m, i, j, &sc.pair, &v, threshold)
 				if err != nil {
@@ -528,6 +572,10 @@ func (ev *pairEval) evalRect(m Method, n int, r *pairRect, threshold *atomic.Int
 		f, fDepth := r.f, idx.NodeDepth(r.f)
 		env := ev.leafBounds(r, sc)
 		for i := int(r.pLo); i < int(r.pHi); i++ {
+			if d.cut.Load() {
+				prunedCount += r.pairsFrom(i)
+				break
+			}
 			u := idx.Leaf(i)
 			wl, bl := ev.tb.Bounds(u, f)
 			rowBound, rowShared := ev.rowUB(&env, u, f, wl, bl)
@@ -563,6 +611,10 @@ func (ev *pairEval) evalRect(m Method, n int, r *pairRect, threshold *atomic.Int
 		return best
 	}
 	for i := int(r.pLo); i < int(r.pHi); i++ {
+		if d.cut.Load() {
+			prunedCount += r.pairsFrom(i)
+			break
+		}
 		for j := int(r.qLo); j < int(r.qHi); j++ {
 			ok, err := ev.evalPair(m, i, j, &sc.pair, &v, threshold)
 			if err != nil {

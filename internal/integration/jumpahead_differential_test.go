@@ -121,10 +121,10 @@ func TestJumpAheadMatchesFullExecution(t *testing.T) {
 	for _, regime := range []struct {
 		name string
 		warm jumpWarmups
-		// preWarmup demands a jump that closes before the smallest
+		// preWarmup demands a jump that closes before the largest
 		// warm-up on a healthy fraction of the corpus. Such a jump
-		// matched a cycle that began before the warm-up, so it takes the
-		// trailing-cycle path.
+		// matched a cycle that began before that warm-up, so it takes
+		// the trailing-cycle path.
 		preWarmup bool
 	}{
 		{"warm=100ms", uniformWarmup(100 * timeu.Millisecond), false},
@@ -133,12 +133,12 @@ func TestJumpAheadMatchesFullExecution(t *testing.T) {
 			disp: 300 * timeu.Millisecond,
 			lat:  timeu.Second,
 			back: 0,
-		}, false},
+		}, true},
 		{"warm=5s", uniformWarmup(5 * timeu.Second), false},
 	} {
 		t.Run(regime.name, func(t *testing.T) {
 			w := regime.warm
-			wmin := min(w.disp, w.lat, w.back)
+			wmax := max(w.disp, w.lat, w.back)
 			engaged, eligible, pre := 0, 0, 0
 			for trial, tc := range corpus {
 				jump, js := runJumpTrial(t, tc.g, tc.cfg, w, false)
@@ -155,7 +155,7 @@ func TestJumpAheadMatchesFullExecution(t *testing.T) {
 				}
 				if js.Engaged {
 					engaged++
-					if js.Transient < wmin {
+					if js.Transient < wmax {
 						pre++
 					}
 				}

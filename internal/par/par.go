@@ -14,10 +14,14 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Runner executes jobs with at most Workers running concurrently.
+// Each worker claims the next job index from a shared atomic counter,
+// so handing out a job costs one atomic add, and jobs of a few
+// microseconds still keep the workers busy.
 type Runner struct {
 	// Workers bounds concurrency; ≤ 0 selects GOMAXPROCS.
 	Workers int
@@ -43,12 +47,14 @@ func (r Runner) Run(ctx context.Context, n int, fn func(ctx context.Context, i i
 // RunIndexed invokes fn(ctx, worker, i) for every i in [0, n), where
 // worker ∈ [0, Workers) identifies the pool slot executing the job —
 // stable per goroutine, so callers can key per-worker state (trace
-// tracks, scratch buffers) without locks. The first error cancels the
-// shared context: running jobs observe ctx.Done(), and jobs that have
-// not started yet are skipped entirely. RunIndexed waits for all
-// started jobs, then returns every job error joined in job-index order
-// (nil if none). Cancellation of the parent context aborts the same
-// way and is reported as ctx.Err() when no job failed first.
+// tracks, scratch buffers) without locks. Workers claim job indices in
+// ascending order from a shared counter. The first error cancels the
+// shared context: running jobs observe ctx.Done(), and jobs claimed
+// after it are skipped entirely (settled, never run). RunIndexed waits
+// for all started jobs, then returns every job error joined in
+// job-index order (nil if none). Cancellation of the parent context
+// aborts the same way and is reported as ctx.Err() when no job failed
+// first.
 func (r Runner) RunIndexed(ctx context.Context, n int, fn func(ctx context.Context, worker, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -65,6 +71,7 @@ func (r Runner) RunIndexed(ctx context.Context, n int, fn func(ctx context.Conte
 
 	errs := make([]error, n)
 	var (
+		next       atomic.Int64
 		progressMu sync.Mutex
 		done       int
 	)
@@ -78,29 +85,24 @@ func (r Runner) RunIndexed(ctx context.Context, n int, fn func(ctx context.Conte
 		progressMu.Unlock()
 	}
 
-	next := make(chan int)
-	go func() {
-		defer close(next)
-		for i := 0; i < n; i++ {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			for i := range next {
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
 				if ctx.Err() != nil {
 					settle()
 					continue
 				}
-				begin := time.Now()
+				var begin time.Time
+				if r.OnJob != nil {
+					begin = time.Now()
+				}
 				err := fn(ctx, worker, i)
 				if r.OnJob != nil {
 					r.OnJob(worker, i, time.Since(begin), err)

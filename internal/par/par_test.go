@@ -72,6 +72,37 @@ func TestFirstErrorCancels(t *testing.T) {
 	}
 }
 
+// TestProgressSettlesEveryJobAfterError pins OnProgress's promise on
+// the cancellation path: with one worker, job 3's failure skips jobs
+// 4..9, and each of them still settles, so the last call reports every
+// job of the run.
+func TestProgressSettlesEveryJobAfterError(t *testing.T) {
+	const n = 10
+	var ran atomic.Int64
+	var lastDone, lastTotal int
+	err := Runner{
+		Workers: 1,
+		OnProgress: func(done, total int) {
+			lastDone, lastTotal = done, total
+		},
+	}.Run(context.Background(), n, func(ctx context.Context, i int) error {
+		ran.Add(1)
+		if i == 3 {
+			return errors.New("boom")
+		}
+		return nil
+	})
+	if err == nil {
+		t.Fatal("want job 3's error")
+	}
+	if got := ran.Load(); got != 4 {
+		t.Errorf("ran %d jobs, want 4", got)
+	}
+	if lastDone != n || lastTotal != n {
+		t.Errorf("last progress call (%d, %d), want (%d, %d)", lastDone, lastTotal, n, n)
+	}
+}
+
 func TestAllErrorsJoinedInOrder(t *testing.T) {
 	// Every job fails; with one worker they run sequentially until the
 	// first failure cancels the rest — so force all to run by using a
@@ -236,5 +267,16 @@ func TestOnJobReportsDurationAndError(t *testing.T) {
 	}
 	if calls == 0 {
 		t.Error("OnJob never called")
+	}
+}
+
+// BenchmarkRunIndexedTinyJobs times the dispatch of 210 trivial jobs,
+// the block count of one S-diff descent on the fusion-dense benchmark
+// graph, where handing out a job must cost far less than the job.
+func BenchmarkRunIndexedTinyJobs(b *testing.B) {
+	const n = 210
+	job := func(context.Context, int, int) error { return nil }
+	for b.Loop() {
+		_ = Runner{}.RunIndexed(context.Background(), n, job)
 	}
 }

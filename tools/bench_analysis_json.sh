@@ -20,7 +20,7 @@ TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
 go test -run '^$' \
-	-bench 'BenchmarkPairBounds$|BenchmarkPairBoundsReference$|BenchmarkChainIndex$|BenchmarkAnalyzePDiff$|BenchmarkAnalyzeSDiff$|BenchmarkEnumerateChains$|BenchmarkBoundsSweep$|BenchmarkChainIndexFleet$|BenchmarkWCRTFleet$|BenchmarkReadGraphFleet$|BenchmarkPairBoundsFleet$|BenchmarkPairBoundsFleetReference$|BenchmarkPairBoundsDense$|BenchmarkPairBoundsDenseReference$' \
+	-bench 'BenchmarkPairBounds$|BenchmarkPairBoundsReference$|BenchmarkChainIndex$|BenchmarkAnalyzePDiff$|BenchmarkAnalyzeSDiff$|BenchmarkEnumerateChains$|BenchmarkBoundsSweep$|BenchmarkChainIndexFleet$|BenchmarkWCRTFleet$|BenchmarkReadGraphFleet$|BenchmarkPairBoundsFleet$|BenchmarkPairBoundsFleetReference$|BenchmarkPairBoundsDense$|BenchmarkPairBoundsDenseReference$|BenchmarkGreedyDense$' \
 	-benchtime 10x -count "$COUNT" -benchmem . | tee "$TMP"
 
 # Best-of-count per benchmark: min ns/op and the allocs/op (identical

@@ -24,6 +24,7 @@
 //	PairBoundsFleet / PairBounds            (fleet-tier bound scaling)
 //	PairBoundsFleet / PairBoundsFleetReference (fleet-tier descent speedup)
 //	PairBoundsDense / PairBoundsDenseReference (c ≥ 2-heavy S-diff descent)
+//	GreedyDense    / PairBoundsDense        (greedy S-diff-B over the verdict)
 //
 // A ratio regressing past -ratio-tolerance (default 20%) is a real
 // slowdown regardless of machine noise. Absolute per-benchmark ns/op
@@ -67,6 +68,7 @@ var ratioPairs = [][2]string{
 	{"BenchmarkPairBoundsFleet", "BenchmarkPairBounds"},
 	{"BenchmarkPairBoundsFleet", "BenchmarkPairBoundsFleetReference"},
 	{"BenchmarkPairBoundsDense", "BenchmarkPairBoundsDenseReference"},
+	{"BenchmarkGreedyDense", "BenchmarkPairBoundsDense"},
 }
 
 type tolerances struct {

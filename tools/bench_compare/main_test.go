@@ -160,6 +160,26 @@ func TestDenseDescentRatioGated(t *testing.T) {
 	}
 }
 
+// TestGreedyRatioGated doubles the dense greedy's ns/op while the dense
+// verdict it runs after stays put; the pair between them must catch it.
+func TestGreedyRatioGated(t *testing.T) {
+	const fixture = `{"current": {
+	  "BenchmarkGreedyDense": {"ns_op": 2400000, "allocs_op": 320},
+	  "BenchmarkPairBoundsDense": {"ns_op": 900000, "allocs_op": 170}
+	}}`
+	dir := t.TempDir()
+	base := writeBench(t, dir, "base.json", fixture)
+	fresh := writeBench(t, dir, "fresh.json", strings.Replace(fixture,
+		`"BenchmarkGreedyDense": {"ns_op": 2400000`, `"BenchmarkGreedyDense": {"ns_op": 4800000`, 1))
+	var out bytes.Buffer
+	if err := run([]string{"-abs-tolerance", "10", base, fresh}, &out); err == nil {
+		t.Fatalf("2x greedy regression passed the gate:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "BenchmarkGreedyDense/BenchmarkPairBoundsDense") {
+		t.Errorf("regression report missing the greedy ratio:\n%s", out.String())
+	}
+}
+
 // TestWarmJumpAheadRatioGated triples the warm-up run's ns/op, about
 // what simulating its warm-up in full costs. Its own ratio pair against
 // the disabled run must catch that while the warm-up-free pair, which
