@@ -44,11 +44,12 @@
 #   verify-scale - fleet-scale tier: vet + race tests of the bitset,
 #                 chains, and fleet generator packages, the >64-task
 #                 differential harness (100 fleet-tier workloads fast
-#                 path == reference, exact multi-word masks on the
-#                 1000+-task default fleet, the subtree descent ==
-#                 reference field by field on the default fleet with
-#                 most pairs skipped wholesale, plus the subtree-
-#                 aggregate property test — every TestScale* in
+#                 path == reference, a corpus with > 64 shared tasks
+#                 per graph on multi-word masks, exact shared-task
+#                 masks on the 1000+-task default fleet, the subtree
+#                 descent == reference field by field on the default
+#                 fleet with most pairs skipped wholesale, plus the
+#                 subtree-aggregate property test — every TestScale* in
 #                 internal/integration rides the -run pattern), the
 #                 descent == reference bound and argmax rank at forced
 #                 block caps, serial and parallel, under -race
@@ -56,7 +57,8 @@
 #                 graph a Theorem-1-only S-diff prune gets wrong), the
 #                 S-diff prune's closed-form bounds (core.TestSDiffPrune*:
 #                 evaluated value ≤ pair U ≤ row bound ≤ block bound on
-#                 every pair, and U against the recursion it replaces)
+#                 every pair, the mask split sums == the decomposition's,
+#                 and U against the recursion it replaces)
 #                 and the ℬ split identity they rest on
 #                 (backward.TestTrieBoundsSplitAtTask), the public
 #                 GenerateFleet tests, the pinned fleet generator

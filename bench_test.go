@@ -210,7 +210,8 @@ func fleetBenchGraph(b *testing.B) (*disparity.Graph, disparity.TaskID) {
 }
 
 // BenchmarkChainIndexFleet times the incremental trie build at fleet
-// scale: ~2000 tasks with multi-word path masks.
+// scale, ~2000 tasks, with its path masks: one all-zero word per node,
+// since no task of the fleet's in-tree sits at two trie nodes.
 func BenchmarkChainIndexFleet(b *testing.B) {
 	g, sink := fleetBenchGraph(b)
 	b.ResetTimer()
@@ -219,8 +220,9 @@ func BenchmarkChainIndexFleet(b *testing.B) {
 		if idx.NumChains() == 0 {
 			b.Fatal("empty index")
 		}
-		if _, stride := idx.PathMasks(); stride < 2 {
-			b.Fatalf("fleet masks stride = %d, want multi-word", stride)
+		if masks, stride := idx.PathMasks(); masks == nil || stride != 1 || len(idx.SharedTasks()) != 0 {
+			b.Fatalf("fleet masks stride=%d over %d shared tasks (skipped=%v), want one word over none",
+				stride, len(idx.SharedTasks()), masks == nil)
 		}
 	}
 }

@@ -123,8 +123,8 @@ func (a *Analyzer) Bounds(pi model.Chain) (wcbt, bcbt timeu.Time) {
 func (a *Analyzer) wcbt(pi model.Chain) timeu.Time {
 	var w timeu.Time
 	for i := 0; i+1 < pi.Len(); i++ {
-		w += a.theta(pi[i], pi[i+1])
-		w += a.bufferShiftHi(pi[i], pi[i+1])
+		hi, _ := a.bufferShifts(pi[i], pi[i+1])
+		w += a.theta(pi[i], pi[i+1]) + hi
 	}
 	return w
 }
@@ -161,7 +161,8 @@ func (a *Analyzer) bcbt(pi model.Chain) timeu.Time {
 		b -= a.wcrt.R(pi.Tail())
 	}
 	for i := 0; i+1 < pi.Len(); i++ {
-		b += a.bufferShiftLo(pi[i], pi[i+1])
+		_, lo := a.bufferShifts(pi[i], pi[i+1])
+		b += lo
 	}
 	return b
 }
@@ -206,25 +207,18 @@ func (a *Analyzer) mustUniform(pi model.Chain) {
 	}
 }
 
-// bufferShiftHi returns the worst-case extra age of a capacity-c FIFO's
-// head: (cap−1) producer inter-arrivals at their maximum (Lemma 6; equal
-// to (cap−1)·T for periodic producers).
-func (a *Analyzer) bufferShiftHi(src, dst model.TaskID) timeu.Time {
+// bufferShifts returns both Lemma-6 shifts of the channel src→dst from
+// one capacity lookup: hi, the worst-case extra age of a capacity-c
+// FIFO's head, (cap−1) producer inter-arrivals at their maximum (equal
+// to (cap−1)·T for periodic producers), and lo, the guaranteed extra
+// age, (cap−1) minimum inter-arrivals.
+func (a *Analyzer) bufferShifts(src, dst model.TaskID) (hi, lo timeu.Time) {
 	c := a.g.Buffer(src, dst)
 	if c <= 1 {
-		return 0
+		return 0, 0
 	}
-	return timeu.Time(c-1) * a.g.Task(src).MaxInterArrival()
-}
-
-// bufferShiftLo returns the guaranteed extra age, (cap−1) minimum
-// inter-arrivals.
-func (a *Analyzer) bufferShiftLo(src, dst model.TaskID) timeu.Time {
-	c := a.g.Buffer(src, dst)
-	if c <= 1 {
-		return 0
-	}
-	return timeu.Time(c-1) * a.g.Task(src).Period
+	t := a.g.Task(src)
+	return timeu.Time(c-1) * t.MaxInterArrival(), timeu.Time(c-1) * t.Period
 }
 
 // Window is a sampling window [Lo, Hi]: the timestamp of the source that

@@ -91,7 +91,8 @@ func (a *Analyzer) OutputDelay(id model.TaskID) timeu.Time {
 // (cap−1) maximum producer inter-arrivals, for callers assembling
 // latency sums from trie prefixes (core's fast path).
 func (a *Analyzer) BufferShiftHi(src, dst model.TaskID) timeu.Time {
-	return a.bufferShiftHi(src, dst)
+	hi, _ := a.bufferShifts(src, dst)
+	return hi
 }
 
 // ChainLatency returns an upper bound on metric m for the chain.
@@ -124,7 +125,8 @@ func (a *Analyzer) ChainLatency(m Latency, pi model.Chain) timeu.Time {
 			sum += a.g.Task(id).MaxInterArrival() + a.OutputDelay(id)
 		}
 		for i := 0; i+1 < pi.Len(); i++ {
-			sum += a.bufferShiftHi(pi[i], pi[i+1])
+			hi, _ := a.bufferShifts(pi[i], pi[i+1])
+			sum += hi
 		}
 		if m == LatencyMRT {
 			sum += a.g.Task(pi.Head()).MaxInterArrival()

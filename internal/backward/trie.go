@@ -26,8 +26,8 @@ type TrieBounds struct {
 	idx *chains.Index
 
 	// Cumulative over the path node..root:
-	whop []timeu.Time // Σ theta + bufferShiftHi over hops (Lemma 4 + 6)
-	blo  []timeu.Time // Σ bufferShiftLo over hops (Lemma 6)
+	whop []timeu.Time // Σ theta + bufferShifts' hi over hops (Lemma 4 + 6)
+	blo  []timeu.Time // Σ bufferShifts' lo over hops (Lemma 6)
 	bsum []timeu.Time // Σ BCET over tasks, node and root inclusive (Lemma 5)
 	pper []timeu.Time // Σ Period over scheduled tasks, node inclusive (LET)
 	// schedAt[n] is the nearest scheduled ancestor-or-self of n, -1 if
@@ -201,8 +201,9 @@ func (tb *TrieBounds) addNode(idx *chains.Index, u int32) {
 	}
 	p := idx.NodeParent(u)
 	ptask := idx.NodeTask(p)
-	tb.whop = append(tb.whop, tb.whop[p]+a.theta(task, ptask)+a.bufferShiftHi(task, ptask))
-	tb.blo = append(tb.blo, tb.blo[p]+a.bufferShiftLo(task, ptask))
+	hi, lo := a.bufferShifts(task, ptask)
+	tb.whop = append(tb.whop, tb.whop[p]+a.theta(task, ptask)+hi)
+	tb.blo = append(tb.blo, tb.blo[p]+lo)
 	tb.bsum = append(tb.bsum, tb.bsum[p]+tsk.BCET)
 	pper, schedAt := tb.pper[p], tb.schedAt[p]
 	if tsk.ECU != model.NoECU {

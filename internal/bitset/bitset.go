@@ -1,7 +1,7 @@
 // Package bitset provides fixed-stride multi-word bitsets stored in one
 // flat backing array, the mask representation behind chains.Index's
-// PathMasks above 64 tasks. A table of n rows over b bits is a single
-// []uint64 of n·Words(b) words; row i is the sub-slice
+// PathMasks (one bit per shared task). A table of n rows over b bits
+// is a single []uint64 of n·Words(b) words; row i is the sub-slice
 // [i·stride, (i+1)·stride). Keeping all rows in one allocation (rather
 // than a [][]uint64) halves the pointer chasing in the pair loop and
 // lets the whole table be built with one make.
@@ -9,9 +9,8 @@
 // Every operation is allocation-free: rows are passed as slices into
 // the shared backing array, and the emptiness tests return early on the
 // first non-zero word. Callers with at most 64 bits should keep using a
-// bare uint64 — the analysis fast path does, and the single-word
-// specialization there is pinned allocation-identical by benches — so
-// these helpers deliberately have no single-word shortcut of their own.
+// bare uint64 — the analysis fast path's c = 1 test does — so these
+// helpers deliberately have no single-word shortcut of their own.
 package bitset
 
 // Words returns the number of 64-bit words a row of n bits occupies:

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/model"
 )
 
@@ -37,29 +36,26 @@ func fuzzGraph(data []byte) *model.Graph {
 	return g
 }
 
-// chainMask is the reference bitset of a chain's tasks: a stride-word
-// row built bit by bit, independent of the Index mask builder.
-func chainMask(c model.Chain, stride int) []uint64 {
-	m := make([]uint64, stride)
-	for _, id := range c {
-		bitset.Set(m, int(id))
-	}
-	return m
-}
-
 // FuzzIndexMatchesEnumerate is the differential fuzz target for the
 // trie index: on every decodable DAG and every sink, NewIndex must
 // agree with the legacy Enumerate — same chains in the same order, the
 // same truncation decision at any cap (flag vs error), and PathMasks
-// that are exact at any task count (single-word up to 64 tasks,
-// multi-word beyond).
+// that hold exactly each path's shared tasks at any task count (one
+// word up to 64 shared tasks, several beyond).
 func FuzzIndexMatchesEnumerate(f *testing.F) {
 	// A diamond with a shared tail, a dense truncation-prone graph, an
-	// edgeless graph, and a >64-task graph (multi-word masks).
+	// edgeless graph, a >64-task graph with few shared tasks, and a
+	// 74-task path into a final diamond, whose 71 path tasks all sit at
+	// two trie nodes (multi-word masks).
 	f.Add([]byte{0x02, 0, 2, 1, 2, 2, 3, 0, 1}, uint16(1))
 	f.Add([]byte{0x0a, 0, 5, 1, 5, 2, 5, 3, 5, 4, 5, 5, 6, 5, 7, 6, 8, 7, 8, 8, 9}, uint16(3))
 	f.Add([]byte{0x05}, uint16(0))
 	f.Add([]byte{0xff, 1, 70, 2, 70, 70, 79, 0, 70}, uint16(2))
+	pathDiamond := []byte{72}
+	for i := byte(0); i < 70; i++ {
+		pathDiamond = append(pathDiamond, i, i+1)
+	}
+	f.Add(append(pathDiamond, 70, 71, 70, 72, 71, 73, 72, 73), uint16(1))
 	f.Fuzz(func(t *testing.T, data []byte, mcSeed uint16) {
 		g := fuzzGraph(data)
 		if g == nil {
@@ -127,23 +123,9 @@ func FuzzIndexMatchesEnumerate(f *testing.F) {
 				checkSubtreeTables(t, small) // truncated tier: empty subtrees allowed
 			}
 
-			// PathMasks: exact bitsets at any task count — single-word
-			// rows up to 64 tasks, multi-word rows beyond.
-			masks, stride := idx.PathMasks()
-			wantStride := bitset.Words(g.NumTasks())
-			if stride != wantStride || len(masks) != idx.NumNodes()*stride {
-				t.Fatalf("PathMasks on %d tasks: stride=%d (want %d) len=%d nodes=%d",
-					g.NumTasks(), stride, wantStride, len(masks), idx.NumNodes())
-			}
-			for i := 0; i < idx.NumChains(); i++ {
-				row := bitset.Row(masks, stride, int(idx.Leaf(i)))
-				want := chainMask(idx.Chain(i), stride)
-				for k := range want {
-					if row[k] != want[k] {
-						t.Fatalf("leaf %d word %d mask %064b, chain tasks %064b", i, k, row[k], want[k])
-					}
-				}
-			}
+			// PathMasks: every leaf row is chain ∩ shared tasks, the
+			// shared set counted independently (checkPathMasks).
+			checkPathMasks(t, idx, g.NumTasks())
 
 			// Subtree topology tables (leaf spans, child lists, union
 			// masks) against the parent pointers and leaf rows.

@@ -34,9 +34,10 @@ var (
 	// truncation cause from the two counters' delta.
 	chainsTruncatedNodes = metrics.C("chains.truncated.nodes")
 	// Mask-mode counters, one increment per index whose PathMasks were
-	// requested: single-word exact, multi-word exact, or skipped because
-	// the table would exceed MaskBudgetWords. Telemetry derives the
-	// disparity_mask_exact gauge from these.
+	// requested: exact in one word (at most 64 shared tasks), exact in
+	// several words, or skipped because the table would exceed
+	// MaskBudgetWords. Telemetry derives the disparity_mask_exact gauge
+	// from these.
 	masksWord    = metrics.C("chains.masks.word")
 	masksMulti   = metrics.C("chains.masks.multi")
 	masksSkipped = metrics.C("chains.masks.skipped")
@@ -55,8 +56,9 @@ var DefaultMaxNodes = 1 << 22
 // MaskBudgetWords bounds the flat path-mask table PathMasks builds
 // (64-bit words, so the default is 256 MB). An index whose table would
 // exceed it reports no masks — the analysis falls back to the
-// decomposition walk, which is exact, merely slower. It is a variable
-// so tests can exercise the fallback.
+// decomposition walk, which is exact, merely slower. Every table has at
+// least one word per trie node, so a budget of 0 turns masks off on
+// every index. It is a variable so tests can exercise the fallback.
 var MaskBudgetWords = 1 << 25
 
 // TruncationCause says why an Index holds only a prefix of the chain
@@ -115,11 +117,12 @@ type Index struct {
 	maxDepth int32
 	cause    TruncationCause
 
-	// Lazily built derived tables (see LCA, PathMasks, LeafSpan,
-	// Children and SubtreeMasks).
+	// Lazily built derived tables (see LCA, PathMasks, SharedTasks,
+	// LeafSpan, Children and SubtreeMasks).
 	liftOnce   sync.Once
 	lift       [][]int32
 	maskOnce   sync.Once
+	shared     []model.TaskID // mask bit → task
 	masks      []uint64
 	maskStride int
 	subOnce    sync.Once
@@ -334,47 +337,82 @@ func (x *Index) buildLift() {
 	x.lift = lift
 }
 
-// PathMasks returns a per-node bitset of the tasks on the path
+// PathMasks returns a per-node bitset of the shared tasks on the path
 // node..root as one flat table, and the table's word stride: node n's
-// row is masks[n*stride : (n+1)*stride] (see internal/bitset). The
-// masks are exact — one bit per task — for any task count: graphs with
-// at most 64 tasks keep the historical single-uint64 layout (stride 1,
-// bit-identical and allocation-identical to the pre-bitset build),
-// larger graphs get stride bitset.Words(numTasks). With exact masks,
-// row(u) & row(w) &^ row(LCA(u,w)) == 0 proves the two chains share no
-// task below their join point — the c = 1 case of Theorem 2 — without
-// walking either path.
+// row is masks[n*stride : (n+1)*stride] (see internal/bitset), and bit
+// b stands for task SharedTasks()[b]. A shared task is one that sits at
+// two or more trie nodes; a task at a single node cannot lie on two
+// chains below their join point, so leaving it out loses nothing:
+// row(u) & row(w) &^ row(LCA(u,w)) == 0 still proves exactly that the
+// two chains share no task below their join point — the c = 1 case of
+// Theorem 2 — without walking either path. (A task on both chains
+// strictly below their join f sits at a node in each of two disjoint
+// subtrees of f, so it is shared.) The stride is
+// bitset.Words(len(SharedTasks())), at least 1: up to 64 shared tasks
+// fit one word, and with none shared every row is zero, so every pair
+// tests c = 1.
 //
 // A table that would exceed MaskBudgetWords is not built: the call
 // returns (nil, 0) and callers fall back to the decomposition walk.
 func (x *Index) PathMasks() ([]uint64, int) {
-	x.maskOnce.Do(func() {
-		stride := bitset.Words(x.numTasks)
-		if stride <= 1 {
-			masks := make([]uint64, len(x.nodes))
-			masks[0] = 1 << uint(x.nodes[0].task)
-			for n := 1; n < len(x.nodes); n++ {
-				masks[n] = masks[x.nodes[n].parent] | 1<<uint(x.nodes[n].task)
-			}
-			x.masks, x.maskStride = masks, 1
-			masksWord.Inc()
-			return
-		}
-		if len(x.nodes) > MaskBudgetWords/stride {
-			masksSkipped.Inc()
-			return
-		}
-		flat := make([]uint64, len(x.nodes)*stride)
-		bitset.Set(flat[:stride], int(x.nodes[0].task))
-		for n := 1; n < len(x.nodes); n++ {
-			row := flat[n*stride : (n+1)*stride]
-			copy(row, flat[int(x.nodes[n].parent)*stride:])
-			bitset.Set(row, int(x.nodes[n].task))
-		}
-		x.masks, x.maskStride = flat, stride
-		masksMulti.Inc()
-	})
+	x.maskOnce.Do(x.buildMasks)
 	return x.masks, x.maskStride
+}
+
+// SharedTasks returns the tasks that sit at two or more trie nodes, in
+// ID order: the mask bit → task table of PathMasks and SubtreeMasks, so
+// a task's bit is its position here. It is computed whether or not the
+// masks fit MaskBudgetWords. The slice aliases an internal table and
+// must not be mutated.
+func (x *Index) SharedTasks() []model.TaskID {
+	x.maskOnce.Do(x.buildMasks)
+	return x.shared
+}
+
+// buildMasks numbers the shared tasks in ID order, counting each
+// task's trie nodes (saturated at 2) in the slice that then holds its
+// bit, and builds the path-mask table over them when it fits the
+// budget.
+func (x *Index) buildMasks() {
+	bitOf := make([]int32, x.numTasks)
+	numShared := 0
+	for i := range x.nodes {
+		if t := x.nodes[i].task; bitOf[t] < 2 {
+			if bitOf[t]++; bitOf[t] == 2 {
+				numShared++
+			}
+		}
+	}
+	shared := make([]model.TaskID, 0, numShared)
+	for t, c := range bitOf {
+		bitOf[t] = -1
+		if c >= 2 {
+			bitOf[t] = int32(len(shared))
+			shared = append(shared, model.TaskID(t))
+		}
+	}
+	x.shared = shared
+	stride := max(bitset.Words(len(shared)), 1)
+	if len(x.nodes) > MaskBudgetWords/stride {
+		masksSkipped.Inc()
+		return
+	}
+	flat := make([]uint64, len(x.nodes)*stride)
+	for n := range x.nodes {
+		row := flat[n*stride : (n+1)*stride]
+		if p := x.nodes[n].parent; p >= 0 {
+			copy(row, flat[int(p)*stride:])
+		}
+		if b := bitOf[x.nodes[n].task]; b >= 0 {
+			bitset.Set(row, int(b))
+		}
+	}
+	x.masks, x.maskStride = flat, stride
+	if stride == 1 {
+		masksWord.Inc()
+	} else {
+		masksMulti.Inc()
+	}
 }
 
 // buildSubtree fills the leaf-span and children tables in two linear
@@ -447,14 +485,15 @@ func (x *Index) Children(n int32) []int32 {
 	return x.childList[x.childStart[n]:x.childStart[n+1]]
 }
 
-// SubtreeMasks returns a per-node bitset of every task appearing on any
+// SubtreeMasks returns a per-node bitset of every shared task on any
 // leaf→root path through the node — the union of PathMasks rows over
-// the node's leaf range — as a flat table with the same stride as
-// PathMasks. The subtree-level c = 1 proof of the pair analysis uses
-// it: union(p) & union(q) &^ row(f) == 0 certifies that no pair of
-// chains drawn from the two subtrees shares a task strictly below their
-// join node f. Returns (nil, 0) when PathMasks was skipped (table over
-// MaskBudgetWords); empty subtrees hold all-zero rows.
+// the node's leaf range — as a flat table with PathMasks' stride and
+// bits. The subtree-level c = 1 proof of the pair analysis uses it:
+// union(p) & union(q) &^ row(f) == 0 certifies that no pair of chains
+// drawn from the two subtrees shares a task strictly below their join
+// node f (such a task sits in both subtrees, so it is shared). Returns
+// (nil, 0) when PathMasks was skipped (table over MaskBudgetWords);
+// empty subtrees hold all-zero rows.
 func (x *Index) SubtreeMasks() ([]uint64, int) {
 	x.unionOnce.Do(func() {
 		masks, stride := x.PathMasks()

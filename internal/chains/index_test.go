@@ -3,8 +3,10 @@ package chains
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/model"
 	"repro/internal/randgraph"
 )
@@ -95,9 +97,62 @@ func TestIndexLCAMatchesStrip(t *testing.T) {
 	}
 }
 
-// TestIndexPathMasks checks the exact-mask fast test: the masks find a
-// common task strictly below the LCA exactly when the stripped pair has
-// common tasks beyond the joint one (c > 1 in Theorem 2's terms).
+// sharedByCount is the reference shared-task set of an index, found
+// independently of the mask builder by counting the trie nodes of
+// every task: the tasks at two or more nodes, in ID order.
+func sharedByCount(idx *Index, numTasks int) []model.TaskID {
+	count := make([]int, numTasks)
+	for n := int32(0); n < int32(idx.NumNodes()); n++ {
+		count[idx.NodeTask(n)]++
+	}
+	var shared []model.TaskID
+	for t, c := range count {
+		if c >= 2 {
+			shared = append(shared, model.TaskID(t))
+		}
+	}
+	return shared
+}
+
+// sharedRow is the reference mask row of a task list: bit b set for
+// every task that is shared[b].
+func sharedRow(tasks []model.TaskID, shared []model.TaskID) []uint64 {
+	row := make([]uint64, max(bitset.Words(len(shared)), 1))
+	for _, id := range tasks {
+		if b, ok := slices.BinarySearch(shared, id); ok {
+			bitset.Set(row, b)
+		}
+	}
+	return row
+}
+
+// checkPathMasks pins an index's mask contract against the reference
+// shared set: SharedTasks equals it, the stride is bitset.Words of its
+// size but at least 1, and every leaf row is exactly chain ∩ shared.
+func checkPathMasks(t testing.TB, idx *Index, numTasks int) {
+	t.Helper()
+	shared := sharedByCount(idx, numTasks)
+	if got := idx.SharedTasks(); !slices.Equal(got, shared) {
+		t.Fatalf("SharedTasks = %v, node count says %v", got, shared)
+	}
+	masks, stride := idx.PathMasks()
+	if want := max(bitset.Words(len(shared)), 1); masks == nil || stride != want || len(masks) != idx.NumNodes()*stride {
+		t.Fatalf("PathMasks over %d shared tasks: stride=%d (want %d) len=%d nodes=%d",
+			len(shared), stride, want, len(masks), idx.NumNodes())
+	}
+	for i := 0; i < idx.NumChains(); i++ {
+		row := bitset.Row(masks, stride, int(idx.Leaf(i)))
+		want := sharedRow(idx.Chain(i), shared)
+		if !slices.Equal(row, want) {
+			t.Fatalf("leaf %d mask %064b, chain ∩ shared %064b", i, row, want)
+		}
+	}
+}
+
+// TestIndexPathMasks checks the exact-mask fast test: the masks, over
+// the shared tasks only, find a common task strictly below the LCA
+// exactly when the stripped pair has common tasks beyond the joint one
+// (c > 1 in Theorem 2's terms), with a shared head's bit cleared.
 func TestIndexPathMasks(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 40; trial++ {
@@ -112,6 +167,7 @@ func TestIndexPathMasks(t *testing.T) {
 			t.Fatal(err)
 		}
 		idx := NewIndex(g, sink, 4096)
+		checkPathMasks(t, idx, g.NumTasks())
 		masks, stride := idx.PathMasks()
 		if stride != 1 {
 			t.Fatalf("trial %d: %d-task graph should have single-word masks, got stride %d", trial, g.NumTasks(), stride)
@@ -129,7 +185,8 @@ func TestIndexPathMasks(t *testing.T) {
 			f := idx.LCA(u, v)
 			common := masks[u] & masks[v] &^ masks[f]
 			if d.SameHead {
-				common &^= 1 << uint(sl.Head())
+				b, _ := slices.BinarySearch(idx.SharedTasks(), sl.Head())
+				common &^= 1 << uint(b)
 			}
 			if (common == 0) != (d.C() == 1) {
 				t.Fatalf("trial %d pair (%d,%d): mask says common=%b, Decompose says c=%d",
@@ -297,11 +354,13 @@ func TestIndexStream(t *testing.T) {
 	}
 }
 
-// TestIndexMultiWordMasks checks exact multi-word masks on a >64-task
-// graph: each leaf row must contain exactly its chain's tasks, and the
-// c = 1 test must agree with Decompose, mirroring TestIndexPathMasks.
+// TestIndexMultiWordMasks checks exact masks on >64-task graphs: each
+// leaf row must hold exactly its chain's shared tasks, against a
+// shared set counted independently, and some trial must need more than
+// one word.
 func TestIndexMultiWordMasks(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
+	multi := 0
 	for trial := 0; trial < 10; trial++ {
 		n := 70 + rng.Intn(80)
 		g, err := randgraph.GNM(n, 3*n/2, randgraph.DefaultConfig(), rng)
@@ -314,22 +373,16 @@ func TestIndexMultiWordMasks(t *testing.T) {
 			t.Skip("dense instance overflows the test cap")
 		}
 		idx := NewIndex(g, sink, 4096)
-		masks, stride := idx.PathMasks()
-		if want := (g.NumTasks() + 63) / 64; stride != want || len(masks) != idx.NumNodes()*want {
-			t.Fatalf("trial %d: stride %d (want %d), len %d (nodes %d)", trial, stride, want, len(masks), idx.NumNodes())
+		checkPathMasks(t, idx, g.NumTasks())
+		if _, stride := idx.PathMasks(); stride >= 2 {
+			multi++
 		}
-		for i := range cs {
-			row := masks[int(idx.Leaf(i))*stride : (int(idx.Leaf(i))+1)*stride]
-			want := make([]uint64, stride)
-			for _, id := range cs[i] {
-				want[int(id)>>6] |= 1 << (uint(id) & 63)
-			}
-			for k := range want {
-				if row[k] != want[k] {
-					t.Fatalf("trial %d leaf %d word %d: %064b want %064b", trial, i, k, row[k], want[k])
-				}
-			}
+		if len(cs) != idx.NumChains() {
+			t.Fatalf("trial %d: %d chains, Enumerate has %d", trial, idx.NumChains(), len(cs))
 		}
+	}
+	if multi == 0 {
+		t.Fatal("no trial has more than 64 shared tasks: the multi-word layout went untested")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/backward"
+	"repro/internal/chains"
 	"repro/internal/model"
 	"repro/internal/randgraph"
 	"repro/internal/sched"
@@ -285,6 +286,95 @@ func TestSDiffPruneBoundsNest(t *testing.T) {
 	}
 	if shared == 0 || aboveT1 == 0 {
 		t.Fatalf("vacuous corpus: %d c ≥ 2 pair visits, %d above Theorem 1", shared, aboveT1)
+	}
+}
+
+// TestSDiffPruneSplitSumsExact pins the mask layer under the S-diff
+// prune to the decomposition it stands for, on every pair: maskC1
+// reports c = 1 exactly when chains.Decompose finds one common task,
+// and splitSums returns E = Σ e(o_k) and S = Σ (T(o_k) − 1) over
+// exactly the split points o₁…o_{c−1} that the decomposition lists.
+// The masks hold only the index's shared tasks and are read by bit.
+// The corpus has single-word WATERS graphs (Lemma 5, Dürr, LET), whose
+// scattered stimulus sources give mask bits that differ from task IDs,
+// and layered graphs with more than 64 shared tasks.
+func TestSDiffPruneSplitSumsExact(t *testing.T) {
+	var c2, sameHead, multiWord int
+	check := func(name string, a *Analysis, sink model.TaskID) {
+		t.Helper()
+		ev := a.pairEvalFor(sink, 0)
+		if ev.maskStride == 0 {
+			t.Fatalf("%s: no path masks", name)
+		}
+		if ev.maskStride >= 2 {
+			multiWord++
+		}
+		idx := ev.idx
+		cs := idx.Chains()
+		for i := range cs {
+			for j := i + 1; j < len(cs); j++ {
+				sl, sn, err := chains.StripCommonSuffix(cs[i], cs[j])
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, err := chains.Decompose(sl, sn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var e, s timeu.Time
+				for _, o := range d.Common[:d.C()-1] {
+					e += ev.tb.SplitExcess(o)
+					s += a.g.Task(o).Period - 1
+				}
+				u, w := idx.Leaf(i), idx.Leaf(j)
+				f := idx.LCA(u, w)
+				if c1, ok := ev.maskC1(u, w, f, ev.skipBit(i, d.SameHead)); !ok || c1 != (d.C() == 1) {
+					t.Fatalf("%s: pair (%d, %d): maskC1 = %v (ok %v), Decompose has c = %d", name, i, j, c1, ok, d.C())
+				}
+				ge, gs, shared := ev.splitSums(i, j, u, w, f, 0, ev.maskStride)
+				if shared != (d.C() >= 2) || ge != e || gs != s {
+					t.Fatalf("%s: pair (%d, %d): splitSums E=%v S=%v shared=%v, decomposition E=%v S=%v over c = %d",
+						name, i, j, ge, gs, shared, e, s, d.C())
+				}
+				if d.C() >= 2 {
+					c2++
+				}
+				if d.SameHead {
+					sameHead++
+				}
+			}
+		}
+	}
+	for trial := 0; trial < 30; trial++ {
+		g, sink := multiChainWorkload(t, 700+int64(trial))
+		if trial%3 == 1 {
+			for i := 0; i < g.NumTasks(); i++ {
+				g.Task(model.TaskID(i)).Sem = model.LET
+			}
+		}
+		a, err := New(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("waters %d", trial), a, sink)
+		bw := backward.NewAnalyzer(g, sched.Analyze(g, sched.NonPreemptiveFP), backward.Duerr)
+		check(fmt.Sprintf("waters %d Dürr", trial), NewWithBackward(g, bw), sink)
+	}
+	rng := rand.New(rand.NewSource(29))
+	for layered := 0; layered < 3; layered++ {
+		g, err := randgraph.Layered([]int{20, 46, 2}, 2, randgraph.DefaultConfig(), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waters.PopulateBudget(g, rng, 20*timeu.Millisecond, 0.5)
+		a, err := New(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("layered %d", layered), a, g.Sinks()[0])
+	}
+	if c2 == 0 || sameHead == 0 || multiWord == 0 {
+		t.Fatalf("vacuous corpus: %d c ≥ 2 pairs, %d same-head pairs, %d multi-word indexes", c2, sameHead, multiWord)
 	}
 }
 

@@ -17,6 +17,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -72,22 +73,26 @@ type pairEval struct {
 	// materializes just the winning pair, so fleet-scale bound runs
 	// never pay O(chains × length).
 	store *chainStore
-	// masks is the flat exact path-mask table with maskStride words per
-	// trie node: one uint64 per node when the graph has at most 64
-	// tasks (the historical layout), bitset.Words(numTasks) words
-	// beyond. maskStride 0 means no masks (table over budget) and the
+	// masks is the index's path-mask table over its shared tasks
+	// (chains.Index.PathMasks), maskStride words per trie node: one
+	// uint64 per node up to 64 shared tasks (all zero when none is
+	// shared). maskStride 0 means no masks (table over budget) and the
 	// pair loop falls back to the decomposition walk.
 	masks      []uint64
 	maskStride int
 	// Per-leaf bounds of the full chain (root segment) for Theorem 1.
 	wFull, bFull []timeu.Time
-	// headTask[i] is chain i's source task.
+	// headTask[i] is chain i's source task, headBit[i] its mask bit (−1
+	// when the head starts no other chain).
 	headTask []model.TaskID
-	// period, sporadic and excess are indexed by TaskID; excess[t] is
-	// tb.SplitExcess(t), the e(t) of the S-diff prune (subtree.go).
+	headBit  []int32
+	// period and sporadic are indexed by TaskID.
 	period   []timeu.Time
 	sporadic []bool
-	excess   []timeu.Time
+	// bitExcess and bitSlack are indexed by mask bit: e(t), that is
+	// tb.SplitExcess(t), and T(t) − 1 of the shared task t, the terms
+	// of the S-diff prune's split sums (subtree.go).
+	bitExcess, bitSlack []timeu.Time
 	// lat is the lazily built reaction-prefix table of the latency
 	// metrics (latency.go); it reads the backward analyzer, so retarget
 	// never carries it across Analyses.
@@ -153,19 +158,30 @@ func newPairEval(a *Analysis, task model.TaskID, maxChains int) *pairEval {
 		ev.period[t] = tsk.Period
 		ev.sporadic[t] = tsk.Sporadic()
 	}
-	ev.excess = splitExcess(tb, nt)
+	shared := idx.SharedTasks()
+	ev.bitExcess = splitExcess(tb, shared)
+	ev.bitSlack = make([]timeu.Time, len(shared))
+	for b, t := range shared {
+		ev.bitSlack[b] = ev.period[t] - 1
+	}
 	ev.headTask = make([]model.TaskID, idx.NumChains())
+	ev.headBit = make([]int32, idx.NumChains())
 	for i := range ev.headTask {
 		ev.headTask[i] = idx.NodeTask(idx.Leaf(i))
+		ev.headBit[i] = -1
+		if b, ok := slices.BinarySearch(shared, ev.headTask[i]); ok {
+			ev.headBit[i] = int32(b)
+		}
 	}
 	return ev
 }
 
-// splitExcess tabulates tb.SplitExcess over the graph's tasks.
-func splitExcess(tb *backward.TrieBounds, numTasks int) []timeu.Time {
-	e := make([]timeu.Time, numTasks)
-	for t := range e {
-		e[t] = tb.SplitExcess(model.TaskID(t))
+// splitExcess tabulates tb.SplitExcess over the shared tasks, by mask
+// bit.
+func splitExcess(tb *backward.TrieBounds, shared []model.TaskID) []timeu.Time {
+	e := make([]timeu.Time, len(shared))
+	for b, t := range shared {
+		e[b] = tb.SplitExcess(t)
 	}
 	return e
 }
@@ -184,17 +200,18 @@ func fullBounds(idx *chains.Index, tb *backward.TrieBounds) (w, b []timeu.Time) 
 // per-leaf windows) for an Analysis of a clone that differs from ev's
 // graph only in buffer capacities — the greedy optimizer's rounds —
 // while sharing everything a capacity change cannot touch: the trie,
-// chain store, masks, LCA lifting, head tasks, and per-task periods.
-// The e(t) table follows the new analyzer, whose method may differ.
+// chain store, masks, LCA lifting, head tasks and bits, and per-task
+// periods. The per-bit e(t) table follows the new analyzer, whose
+// method may differ.
 func (ev *pairEval) retarget(a *Analysis) *pairEval {
 	tb := a.bw.TrieBounds(ev.idx)
 	wFull, bFull := fullBounds(ev.idx, tb)
 	return &pairEval{
 		a: a, idx: ev.idx, tb: tb, store: ev.store,
 		masks: ev.masks, maskStride: ev.maskStride,
-		wFull: wFull, bFull: bFull, headTask: ev.headTask,
+		wFull: wFull, bFull: bFull, headTask: ev.headTask, headBit: ev.headBit,
 		period: ev.period, sporadic: ev.sporadic,
-		excess: splitExcess(tb, len(ev.period)),
+		bitExcess: splitExcess(tb, ev.idx.SharedTasks()), bitSlack: ev.bitSlack,
 	}
 }
 
@@ -304,7 +321,7 @@ func (ev *pairEval) evalSDiff(i, j int, s *pairScratch, v *pairVals) error {
 	// below the join point means the decomposition degenerates and both
 	// pairTheorem2-with-c=1 and the sporadic Theorem-1 fallback reduce
 	// to the same window combination (see sdiffC1).
-	if c1, ok := ev.maskC1(u, w, f, ev.headTask[i], sameHead); ok && c1 {
+	if c1, ok := ev.maskC1(u, w, f, ev.skipBit(i, sameHead)); ok && c1 {
 		ev.sdiffC1(u, w, f, i, laLen, nuLen, sameHead, v)
 		return nil
 	}
@@ -416,7 +433,7 @@ func (ev *pairEval) pairUB(i, j int, u, w, f int32) timeu.Time {
 	wa, ba := ev.tb.Bounds(u, f)
 	wb, bb := ev.tb.Bounds(w, f)
 	var e, s timeu.Time
-	if c1, _ := ev.maskC1(u, w, f, ev.headTask[i], ev.headTask[i] == ev.headTask[j]); !c1 {
+	if c1, _ := ev.maskC1(u, w, f, ev.skipBit(i, ev.headTask[i] == ev.headTask[j])); !c1 {
 		e, s, _ = ev.splitSums(i, j, u, w, f, 0, ev.maskStride)
 	}
 	return sdiffUB(wb-ba, bb-wa, e, s)
@@ -436,15 +453,22 @@ func sdiffUB(a, b, e, s timeu.Time) timeu.Time {
 // Theorem 2's recursion. Only mask words [lo, hi) are read, so they
 // must hold every such task. shared reports whether there is one.
 func (ev *pairEval) splitSums(i, j int, u, w, f int32, lo, hi int) (e, s timeu.Time, shared bool) {
-	skip := -1
-	if ev.headTask[i] == ev.headTask[j] {
-		skip = int(ev.headTask[i])
-	}
+	skip := ev.skipBit(i, ev.headTask[i] == ev.headTask[j])
 	return ev.commonSums(ev.maskRow(u), ev.maskRow(w), ev.maskRow(f), lo, hi, skip)
 }
 
+// skipBit returns the mask bit the c = 1 test and the split sums clear
+// for a pair whose chains start at chain i's head: that head's bit
+// when both do (a shared head is not a common task), −1 otherwise.
+func (ev *pairEval) skipBit(i int, sameHead bool) int {
+	if !sameHead {
+		return -1
+	}
+	return int(ev.headBit[i])
+}
+
 // commonSums returns Σ e(t) and Σ (T(t) − 1) over the tasks t of
-// x & y &^ f in mask words [lo, hi) other than task skip (−1: none),
+// x & y &^ f in mask words [lo, hi) other than bit skip (−1: none),
 // and whether there is any.
 func (ev *pairEval) commonSums(x, y, f []uint64, lo, hi, skip int) (e, s timeu.Time, shared bool) {
 	for k := lo; k < hi; k++ {
@@ -461,12 +485,12 @@ func (ev *pairEval) commonSums(x, y, f []uint64, lo, hi, skip int) (e, s timeu.T
 }
 
 // wordSums sums e(t) and T(t) − 1 over the tasks in word k of a mask
-// row.
+// row, reading both by bit.
 func (ev *pairEval) wordSums(k int, word uint64) (e, s timeu.Time) {
 	for ; word != 0; word &= word - 1 {
-		t := k<<6 | bits.TrailingZeros64(word)
-		e += ev.excess[t]
-		s += ev.period[t] - 1
+		b := k<<6 | bits.TrailingZeros64(word)
+		e += ev.bitExcess[b]
+		s += ev.bitSlack[b]
 	}
 	return e, s
 }
@@ -478,32 +502,32 @@ func (ev *pairEval) maskRow(n int32) []uint64 {
 }
 
 // maskC1 applies the exact-mask c = 1 test to the stripped pair with
-// leaves u, w and join node f: masks[u] & masks[w] &^ masks[f], with a
-// shared head's bit cleared, is empty exactly when the pair shares no
-// task strictly below the join point. ok is false when the index built
-// no masks (table over MaskBudgetWords) — the test is then unavailable
-// and callers run the decomposition walk. Allocation-free on both the
-// single-word (≤ 64 tasks) and multi-word layouts.
-func (ev *pairEval) maskC1(u, w, f int32, head model.TaskID, sameHead bool) (c1, ok bool) {
+// leaves u, w and join node f: masks[u] & masks[w] &^ masks[f], with
+// bit skip (a shared head's, see skipBit) cleared, is empty exactly
+// when the pair shares no task strictly below the join point. The
+// masks hold only the index's shared tasks, and any task the pair
+// shares below the join point is one (see chains.Index.PathMasks);
+// with none shared every row is zero and every pair is c = 1. ok is
+// false when the index built no masks (table over MaskBudgetWords) —
+// the test is then unavailable and callers run the decomposition walk.
+// Allocation-free on the single-word (≤ 64 shared tasks) and
+// multi-word layouts.
+func (ev *pairEval) maskC1(u, w, f int32, skip int) (c1, ok bool) {
 	switch s := ev.maskStride; s {
 	case 0:
 		return false, false
 	case 1:
 		common := ev.masks[u] & ev.masks[w] &^ ev.masks[f]
-		if sameHead {
-			common &^= 1 << uint(head)
+		if skip >= 0 {
+			common &^= 1 << uint(skip)
 		}
 		return common == 0, true
 	default:
-		exclude := -1
-		if sameHead {
-			exclude = int(head)
-		}
 		return !bitset.AndNotAnyExcept(
 			ev.masks[int(u)*s:(int(u)+1)*s],
 			ev.masks[int(w)*s:(int(w)+1)*s],
 			ev.masks[int(f)*s:(int(f)+1)*s],
-			exclude), true
+			skip), true
 	}
 }
 

@@ -61,11 +61,13 @@ type PairStats struct {
 // adversarial graphs), or "mixed" when a run hit both.
 //
 // The mask fields report the path-bitset decision behind the c=1 fast
-// test per built index: MasksWord single-uint64 tables (≤ 64 tasks),
-// MasksMulti exact multi-word tables, MasksSkipped indexes whose
-// table would exceed the word budget — those evaluate every pair
-// through the full decomposition. MaskMode summarizes ("word",
-// "multi", "skipped", or "mixed").
+// test per built index. The masks hold one bit per shared task (a task
+// at two or more trie nodes): MasksWord counts one-word tables (≤ 64
+// shared tasks, among them in-tree fleets, which share none),
+// MasksMulti exact multi-word tables, MasksSkipped indexes whose table
+// would exceed the word budget — those evaluate every pair through the
+// full decomposition. MaskMode summarizes ("word", "multi", "skipped",
+// or "mixed").
 type ChainStats struct {
 	Indexed            int64  `json:"indexed"`
 	Enumerated         int64  `json:"enumerated"`

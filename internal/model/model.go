@@ -18,6 +18,7 @@ package model
 import (
 	"cmp"
 	"container/heap"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -448,6 +449,9 @@ func (g *Graph) SameECU(a, b TaskID) bool {
 	return ea != NoECU && ea == eb
 }
 
+// errCycle is the error of a graph that is not a DAG.
+var errCycle = errors.New("model: graph has a cycle")
+
 // TopoOrder returns a topological order of the tasks, or an error if the
 // graph has a cycle. Among the tasks ready at each step the smallest ID
 // comes first, so the order is deterministic.
@@ -477,7 +481,7 @@ func (g *Graph) TopoOrder() ([]TaskID, error) {
 		}
 	}
 	if len(order) != n {
-		return nil, fmt.Errorf("model: graph has a cycle")
+		return nil, errCycle
 	}
 	return order, nil
 }
@@ -494,6 +498,33 @@ func (h *idHeap) Pop() any {
 	v := old[len(old)-1]
 	*h = old[:len(old)-1]
 	return v
+}
+
+// acyclic reports whether the graph is a DAG: Kahn's algorithm over the
+// adjacency windows, in one linear pass that counts the tasks it
+// removes but keeps no order, so any ready task may go next.
+func (g *Graph) acyclic() bool {
+	g.ensureAdj()
+	n := len(g.tasks)
+	indeg := make([]int32, n)
+	ready := make([]TaskID, 0, n)
+	for i := range indeg {
+		if indeg[i] = int32(len(g.pred[i])); indeg[i] == 0 {
+			ready = append(ready, TaskID(i))
+		}
+	}
+	removed := 0
+	for len(ready) > 0 {
+		v := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		removed++
+		for _, s := range g.succ[v] {
+			if indeg[s]--; indeg[s] == 0 {
+				ready = append(ready, s)
+			}
+		}
+	}
+	return removed == n
 }
 
 // Validate checks structural invariants: acyclicity, positive periods,
@@ -556,8 +587,8 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("model: tasks %s and %s share priority %d on ECU %d",
 			g.tasks[first].Name, t.Name, t.Prio, t.ECU)
 	}
-	if _, err := g.TopoOrder(); err != nil {
-		return err
+	if !g.acyclic() {
+		return errCycle
 	}
 	return nil
 }

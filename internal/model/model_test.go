@@ -254,6 +254,58 @@ func TestValidateDetectsCycle(t *testing.T) {
 	}
 }
 
+// TestValidateAcyclicityMatchesTopoOrder pins Validate's linear
+// acyclicity pass to TopoOrder: on random DAGs, and on the same graphs
+// with one back edge injected (from a task reachable along a random
+// forward walk to the walk's start), both must agree on whether there
+// is a cycle and report it with the same text.
+func TestValidateAcyclicityMatchesTopoOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cycles := 0
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(40)
+		g := randomDAG(rng, n, rng.Intn(3*n))
+		for i := range g.Tasks() {
+			g.Task(TaskID(i)).Prio = i // unique, so only acyclicity can fail
+		}
+		agree := func(label string) error {
+			_, topoErr := g.TopoOrder()
+			err := g.Validate()
+			if (err == nil) != (topoErr == nil) || (err != nil && err.Error() != topoErr.Error()) {
+				t.Fatalf("trial %d %s: Validate = %v, TopoOrder = %v", trial, label, err, topoErr)
+			}
+			return err
+		}
+		if err := agree("DAG"); err != nil {
+			t.Fatalf("trial %d: random DAG rejected: %v", trial, err)
+		}
+		edges := g.Edges()
+		if len(edges) == 0 {
+			continue
+		}
+		start := edges[rng.Intn(len(edges))]
+		end := start.Dst
+		for steps := rng.Intn(5); steps > 0; steps-- {
+			succ := g.Successors(end)
+			if len(succ) == 0 {
+				break
+			}
+			end = succ[rng.Intn(len(succ))]
+		}
+		if err := g.AddEdge(end, start.Src); err != nil {
+			t.Fatalf("trial %d: back edge %d→%d: %v", trial, end, start.Src, err)
+		}
+		err := agree("back edge")
+		if err == nil || err.Error() != "model: graph has a cycle" {
+			t.Fatalf("trial %d: back edge %d→%d: Validate = %v, want the cycle error", trial, end, start.Src, err)
+		}
+		cycles++
+	}
+	if cycles < 100 {
+		t.Fatalf("only %d trials injected a cycle", cycles)
+	}
+}
+
 func TestValidateRules(t *testing.T) {
 	mk := func(mutate func(*Graph)) error {
 		g := Fig2Graph()
