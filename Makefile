@@ -72,10 +72,14 @@
 #                 and internal/timeu (the schema decoder == the reference
 #                 encoding/json decoder on 300 random graphs and on fleet
 #                 graphs of the benchmark's sizes, the R1–R3 rejection
-#                 table, the adjacency property test, the checked time
-#                 parser), then 30 s of FuzzReadJSON (the loader against
-#                 the reference decoder) and 15 s of FuzzParse (the time
-#                 parser against math/big)
+#                 table, error offsets within the input, the document-size
+#                 limit, the adjacency property test, the packed edge and
+#                 priority keys against their range checks and the
+#                 comparator, the checked time parser), then 30 s of
+#                 FuzzReadJSON (the loader against the reference decoder,
+#                 seeded for every fast path of the scan) and 15 s of
+#                 FuzzParse (the time parser against math/big, its trim
+#                 against strings.TrimSpace)
 #   verify-bench - the repository benchmark's own module (bench/, which
 #                 the root ./... does not reach): a smoke run of every
 #                 workload through the public facade, BENCHMARK.json

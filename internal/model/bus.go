@@ -85,14 +85,14 @@ func (g *Graph) SplitOverBus(bus ECUID, frameBest, frameWorst timeu.Time) ([]Bus
 }
 
 func (g *Graph) removeEdge(src, dst TaskID) {
-	i, ok := g.edgeIdx[[2]TaskID{src, dst}]
+	i, ok := g.edge(src, dst)
 	if !ok {
 		return
 	}
 	g.edges = append(g.edges[:i], g.edges[i+1:]...)
-	delete(g.edgeIdx, [2]TaskID{src, dst})
+	delete(g.edgeIdx, edgeKey(src, dst))
 	for j := i; j < len(g.edges); j++ {
-		g.edgeIdx[[2]TaskID{g.edges[j].Src, g.edges[j].Dst}] = j
+		g.edgeIdx[edgeKey(g.edges[j].Src, g.edges[j].Dst)] = j
 	}
 	g.adjValid = false
 }

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"testing/iotest"
+
+	"repro/internal/timeu"
 )
 
 // readJSONSeeds are the loader's compatibility corners, each a document
@@ -66,6 +69,69 @@ var readJSONSeeds = []string{
 	// R3: names that collide once an empty one is defaulted.
 	`{"tasks":[{"name":"task1","period":"5ms"},{"period":"5ms"}],"edges":[]}`,
 	`{"ecus":[{"name":"ecu1"},{}]}`,
+	// The exact-literal key path. A small fleet as WriteJSON writes it,
+	// indented, prio before ecu and sem: every key matches a literal.
+	smallFleetJSON(),
+	// Keys that only fold-match the key due, and keys that extend or
+	// truncate one or lack its closing quote: each misses every literal.
+	`{"ecus":[{"name":"e"}],"tasks":[{"name":"a","WCET":"1ms","period":"5ms","ecu":"e"}]}`,
+	`{"tasks":[{"n\u0061me":"a","period":"5ms"}]}`,
+	`{"tasks":[{"nam":"a","period":"5ms"}]}`,
+	`{"tasks":[{"names":"a","period":"5ms"}]}`,
+	`{"tasks":[{"name:"a","period":"5ms"}]}`,
+	`{"ecus":[{"name":"e"}],"tasks":[{"name":"a","period":"5ms"},{"name":"b","period":"5ms","wcet":"1ms","ecu":"e"}],"edges":[{"src":"a","dst":"b","cap":2,"srcs":"a"}]}`,
+	// An exact key met again after the key order wraps around (R2).
+	`{"ecus":[{"name":"e"}],"tasks":[{"name":"a","period":"5ms"},{"name":"b","period":"5ms","wcet":"1ms","ecu":"e"}],"edges":[{"src":"a","dst":"b","cap":2,"src":"a"}]}`,
+	`{"tasks":[{"name":"a","wcet":"0ms","bcet":"0ms","period":"5ms","max_period":"6ms","deadline":"5ms","offset":"1ms","prio":0,"ecu":"","sem":"let","name":"b"}]}`,
+	// Keys out of WriteJSON's order at every level.
+	`{"edges":[{"dst":"b","cap":2,"src":"a"}],"tasks":[{"period":"5ms","name":"a"},{"sem":"let","ecu":"e","prio":1,"wcet":"1ms","period":"5ms","name":"b"}],"ecus":[{"kind":"bus","name":"e"}]}`,
+	// White space: tabs and CRs, runs of 7, 8, 9 and 17 spaces around
+	// every token, and runs that end the input, after a complete document
+	// and after a string unquoted into spaces past the document's end.
+	"{\t\"tasks\"\r\n:\t[ {\"name\"\r:\"a\" ,\t\"period\":\"5ms\"\r}\n]\r}\r\n",
+	spaced(7), spaced(8), spaced(9), spaced(17),
+	`{"tasks":[{"name":"a","period":"5ms"}]}` + strings.Repeat(" ", 17),
+	spaceTail(8), spaceTail(9), spaceTail(17),
+}
+
+// smallFleetJSON is the WriteJSON text of a small fleet: two zone ECUs
+// joined over a bus, with every optional task field in use.
+func smallFleetJSON() string {
+	g := NewGraph()
+	z0, z1, bus := g.AddECU("zone0", Compute), g.AddECU("zone1", Compute), g.AddECU("can0", Bus)
+	cam := g.AddTask(Task{Name: "cam", Period: 10 * ms, ECU: NoECU})
+	pre := g.AddTask(Task{Name: "pre", WCET: ms, BCET: ms / 2, Period: 10 * ms, Deadline: 8 * ms, Prio: 0, ECU: z0})
+	fuse := g.AddTask(Task{Name: "fuse", WCET: 2 * ms, BCET: ms, Period: 20 * ms, MaxPeriod: 25 * ms, Offset: ms, Prio: 1, ECU: z0, Sem: LET})
+	act := g.AddTask(Task{Name: "act", WCET: ms, BCET: ms, Period: 20 * ms, Prio: 0, ECU: z1})
+	mustEdge(g, cam, pre)
+	if err := g.AddBufferedEdge(pre, fuse, 2); err != nil {
+		panic(err)
+	}
+	mustEdge(g, fuse, act)
+	if _, err := g.SplitOverBus(bus, 100*timeu.Microsecond, 250*timeu.Microsecond); err != nil {
+		panic(err)
+	}
+	if err := g.Validate(); err != nil {
+		panic(err)
+	}
+	var b strings.Builder
+	if err := g.WriteJSON(&b); err != nil {
+		panic(err)
+	}
+	return b.String()
+}
+
+// spaced is a one-task document with a run of n spaces around every token.
+func spaced(n int) string {
+	sp := strings.Repeat(" ", n)
+	return sp + strings.Join([]string{"{", `"tasks"`, ":", "[", "{", `"name"`, ":", `"a"`, ",", `"period"`, ":", `"5ms"`, "}", "]", "}"}, sp) + sp
+}
+
+// spaceTail is a document cut after a run of n spaces that follows a
+// name the decoder unquotes into 16 spaces, which it keeps in its buffer
+// right after the document's last byte.
+func spaceTail(n int) string {
+	return `{"tasks":[{"name":"` + strings.Repeat(`\u0020`, 16) + `"` + strings.Repeat(" ", n)
 }
 
 // listedRejection reports which of ReadJSON's listed rejections a
@@ -249,6 +315,66 @@ func TestReadJSONListedRejections(t *testing.T) {
 		_, err = ReadJSON(strings.NewReader(c.doc))
 		if err == nil || !strings.Contains(err.Error(), c.err) {
 			t.Errorf("%s %q: ReadJSON error %v, want one containing %q", c.rule, c.doc, err, c.err)
+		}
+	}
+}
+
+// TestReadJSONErrorOffsets holds each syntax error's offset within the
+// input: on every seed, and exactly at the end of a document cut after a
+// run of spaces, where the decoder's buffer goes on with the spaces a
+// name before the cut unquoted to.
+func TestReadJSONErrorOffsets(t *testing.T) {
+	for _, n := range []int{1, 7, 8, 9, 17} {
+		doc := spaceTail(n)
+		want := fmt.Sprintf("offset %d: unexpected end of input, want ',' or '}'", len(doc))
+		if _, err := ReadJSON(strings.NewReader(doc)); err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("%d trailing spaces: ReadJSON error %v, want one ending %q", n, err, want)
+		}
+	}
+	for _, doc := range readJSONSeeds {
+		_, err := ReadJSON(strings.NewReader(doc))
+		if err == nil {
+			continue
+		}
+		_, at, found := strings.Cut(err.Error(), "offset ")
+		var off int
+		if _, scanErr := fmt.Sscanf(at, "%d:", &off); found && scanErr == nil && off > len(doc) {
+			t.Errorf("%q: error %v lies past the input's %d bytes", doc, err, len(doc))
+		}
+	}
+}
+
+// lenReader reports a length and fails any read.
+type lenReader int
+
+func (r lenReader) Len() int               { return int(r) }
+func (lenReader) Read([]byte) (int, error) { return 0, errors.New("read past the length check") }
+
+// TestReadJSONSizeLimit pins the document-size limit that keeps spans in
+// 32 bits: a reader reporting a longer document is refused before any
+// read, and readAll refuses more than its limit whether the reader
+// reports its length or not.
+func TestReadJSONSizeLimit(t *testing.T) {
+	want := fmt.Sprintf("model: decoding graph: document longer than %d bytes", maxDocument)
+	if _, err := ReadJSON(lenReader(maxDocument + 1)); err == nil || err.Error() != want {
+		t.Errorf("ReadJSON of a reader reporting %d bytes: %v, want %q", maxDocument+1, err, want)
+	}
+	for _, c := range []struct {
+		doc   string
+		limit int
+		ok    bool
+	}{{"{}", 2, true}, {"{} ", 2, false}, {"", 0, true}, {" ", 0, false}} {
+		for name, r := range map[string]io.Reader{
+			"with Len":    strings.NewReader(c.doc),
+			"without Len": iotest.OneByteReader(strings.NewReader(c.doc)),
+		} {
+			data, err := readAll(r, c.limit)
+			switch {
+			case c.ok && (err != nil || string(data) != c.doc):
+				t.Errorf("readAll(%q, %d) %s = %q, %v, want the document", c.doc, c.limit, name, data, err)
+			case !c.ok && (err == nil || err.Error() != fmt.Sprintf("document longer than %d bytes", c.limit)):
+				t.Errorf("readAll(%q, %d) %s: error %v, want the size limit's", c.doc, c.limit, name, err)
+			}
 		}
 	}
 }

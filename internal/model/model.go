@@ -20,6 +20,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/timeu"
@@ -155,16 +156,25 @@ type Graph struct {
 	ecus  []ECU
 	edges []Edge
 
+	// edgeIdx maps edgeKey(src, dst) to the edge's index in edges.
+	edgeIdx map[uint64]int
+
 	// adjacency, rebuilt lazily by ensureAdj.
 	succ, pred [][]TaskID
-	edgeIdx    map[[2]TaskID]int
 	adjValid   bool
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{edgeIdx: make(map[[2]TaskID]int)}
+	return &Graph{edgeIdx: make(map[uint64]int)}
 }
+
+// edgeKey packs an edge's endpoints into one map key, src in the high
+// 32 bits and dst in the low. Two valid pairs never share a key, since a
+// graph holds fewer than 2^32 tasks; callers look up only pairs that
+// valid accepts, so an out-of-range ID such as src + 1<<32 cannot alias
+// a real edge.
+func edgeKey(src, dst TaskID) uint64 { return uint64(src)<<32 | uint64(uint32(dst)) }
 
 // AddECU registers a processing unit and returns its ID. An empty name
 // gets the default "ecuN".
@@ -203,10 +213,11 @@ func (g *Graph) AddBufferedEdge(src, dst TaskID, capacity int) error {
 	if capacity < 1 {
 		return fmt.Errorf("model: edge (%d,%d) capacity %d < 1", src, dst, capacity)
 	}
-	if _, dup := g.edgeIdx[[2]TaskID{src, dst}]; dup {
+	key := edgeKey(src, dst)
+	if _, dup := g.edgeIdx[key]; dup {
 		return fmt.Errorf("model: duplicate edge (%s,%s)", g.tasks[src].Name, g.tasks[dst].Name)
 	}
-	g.edgeIdx[[2]TaskID{src, dst}] = len(g.edges)
+	g.edgeIdx[key] = len(g.edges)
 	g.edges = append(g.edges, Edge{Src: src, Dst: dst, Cap: capacity})
 	g.adjValid = false
 	return nil
@@ -215,7 +226,7 @@ func (g *Graph) AddBufferedEdge(src, dst TaskID, capacity int) error {
 // SetBuffer resizes the channel from src to dst; it is how Algorithm 1's
 // decision is applied to a graph.
 func (g *Graph) SetBuffer(src, dst TaskID, capacity int) error {
-	i, ok := g.edgeIdx[[2]TaskID{src, dst}]
+	i, ok := g.edge(src, dst)
 	if !ok {
 		return fmt.Errorf("model: no edge (%d,%d)", src, dst)
 	}
@@ -227,12 +238,23 @@ func (g *Graph) SetBuffer(src, dst TaskID, capacity int) error {
 }
 
 // Buffer reports the capacity of the channel from src to dst (0 if the
-// edge does not exist).
+// edge does not exist, or either ID is out of range). It is one lookup
+// in a map keyed by the endpoints packed into a uint64.
 func (g *Graph) Buffer(src, dst TaskID) int {
-	if i, ok := g.edgeIdx[[2]TaskID{src, dst}]; ok {
+	if i, ok := g.edge(src, dst); ok {
 		return g.edges[i].Cap
 	}
 	return 0
+}
+
+// edge returns the index in edges of the channel from src to dst, if
+// both IDs are in range and the channel exists.
+func (g *Graph) edge(src, dst TaskID) (int, bool) {
+	if !g.valid(src) || !g.valid(dst) {
+		return 0, false
+	}
+	i, ok := g.edgeIdx[edgeKey(src, dst)]
+	return i, ok
 }
 
 func (g *Graph) valid(id TaskID) bool { return id >= 0 && int(id) < len(g.tasks) }
@@ -297,7 +319,7 @@ func (g *Graph) Edges() []Edge { return g.edges }
 
 // HasEdge reports whether a channel from src to dst exists.
 func (g *Graph) HasEdge(src, dst TaskID) bool {
-	_, ok := g.edgeIdx[[2]TaskID{src, dst}]
+	_, ok := g.edge(src, dst)
 	return ok
 }
 
@@ -425,15 +447,38 @@ func (g *Graph) TasksByECU() [][]TaskID {
 }
 
 // SortByPriority sorts task IDs by (Prio, ID): highest priority first,
-// equal priorities in ID order.
+// equal priorities in ID order. When every priority fits an int32 and
+// every ID a uint32, it sorts one packed int64 per task, Prio<<32 + ID,
+// whose order is the (Prio, ID) order, with slices.Sort and no
+// comparator; the keys of up to 128 tasks live on the stack. Otherwise
+// it sorts with a comparator that reads both fields.
 func (g *Graph) SortByPriority(ids []TaskID) {
-	slices.SortFunc(ids, func(a, b TaskID) int {
-		if c := cmp.Compare(g.tasks[a].Prio, g.tasks[b].Prio); c != 0 {
-			return c
+	var stack [sortStack]int64
+	keys := stack[:0]
+	if len(ids) > len(stack) {
+		keys = make([]int64, 0, len(ids))
+	}
+	for _, id := range ids {
+		p := g.tasks[id].Prio
+		if p != int(int32(p)) || id != TaskID(uint32(id)) {
+			slices.SortFunc(ids, func(a, b TaskID) int {
+				if c := cmp.Compare(g.tasks[a].Prio, g.tasks[b].Prio); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+			return
 		}
-		return cmp.Compare(a, b)
-	})
+		keys = append(keys, int64(p)<<32|int64(id))
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		ids[i] = TaskID(uint32(k))
+	}
 }
+
+// sortStack is how many tasks SortByPriority sorts without allocating.
+const sortStack = 128
 
 // HigherPriority reports whether task a has higher priority than task b
 // and both live on the same ECU — the hp(·) relation of the paper.
@@ -596,14 +641,12 @@ func (g *Graph) Validate() error {
 // Clone returns a deep copy of the graph. Mutating the clone (e.g. its
 // buffer sizes, as Algorithm 1 does) leaves the original untouched.
 func (g *Graph) Clone() *Graph {
-	c := NewGraph()
-	c.tasks = append([]Task(nil), g.tasks...)
-	c.ecus = append([]ECU(nil), g.ecus...)
-	c.edges = append([]Edge(nil), g.edges...)
-	for k, v := range g.edgeIdx {
-		c.edgeIdx[k] = v
+	return &Graph{
+		tasks:   append([]Task(nil), g.tasks...),
+		ecus:    append([]ECU(nil), g.ecus...),
+		edges:   append([]Edge(nil), g.edges...),
+		edgeIdx: maps.Clone(g.edgeIdx),
 	}
-	return c
 }
 
 // Hyperperiod returns the LCM of all task periods.

@@ -1,7 +1,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -214,27 +216,41 @@ func refDupPriority(g *Graph) error {
 	return nil
 }
 
+// TestValidateDuplicatePriorityMatchesScan runs the priorities as drawn,
+// shifted negative, and moved to either end of int's range, so that
+// Validate must name the same pair whether SortByPriority packs its keys
+// or falls back to the comparator.
 func TestValidateDuplicatePriorityMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	dups := 0
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(25)
-		g := randomDAG(rng, n, rng.Intn(2*n))
-		want := refDupPriority(g)
-		got := g.Validate()
-		if want == nil {
-			if got != nil {
-				t.Fatalf("trial %d: Validate = %v, want nil", trial, got)
+	for s, shift := range []func(p, n int) int{
+		func(p, n int) int { return p },
+		func(p, n int) int { return p - n },
+		func(p, n int) int { return math.MinInt + p },
+		func(p, n int) int { return math.MaxInt - p },
+	} {
+		dups := 0
+		for trial := 0; trial < 300; trial++ {
+			n := 1 + rng.Intn(25)
+			g := randomDAG(rng, n, rng.Intn(2*n))
+			for i := range g.Tasks() {
+				g.Task(TaskID(i)).Prio = shift(g.Task(TaskID(i)).Prio, n)
 			}
-			continue
+			want := refDupPriority(g)
+			got := g.Validate()
+			if want == nil {
+				if got != nil {
+					t.Fatalf("shift %d, trial %d: Validate = %v, want nil", s, trial, got)
+				}
+				continue
+			}
+			dups++
+			if got == nil || got.Error() != want.Error() {
+				t.Fatalf("shift %d, trial %d: Validate = %v, want %v", s, trial, got, want)
+			}
 		}
-		dups++
-		if got == nil || got.Error() != want.Error() {
-			t.Fatalf("trial %d: Validate = %v, want %v", trial, got, want)
+		if dups == 0 {
+			t.Errorf("shift %d: no trial had a shared priority", s)
 		}
-	}
-	if dups == 0 {
-		t.Error("no trial had a shared priority")
 	}
 }
 
@@ -413,6 +429,108 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if err := c.Validate(); err != nil {
 		t.Errorf("clone does not validate: %v", err)
+	}
+}
+
+// TestEdgeLookupsRejectOutOfRangeIDs pins that the packed edge index
+// answers only for IDs in range. Negative IDs, IDs ≥ NumTasks, and an
+// endpoint plus 1<<32, whose packed key equals the real edge's, find no
+// edge, and the real edge keeps its capacity.
+func TestEdgeLookupsRejectOutOfRangeIDs(t *testing.T) {
+	g := Fig2Graph()
+	t1, _ := g.TaskByName("t1")
+	t3, _ := g.TaskByName("t3")
+	src, dst, n := t1.ID, t3.ID, TaskID(g.NumTasks())
+	high := func(id TaskID) TaskID { return TaskID(int64(id) + 1<<32) }
+	for _, p := range [][2]TaskID{
+		{-1, dst}, {src, -1}, {n, dst}, {src, n}, {n + 1, dst},
+		{high(src), dst}, {src, high(dst)}, {high(src), high(dst)},
+	} {
+		if g.HasEdge(p[0], p[1]) {
+			t.Errorf("HasEdge(%d, %d) = true", p[0], p[1])
+		}
+		if got := g.Buffer(p[0], p[1]); got != 0 {
+			t.Errorf("Buffer(%d, %d) = %d, want 0", p[0], p[1], got)
+		}
+		if err := g.SetBuffer(p[0], p[1], 5); err == nil {
+			t.Errorf("SetBuffer(%d, %d) accepted", p[0], p[1])
+		}
+		g.removeEdge(p[0], p[1])
+	}
+	if !g.HasEdge(src, dst) || g.Buffer(src, dst) != 1 || g.NumEdges() != 6 {
+		t.Errorf("the edge (%d, %d) changed: HasEdge %v, Buffer %d, %d edges",
+			src, dst, g.HasEdge(src, dst), g.Buffer(src, dst), g.NumEdges())
+	}
+}
+
+// TestCloneEdgeIndexIsIndependent sets a distinct buffer on every edge
+// of a clone of random DAGs: the clone's copied index must lead each
+// pair to its own edge, and the original keeps its capacities.
+func TestCloneEdgeIndexIsIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 50; trial++ {
+		n := 2 + rng.Intn(30)
+		g := randomDAG(rng, n, 2*n)
+		c := g.Clone()
+		for i, e := range g.Edges() {
+			if err := c.SetBuffer(e.Src, e.Dst, 2+i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, e := range g.Edges() {
+			if got := g.Buffer(e.Src, e.Dst); got != 1 {
+				t.Fatalf("trial %d: original Buffer(%d, %d) = %d after SetBuffer on the clone, want 1", trial, e.Src, e.Dst, got)
+			}
+			if got := c.Buffer(e.Src, e.Dst); got != 2+i {
+				t.Fatalf("trial %d: clone Buffer(%d, %d) = %d, want %d", trial, e.Src, e.Dst, got, 2+i)
+			}
+		}
+	}
+}
+
+// byPrioCmp is the (Prio, ID) comparator SortByPriority's packed keys
+// stand in for.
+func byPrioCmp(g *Graph) func(a, b TaskID) int {
+	return func(a, b TaskID) int {
+		if c := cmp.Compare(g.Task(a).Prio, g.Task(b).Prio); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+}
+
+// TestSortByPriorityMatchesComparator holds SortByPriority to a sort by
+// the (Prio, ID) comparator on random ID subsets in random order: with
+// shared and negative priorities, priorities at int32's limits (still
+// packed) and beyond them (the comparator fallback), on lists shorter
+// and longer than the stack buffer of sortStack keys.
+func TestSortByPriorityMatchesComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	extremes := []int{math.MinInt32, math.MaxInt32, math.MinInt, math.MaxInt}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(3*sortStack)
+		if trial < 4 {
+			n = sortStack + trial - 1
+		}
+		g := NewGraph()
+		for i := 0; i < n; i++ {
+			p := rng.Intn(n) - n/2
+			if k := trial % 3; k > 0 && rng.Intn(16) == 0 {
+				// Trials ≡ 1 (mod 3) stay within int32; ≡ 2 may leave it.
+				p = extremes[rng.Intn(2*k)]
+			}
+			g.AddTask(Task{Prio: p})
+		}
+		ids := make([]TaskID, 0, n)
+		for _, id := range rng.Perm(n)[:1+rng.Intn(n)] {
+			ids = append(ids, TaskID(id))
+		}
+		want := slices.Clone(ids)
+		slices.SortFunc(want, byPrioCmp(g))
+		g.SortByPriority(ids)
+		if !slices.Equal(ids, want) {
+			t.Fatalf("trial %d (%d of %d tasks): SortByPriority = %v, comparator %v", trial, len(ids), n, ids, want)
+		}
 	}
 }
 

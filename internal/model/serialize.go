@@ -2,10 +2,12 @@ package model
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"unicode/utf8"
@@ -106,8 +108,19 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 //   - R2: a key repeated within one object, case folds included;
 //   - R3: two ECUs or two tasks whose names coincide once an empty name
 //     has been defaulted to "ecuN" or "taskN".
+//
+// It also refuses a document longer than 1 GiB, so that every offset
+// into it fits 32 bits.
+//
+// The scan costs about what the document's bytes cost. Each key is
+// first compared, as an exact quoted literal, with its object's keys in
+// the order WriteJSON writes them, starting after the previous key; only
+// a key that equals none of them is unquoted and fold-matched. Runs of
+// spaces, most of WriteJSON's indentation, are skipped eight bytes at a
+// time, and a string of plain ASCII costs one table lookup per byte. All
+// task names share one string.
 func ReadJSON(r io.Reader) (*Graph, error) {
-	data, err := readAll(r)
+	data, err := readAll(r, maxDocument)
 	if err != nil {
 		return nil, fmt.Errorf("model: decoding graph: %w", err)
 	}
@@ -118,15 +131,30 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 	return d.build()
 }
 
+// maxDocument is the longest document ReadJSON reads. Unquoting expands
+// a string at most threefold (an invalid byte becomes U+FFFD), so the
+// decoder's buffer, the document followed by its unquoted strings, stays
+// below 4 GiB and a span's offsets fit a uint32.
+const maxDocument = 1 << 30
+
 // readAll reads r to the end, in one allocation when r reports its
-// length as bytes.Reader, strings.Reader and bytes.Buffer do.
-func readAll(r io.Reader) ([]byte, error) {
+// length as bytes.Reader, strings.Reader and bytes.Buffer do. A reader
+// that reports or delivers more than limit bytes is an error.
+func readAll(r io.Reader, limit int) ([]byte, error) {
 	var buf bytes.Buffer
 	if l, ok := r.(interface{ Len() int }); ok {
+		if l.Len() > limit {
+			return nil, fmt.Errorf("document longer than %d bytes", limit)
+		}
 		buf.Grow(l.Len() + bytes.MinRead)
 	}
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
+	if _, err := buf.ReadFrom(io.LimitReader(r, int64(limit)+1)); err != nil {
+		return nil, err
+	}
+	if buf.Len() > limit {
+		return nil, fmt.Errorf("document longer than %d bytes", limit)
+	}
+	return buf.Bytes(), nil
 }
 
 // The document's lists, in key order.
@@ -136,39 +164,53 @@ const (
 	edgeList
 )
 
-// Key positions within a record. A task's six time fields are
-// contiguous, from taskWCET to taskOffset.
+// Key positions within a record, in the order WriteJSON writes the
+// keys. A task's six time fields are contiguous, from taskWCET to
+// taskOffset.
 const (
 	ecuName, ecuKind = 0, 1
 
-	taskName, taskWCET, taskOffset, taskECU, taskSem, taskPrio = 0, 1, 6, 7, 8, 9
+	taskName, taskWCET, taskOffset, taskPrio, taskECU, taskSem = 0, 1, 6, 7, 8, 9
 
 	edgeSrc, edgeDst, edgeCap = 0, 1, 2
 )
 
-// schema lists the keys of one kind of object. The value of key num is
-// a JSON integer; every other value is a string.
+// schema lists the keys of one kind of object, in the order WriteJSON
+// writes them, and each as the quoted literal a plain key is written
+// as. The value of key num is a JSON integer; every other value is a
+// string.
 type schema struct {
-	keys []string
-	num  int
+	keys, quoted []string
+	num          int
+}
+
+// newSchema is the schema of keys, whose value at position num is an
+// integer, with each key's quoted literal.
+func newSchema(num int, keys ...string) schema {
+	sc := schema{keys: keys, num: num}
+	for _, k := range keys {
+		sc.quoted = append(sc.quoted, `"`+k+`"`)
+	}
+	return sc
 }
 
 var (
-	docKeys = []string{"ecus", "tasks", "edges"}
-	schemas = [...]schema{
-		ecuList:  {[]string{"name", "kind"}, -1},
-		taskList: {[]string{"name", "wcet", "bcet", "period", "max_period", "deadline", "offset", "ecu", "sem", "prio"}, taskPrio},
-		edgeList: {[]string{"src", "dst", "cap"}, edgeCap},
+	docSchema = newSchema(-1, "ecus", "tasks", "edges")
+	schemas   = [...]schema{
+		ecuList:  newSchema(-1, "name", "kind"),
+		taskList: newSchema(taskPrio, "name", "wcet", "bcet", "period", "max_period", "deadline", "offset", "prio", "ecu", "sem"),
+		edgeList: newSchema(edgeCap, "src", "dst", "cap"),
 	}
 )
 
 // span locates a string value in decoder.buf; the zero span is "".
-type span struct{ off, end int }
+// maxDocument keeps its offsets within 32 bits.
+type span struct{ off, end uint32 }
 
 // record is one scanned ECU, task or edge object: each string value as
 // a span, by key position, and the integer value.
 type record struct {
-	text [taskPrio]span
+	text [taskSem + 1]span
 	num  int
 }
 
@@ -197,15 +239,40 @@ func (d *decoder) unexpected(want string) error {
 	return d.errorf("invalid character %q, want %s", d.buf[d.pos], want)
 }
 
-// peek skips JSON white space and returns the next byte, or 0 at the end.
+// spaces is eight ' ' bytes read as one little-endian word.
+const spaces = 0x2020202020202020
+
+// peek skips JSON white space and returns the next byte, or 0 at the
+// end. A byte above ' ' returns at once. A run of spaces is skipped a
+// word at a time, the last word's leading spaces counted from its
+// trailing zero bits, and no word reaches past d.n.
 func (d *decoder) peek() byte {
-	for ; d.pos < d.n; d.pos++ {
-		switch c := d.buf[d.pos]; c {
-		case ' ', '\t', '\n', '\r':
+	b, i := d.buf[:d.n], d.pos
+	for i < len(b) {
+		c := b[i]
+		if c > ' ' {
+			d.pos = i
+			return c
+		}
+		switch c {
+		case ' ':
+			i++
+			for i+8 <= len(b) {
+				w := binary.LittleEndian.Uint64(b[i:]) ^ spaces
+				if w != 0 {
+					i += bits.TrailingZeros64(w) / 8
+					break
+				}
+				i += 8
+			}
+		case '\t', '\n', '\r':
+			i++
 		default:
+			d.pos = i
 			return c
 		}
 	}
+	d.pos = i
 	return 0
 }
 
@@ -228,13 +295,7 @@ func (d *decoder) document() error {
 	// 16 input bytes, which any WriteJSON record exceeds; a denser
 	// document grows the slice instead.
 	d.recs = make([]record, 0, min(bytes.Count(d.buf[:d.n], []byte{'{'}), d.n/16))
-	err := d.object(docKeys, func(list int) error {
-		lo := len(d.recs)
-		err := d.array(func() error { return d.record(list) })
-		d.lists[list] = [2]int{lo, len(d.recs)}
-		return err
-	})
-	if err != nil {
+	if err := d.topLevel(); err != nil {
 		return err
 	}
 	d.peek()
@@ -244,71 +305,157 @@ func (d *decoder) document() error {
 	return nil
 }
 
-// record scans one object of the list's schema, or null, into a new
-// record.
-func (d *decoder) record(list int) error {
-	sc := &schemas[list]
+// topLevel scans the top-level object, or null: each value is an array
+// of the records of its key's list.
+func (d *decoder) topLevel() error {
+	if done, err := d.open('{', '}', "an object"); done || err != nil {
+		return err
+	}
+	var seen uint32
+	for list := 0; ; list++ {
+		var err error
+		if list, err = d.key(&docSchema, list, &seen); err != nil {
+			return err
+		}
+		lo := len(d.recs)
+		err = d.array(list)
+		d.lists[list] = [2]int{lo, len(d.recs)}
+		if err != nil {
+			return err
+		}
+		if more, err := d.next('}'); !more || err != nil {
+			return err
+		}
+	}
+}
+
+// array scans an array, or null, of objects of the list's schema.
+func (d *decoder) array(list int) error {
+	if done, err := d.open('[', ']', "an array"); done || err != nil {
+		return err
+	}
+	for {
+		if err := d.record(&schemas[list]); err != nil {
+			return err
+		}
+		if more, err := d.next(']'); !more || err != nil {
+			return err
+		}
+	}
+}
+
+// record scans one object of the schema, or null, into a new record.
+// Its values are scanned here, in the loop over its keys.
+func (d *decoder) record(sc *schema) error {
 	d.recs = append(d.recs, record{})
 	rec := &d.recs[len(d.recs)-1]
-	return d.object(sc.keys, func(k int) (err error) {
+	if done, err := d.open('{', '}', "an object"); done || err != nil {
+		return err
+	}
+	var seen uint32
+	for k := 0; ; k++ {
+		var err error
+		if k, err = d.key(sc, k, &seen); err != nil {
+			return err
+		}
 		if k == sc.num {
 			rec.num, err = d.integer()
 		} else {
 			rec.text[k], err = d.stringValue()
 		}
-		return err
-	})
-}
-
-// object scans an object, or null. Each key must fold-match one of
-// keys, at most once; value(k) scans the value of key k.
-func (d *decoder) object(keys []string, value func(k int) error) error {
-	if ok, err := d.null(); ok || err != nil {
-		return err
-	}
-	if d.peek() != '{' {
-		return d.unexpected("an object")
-	}
-	d.pos++
-	if d.peek() == '}' {
-		d.pos++
-		return nil
-	}
-	var seen uint32
-	for {
-		if d.peek() != '"' {
-			return d.unexpected("a key")
-		}
-		sp, err := d.text()
 		if err != nil {
 			return err
 		}
-		key := d.slice(sp)
-		k := match(keys, key)
-		if k < 0 {
-			return d.errorf("unknown field %q", key)
-		}
-		if seen&(1<<k) != 0 {
-			return d.errorf("repeated field %q", key)
-		}
-		seen |= 1 << k
-		if d.peek() != ':' {
-			return d.unexpected("':'")
-		}
-		d.pos++
-		if err := value(k); err != nil {
+		if more, err := d.next('}'); !more || err != nil {
 			return err
 		}
-		switch d.peek() {
-		case ',':
-			d.pos++
-		case '}':
-			d.pos++
-			return nil
-		default:
-			return d.unexpected("',' or '}'")
+	}
+}
+
+// open consumes null, or an opening bracket (what names it in the
+// error) and the closing one if it follows at once; done reports null
+// or an empty object or array.
+func (d *decoder) open(opening, closing byte, what string) (done bool, err error) {
+	if ok, err := d.null(); ok || err != nil {
+		return ok, err
+	}
+	if d.peek() != opening {
+		return false, d.unexpected(what)
+	}
+	d.pos++
+	if d.peek() == closing {
+		d.pos++
+		return true, nil
+	}
+	return false, nil
+}
+
+// next consumes the ',' or the closing bracket after a member or
+// element; more reports the ','.
+func (d *decoder) next(closing byte) (more bool, err error) {
+	switch d.peek() {
+	case ',':
+		d.pos++
+		return true, nil
+	case closing:
+		d.pos++
+		return false, nil
+	}
+	return false, d.unexpected("',' or '" + string(closing) + "'")
+}
+
+// key scans an object's key and the colon after it, and returns the
+// key's position in sc. The key is first compared with sc's quoted
+// literals, from position from on, wrapping around. A key written as
+// WriteJSON writes it thus matches on the first comparison, or after
+// one for each key WriteJSON omitted before it. A key that equals no
+// literal, folded, escaped or unknown, is scanned and must fold-match
+// one of sc's keys. A key seen before in the object is an error (R2).
+func (d *decoder) key(sc *schema, from int, seen *uint32) (int, error) {
+	if d.peek() != '"' {
+		return 0, d.unexpected("a key")
+	}
+	start := d.pos
+	var key []byte
+	k := d.literal(sc.quoted, from)
+	if k >= 0 {
+		key = d.buf[start+1 : d.pos-1]
+	} else {
+		sp, err := d.text()
+		if err != nil {
+			return 0, err
+		}
+		key = d.slice(sp)
+		if k = match(sc.keys, key); k < 0 {
+			return 0, d.errorf("unknown field %q", key)
 		}
 	}
+	if *seen&(1<<k) != 0 {
+		return 0, d.errorf("repeated field %q", key)
+	}
+	*seen |= 1 << k
+	if d.peek() != ':' {
+		return 0, d.unexpected("':'")
+	}
+	d.pos++
+	return k, nil
+}
+
+// literal consumes the first of lits, tried from position from on and
+// wrapping around, that the input at the cursor starts with, and
+// returns its position, or -1 if none matches.
+func (d *decoder) literal(lits []string, from int) int {
+	rest := d.buf[d.pos:d.n]
+	for i, k := 0, from; i < len(lits); i, k = i+1, k+1 {
+		if k == len(lits) {
+			k = 0
+		}
+		if lit := lits[k]; len(rest) >= len(lit) && string(rest[:len(lit)]) == lit {
+			d.pos += len(lit)
+			return k
+		}
+	}
+	return -1
 }
 
 // match returns the position of the key that key equals under Unicode
@@ -327,35 +474,6 @@ func match(keys []string, key []byte) int {
 	return -1
 }
 
-// array scans an array, or null, calling elem on each element.
-func (d *decoder) array(elem func() error) error {
-	if ok, err := d.null(); ok || err != nil {
-		return err
-	}
-	if d.peek() != '[' {
-		return d.unexpected("an array")
-	}
-	d.pos++
-	if d.peek() == ']' {
-		d.pos++
-		return nil
-	}
-	for {
-		if err := elem(); err != nil {
-			return err
-		}
-		switch d.peek() {
-		case ',':
-			d.pos++
-		case ']':
-			d.pos++
-			return nil
-		default:
-			return d.unexpected("',' or ']'")
-		}
-	}
-}
-
 // stringValue scans a string, or null as the empty string.
 func (d *decoder) stringValue() (span, error) {
 	if ok, err := d.null(); ok || err != nil {
@@ -367,39 +485,46 @@ func (d *decoder) stringValue() (span, error) {
 	return d.text()
 }
 
-// text scans the string literal at the cursor. A literal of plain
-// printable ASCII is its own value; any other is unquoted by
-// encoding/json, whose result is appended to buf.
+// plain marks the bytes a string literal may hold as themselves: ASCII
+// from ' ' up, other than '"' and '\'.
+var plain = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// text scans the string literal at the cursor. A literal of plain bytes
+// only is its own value; any other is unquoted by encoding/json, whose
+// result is appended to buf.
 func (d *decoder) text() (span, error) {
+	b := d.buf[:d.n]
 	start := d.pos + 1
 	i := start
-	for ; i < d.n; i++ {
-		c := d.buf[i]
-		if c == '"' {
-			d.pos = i + 1
-			return span{start, i}, nil
-		}
-		if c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
-			break
-		}
+	for i < len(b) && plain[b[i]] {
+		i++
 	}
-	for ; i < d.n && d.buf[i] != '"'; i++ {
-		if d.buf[i] == '\\' {
+	if i < len(b) && b[i] == '"' {
+		d.pos = i + 1
+		return span{uint32(start), uint32(i)}, nil
+	}
+	for ; i < len(b) && b[i] != '"'; i++ {
+		if b[i] == '\\' {
 			i++
 		}
 	}
-	if i >= d.n {
+	if i >= len(b) {
 		d.pos = d.n
 		return span{}, d.unexpected("the end of a string")
 	}
 	var s string
-	if err := json.Unmarshal(d.buf[start-1:i+1], &s); err != nil {
+	if err := json.Unmarshal(b[start-1:i+1], &s); err != nil {
 		return span{}, d.errorf("%v", err)
 	}
 	d.pos = i + 1
 	off := len(d.buf)
 	d.buf = append(d.buf, s...)
-	return span{off, len(d.buf)}, nil
+	return span{uint32(off), uint32(len(d.buf))}, nil
 }
 
 // integer scans a JSON number that must be an integer in int's range,
@@ -450,7 +575,7 @@ func (d *decoder) build() (*Graph, error) {
 		tasks:   make([]Task, 0, len(tasks)),
 		ecus:    make([]ECU, 0, len(ecus)),
 		edges:   make([]Edge, 0, len(edges)),
-		edgeIdx: make(map[[2]TaskID]int, len(edges)),
+		edgeIdx: make(map[uint64]int, len(edges)),
 	}
 	ecuByName := make(map[string]ECUID, len(ecus))
 	for i := range ecus {
@@ -477,14 +602,27 @@ func (d *decoder) build() (*Graph, error) {
 			return nil, fmt.Errorf("model: duplicate ECU name %q", g.ecus[id].Name)
 		}
 	}
+	// Every task name is a slice of one string, in one allocation.
+	var block strings.Builder
+	size := 0
+	for i := range tasks {
+		size += len(d.slice(tasks[i].text[taskName]))
+	}
+	block.Grow(size)
+	for i := range tasks {
+		block.Write(d.slice(tasks[i].text[taskName]))
+	}
+	names := block.String()
 	taskByName := make(map[string]TaskID, len(tasks))
 	for i := range tasks {
 		rec := &tasks[i]
-		name := d.slice(rec.text[taskName])
-		if _, dup := taskByName[string(name)]; dup {
-			return nil, fmt.Errorf("model: duplicate task name %q", name)
+		t := Task{Name: names[:rec.text[taskName].end-rec.text[taskName].off], Prio: rec.num, ECU: NoECU}
+		names = names[len(t.Name):]
+		// AddTask below gives the task ID i. A name already in the map
+		// leaves its size unchanged; the graph is discarded then.
+		if taskByName[t.Name] = TaskID(i); len(taskByName) == i {
+			return nil, fmt.Errorf("model: duplicate task name %q", t.Name)
 		}
-		t := Task{Name: string(name), Prio: rec.num, ECU: NoECU}
 		for f, field := range [...]*timeu.Time{&t.WCET, &t.BCET, &t.Period, &t.MaxPeriod, &t.Deadline, &t.Offset} {
 			text := d.slice(rec.text[taskWCET+f])
 			if len(text) == 0 {
@@ -492,14 +630,14 @@ func (d *decoder) build() (*Graph, error) {
 			}
 			v, err := timeu.ParseBytes(text)
 			if err != nil {
-				return nil, fmt.Errorf("model: task %q %s: %w", name, schemas[taskList].keys[taskWCET+f], err)
+				return nil, fmt.Errorf("model: task %q %s: %w", t.Name, schemas[taskList].keys[taskWCET+f], err)
 			}
 			*field = v
 		}
 		if ecu := d.slice(rec.text[taskECU]); len(ecu) > 0 {
 			id, ok := ecuByName[string(ecu)]
 			if !ok {
-				return nil, fmt.Errorf("model: task %q references unknown ECU %q", name, ecu)
+				return nil, fmt.Errorf("model: task %q references unknown ECU %q", t.Name, ecu)
 			}
 			t.ECU = id
 		}
@@ -508,9 +646,9 @@ func (d *decoder) build() (*Graph, error) {
 		case "let":
 			t.Sem = LET
 		default:
-			return nil, fmt.Errorf("model: task %q has unknown semantics %q", name, sem)
+			return nil, fmt.Errorf("model: task %q has unknown semantics %q", t.Name, sem)
 		}
-		taskByName[t.Name] = g.AddTask(t)
+		g.AddTask(t)
 	}
 	// As for ECUs: a defaulted "taskN" must not be written elsewhere (R3).
 	if id, ok := taskByName[""]; ok {

@@ -46,11 +46,11 @@ func exactValue(s string) (*big.Rat, bool) {
 	return nil, false
 }
 
-// FuzzParse hardens the time parser against arbitrary input: it must
-// never panic; on success the value must equal the literal evaluated
-// exactly with math/big (so a literal beyond int64 must fail rather
-// than wrap), and it must re-render and re-parse to itself (canonical
-// fixed point).
+// FuzzParse hardens the time parser against arbitrary input: its trim
+// must equal strings.TrimSpace, and it must never panic; on success the
+// value must equal the literal evaluated exactly with math/big (so a
+// literal beyond int64 must fail rather than wrap), and it must
+// re-render and re-parse to itself (canonical fixed point).
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"5ms", "4.75us", "-3ms", "0.000000001s", "10min", "", "ms",
@@ -59,10 +59,22 @@ func FuzzParse(f *testing.F) {
 		"-+3ms", "+.5ms", "-9223372036854775807ns", "9223372036.854775807s",
 		"9223372036.854775808s", "153722867.280912930min",
 		"inf", "4611686018427387903ns",
+		// Unicode white space (U+0085, U+00A0, U+2003) around and inside
+		// values: trimSpace's ASCII fast path must leave these to its
+		// rune loop.
+		"\u00855ms", "5ms\u0085", "\u00a04.75us", "4.75us\u00a0", "\u2003-3ms\u2003",
+		"5\u00a0ms", "\u0085 10min \u00a0", "inf\u2003",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
+		trimmed := strings.TrimSpace(s)
+		if got := trimSpace(s); got != trimmed {
+			t.Fatalf("trimSpace(%q) = %q, want %q", s, got, trimmed)
+		}
+		if got := trimSpace([]byte(s)); string(got) != trimmed {
+			t.Fatalf("trimSpace([]byte(%q)) = %q, want %q", s, got, trimmed)
+		}
 		d, err := Parse(s)
 		if err != nil {
 			return

@@ -170,8 +170,13 @@ func parse[S string | []byte](s S) (Time, error) {
 }
 
 // trimSpace is strings.TrimSpace for either argument type: it drops
-// leading and trailing Unicode white space.
+// leading and trailing Unicode white space. A literal whose first and
+// last bytes are ASCII above ' ' has none to drop and is returned as
+// it is; only the others decode runes.
 func trimSpace[S string | []byte](s S) S {
+	if n := len(s); n > 0 && ' ' < s[0] && s[0] < utf8.RuneSelf && ' ' < s[n-1] && s[n-1] < utf8.RuneSelf {
+		return s
+	}
 	var buf [utf8.UTFMax]byte
 	for len(s) > 0 {
 		r, n := rune(s[0]), 1

@@ -8,6 +8,13 @@
 # SAME box, or compare only the interleaved PairBounds /
 # PairBoundsReference pair, which shares whatever noise the machine has.
 #
+# Each sample runs for at least 100ms (-benchtime 100ms) rather than a
+# fixed iteration count: at 10 iterations the µs-scale benchmarks
+# (ChainIndex, EnumerateChains, ChainIndexFleet, the last the
+# denominator of the WCRTFleet and ReadGraphFleet ratio pairs) were
+# dominated by noise, while the slowest (PairBoundsDenseReference, ~150
+# ms/op) still run once per sample.
+#
 # Usage: sh tools/bench_analysis_json.sh [count]   (default 5, best-of)
 # BENCH_OUT_DIR redirects the output file (the CI bench gate writes a
 # fresh copy to .bench/ and diffs it against the checked-in baseline).
@@ -21,7 +28,7 @@ trap 'rm -f "$TMP"' EXIT
 
 go test -run '^$' \
 	-bench 'BenchmarkPairBounds$|BenchmarkPairBoundsReference$|BenchmarkChainIndex$|BenchmarkAnalyzePDiff$|BenchmarkAnalyzeSDiff$|BenchmarkEnumerateChains$|BenchmarkBoundsSweep$|BenchmarkChainIndexFleet$|BenchmarkWCRTFleet$|BenchmarkReadGraphFleet$|BenchmarkPairBoundsFleet$|BenchmarkPairBoundsFleetReference$|BenchmarkPairBoundsDense$|BenchmarkPairBoundsDenseReference$|BenchmarkGreedyDense$' \
-	-benchtime 10x -count "$COUNT" -benchmem . | tee "$TMP"
+	-benchtime 100ms -count "$COUNT" -benchmem . | tee "$TMP"
 
 # Best-of-count per benchmark: min ns/op and the allocs/op (identical
 # across runs of the same binary, so min is fine).
