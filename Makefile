@@ -23,7 +23,8 @@
 #                 analysis-vs-simulation differential harness and the
 #                 observer property harness under -race, the trie
 #                 fast-path unit differentials, the latency observer
-#                 and method tests, and the chains fuzz seed corpus
+#                 tests, the latency sweep and its simulation loop
+#                 (internal/exp), and the chains fuzz seed corpus
 #   verify-sim-cycle - steady-state jump-ahead tier: the cycle-detection
 #                 and batch unit tests, the latency observer tests and the
 #                 test-only age observer they cross-check against, plus
@@ -36,8 +37,8 @@
 #                 explain recorder/witness, the metrics registry export
 #                 that the record, the derived telemetry gauges and the
 #                 manifest all read, the shared CLI -explain lifecycle,
-#                 the bench gate tool, race tests of internal/methods
-#                 (whose simulation runs write the exp.sim.jump.*
+#                 the bench gate tool, race tests of internal/exp's
+#                 simulation loops (whose runs write the exp.sim.jump.*
 #                 counters the record's jump_runs reads), disparity-sim's
 #                 jump tally (its -explain jump_runs == its counter
 #                 delta), and the pinned WATERS -explain golden
@@ -136,7 +137,7 @@ verify-sim-cycle:
 verify-explain:
 	$(GO) vet ./internal/explain/... ./tools/bench_compare/...
 	$(GO) test -race ./internal/explain/... ./internal/metrics/... ./internal/telemetry/... ./internal/cli/... ./tools/bench_compare/...
-	$(GO) test -race ./internal/methods/...
+	$(GO) test -race -run 'TestSimulat' ./internal/exp/...
 	$(GO) test -race -run 'TestRunSimJumpTally' ./cmd/disparity-sim/...
 	$(GO) test -run 'TestGoldenExplainWaters' ./cmd/disparity-analyze/...
 	$(GO) test -run 'TestReportExplainSection' ./internal/report/...
@@ -170,8 +171,8 @@ bench-gate:
 verify-latency:
 	$(GO) test -race -run 'TestLatency' ./internal/integration/...
 	$(GO) test -run 'TestChainLatency' ./internal/backward/...
-	$(GO) test -run 'TestLatency' ./internal/core/... ./internal/sim/... ./internal/methods/...
-	$(GO) test -run 'TestLatencySweep' ./internal/exp/...
+	$(GO) test -run 'TestLatency' ./internal/core/... ./internal/sim/...
+	$(GO) test -run 'TestLatencySweep|TestSimulateLatencies' ./internal/exp/...
 	$(GO) test -run 'FuzzIndexMatchesEnumerate' ./internal/chains/...
 
 check: build test race bench

@@ -1,8 +1,8 @@
 // Command disparity-analyze loads a cause-effect graph (JSON) and prints
 // its schedulability report, per-chain backward-time bounds, the
 // end-to-end latency metric family (MRT, MRRT, MDA, MRDA), and the
-// worst-case time disparity of a task under every registered analytic
-// bound (P-diff, Theorem 1; S-diff, Theorem 2), optionally with
+// worst-case time disparity of a task under both analytic bounds
+// (P-diff, Theorem 1; S-diff, Theorem 2), optionally with
 // Algorithm 1's buffer plan.
 //
 // Usage:
@@ -14,7 +14,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -30,17 +29,9 @@ import (
 	"repro/internal/core"
 	exhaustivepkg "repro/internal/exhaustive"
 	"repro/internal/explain"
-	"repro/internal/methods"
 	"repro/internal/model"
 	"repro/internal/sched"
 )
-
-// streamPairLimit is the pair count past which -pairs stops
-// materializing the full per-pair list and streams it instead
-// (core.ForEachPairBound): beyond it the PairBound records, not the
-// analysis, would dominate memory. Well above every example workload,
-// well below the fleet tier's 4×10^4+ pairs.
-const streamPairLimit = 8192
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -160,74 +151,41 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	// Each plain bound gets a section; the labels and pair breakdowns
-	// come from the methods themselves.
-	ctx := context.Background()
-	// FullDetail: the -pairs flag prints every chain pair, which only the
-	// complete per-pair analysis materializes. Past streamPairLimit the
-	// materialized list would dominate memory (fleet-scale graphs reach
-	// 10^4–10^5 pairs), so the listing switches to the streaming
-	// iterator and the methods run bound-only — same bounds, same argmax
-	// pair, O(1) pair memory.
-	streamPairs := chains.NumPairs(idx.NumChains()) > streamPairLimit
-	ec := &methods.Context{Analysis: a, MaxChains: *maxChains, FullDetail: !streamPairs}
-
-	// witnessTD is the per-pair detail the witness is extracted from:
-	// the S-diff bound when available (the tighter exact analysis),
-	// otherwise the last method with a detail.
-	var witnessTD *core.TaskDisparity
-	var witnessMethod string
-	for _, m := range methods.Bounds() {
-		r, err := m.Eval(ctx, ec, g, task)
+	// Each plain bound gets a section from the bound-only descent: the
+	// bound and its worst pair, which the record and the witness read.
+	// -pairs streams every pair, in O(1) pair memory at any pair count.
+	var sd *core.TaskDisparity
+	for _, m := range []core.Method{core.PDiff, core.SDiff} {
+		td, err := a.DisparityBound(task, m, *maxChains)
 		if err != nil {
 			return err
 		}
-		mr := explain.MethodRecord{
-			Method: m.Name(), BoundNS: r.Bound, Truncated: r.Truncated,
+		if m == core.SDiff {
+			sd = td
 		}
-		if d := r.Detail; d != nil {
-			mr.NumPairs = int64(d.NumPairs)
-			if d.ArgMax >= 0 {
-				pb := d.Pairs[d.ArgMax]
-				mr.ArgMax = &explain.ArgMaxInfo{
-					Lambda: pb.Lambda.Format(g), Nu: pb.Nu.Format(g),
-					BoundNS: pb.Bound, SameHead: pb.SameHead, X1: pb.X1, Y1: pb.Y1,
-				}
-				if witnessTD == nil || m.Name() == core.SDiff.String() {
-					witnessTD, witnessMethod = d, m.Name()
-				}
-			}
-		}
-		app.Explain.Method(mr)
-		fmt.Fprintf(stdout, "\n%s worst-case time disparity of %s: %v\n", m.Name(), g.Task(task).Name, r.Bound)
-		if r.Truncated {
+		app.Explain.Method(explain.MethodFrom(g, m, td))
+		fmt.Fprintf(stdout, "\n%s worst-case time disparity of %s: %v\n", m, g.Task(task).Name, td.Bound)
+		if td.Truncated {
 			fmt.Fprintf(stdout, "  WARNING: chain enumeration truncated at the cap; the bound covers a partial chain set (raise -max-chains)\n")
 		}
-		if *pairs && !streamPairs && r.Detail != nil {
-			for _, pb := range r.Detail.Pairs {
-				fmt.Fprintf(stdout, "  %v | %v: %v (x1=%d y1=%d)\n",
+		if *pairs {
+			var streamErr error
+			if _, err := a.ForEachPairBound(task, m, *maxChains, func(_ int, pb *core.PairBound) bool {
+				_, streamErr = fmt.Fprintf(stdout, "  %v | %v: %v (x1=%d y1=%d)\n",
 					pb.Lambda.Format(g), pb.Nu.Format(g), pb.Bound, pb.X1, pb.Y1)
+				return streamErr == nil
+			}); err != nil {
+				return err
 			}
-		}
-		if *pairs && streamPairs {
-			if cm, ok := methods.CoreMethod(m); ok {
-				var streamErr error
-				if _, err := a.ForEachPairBound(task, cm, *maxChains, func(_ int, pb *core.PairBound) bool {
-					_, streamErr = fmt.Fprintf(stdout, "  %v | %v: %v (x1=%d y1=%d)\n",
-						pb.Lambda.Format(g), pb.Nu.Format(g), pb.Bound, pb.X1, pb.Y1)
-					return streamErr == nil
-				}); err != nil {
-					return err
-				}
-				if streamErr != nil {
-					return streamErr
-				}
+			if streamErr != nil {
+				return streamErr
 			}
 		}
 	}
 
-	if app.Explain.Enabled() && witnessTD != nil {
-		w, err := explain.BuildWitness(g, witnessMethod, witnessTD, 1)
+	// The witness replays the S-diff worst pair, the tighter bound's.
+	if app.Explain.Enabled() {
+		w, err := explain.BuildWitness(g, core.SDiff.String(), sd, 1)
 		if err != nil {
 			return err
 		}
@@ -261,10 +219,6 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		res, err := exhaustivepkg.Search(g, task, exhaustivepkg.Config{OffsetStep: step})
-		if err != nil {
-			return err
-		}
-		sd, err := methods.SDiff.Eval(ctx, ec, g, task)
 		if err != nil {
 			return err
 		}

@@ -67,7 +67,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	before, err := a.Disparity(task, disparity.SDiff, *maxChains)
+	before, err := a.DisparityBound(task, disparity.SDiff, *maxChains)
 	if err != nil {
 		return err
 	}

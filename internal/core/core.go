@@ -78,6 +78,18 @@ func (m Method) String() string {
 	}
 }
 
+// Ref names the paper's theorem behind the method.
+func (m Method) Ref() string {
+	switch m {
+	case PDiff:
+		return "Theorem 1"
+	case SDiff:
+		return "Theorem 2"
+	default:
+		return ""
+	}
+}
+
 // Analysis bounds time disparities on one graph. Construct with New;
 // the zero value is not usable.
 type Analysis struct {
@@ -347,12 +359,28 @@ const (
 // the partial coverage through TaskDisparity.Truncated — callers
 // decide whether a partial bound is acceptable.
 //
-// Disparity runs on the trie-based fast path (see fastpath.go); its
-// bounds are bit-identical to the reference pipeline, which remains
-// available as DisparityReference and is pinned to the fast path by
-// the differential harness in internal/integration.
+// Disparity collects ForEachPairBound's stream on the trie-based fast
+// path (see fastpath.go): Pairs in row-major order, ArgMax the first
+// pair attaining the maximum. Its bounds are bit-identical to the
+// reference pipeline, which remains available as DisparityReference
+// and is pinned to the fast path by the differential harness in
+// internal/integration.
 func (a *Analysis) Disparity(task model.TaskID, m Method, maxChains int) (*TaskDisparity, error) {
-	return a.disparityFast(task, m, maxChains)
+	pairs := make([]*PairBound, 0, chains.NumPairs(a.pairEvalFor(task, maxChains).idx.NumChains()))
+	argMax := -1
+	td, err := a.ForEachPairBound(task, m, maxChains, func(rank int, pb *PairBound) bool {
+		p := *pb
+		pairs = append(pairs, &p)
+		if argMax < 0 || p.Bound > pairs[argMax].Bound {
+			argMax = rank
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	td.Pairs, td.ArgMax = pairs, argMax
+	return td, nil
 }
 
 // DisparityReference is the legacy per-pair pipeline: enumerate every

@@ -68,8 +68,8 @@ type pairEval struct {
 	// store materializes every chain at most once, lazily and shared
 	// across retargeted evaluations; stripped chains are prefix slices
 	// of the stored ones (StripCommonSuffix keeps the head-side prefix
-	// up to the last joint task). Only the full-detail loops of
-	// Disparity and ForEachPairBound touch it — the bound-only descent
+	// up to the last joint task). Only ForEachPairBound's full-detail
+	// loop, which Disparity collects, touches it — the bound-only descent
 	// materializes just the winning pair, so fleet-scale bound runs
 	// never pay O(chains × length).
 	store *chainStore
@@ -572,34 +572,6 @@ func (ev *pairEval) forEachPair(m Method, fn func(i, j int, v *pairVals) bool) e
 		}
 	}
 	return nil
-}
-
-// disparityFast is the full-detail task-level loop: every pair's
-// PairBound is materialized (the public Disparity contract), but the
-// per-pair work runs on the shared trie tables. The pair order, the
-// ArgMax tie-break (first pair attaining the maximum), and every bound
-// are identical to the legacy enumeration's.
-func (a *Analysis) disparityFast(task model.TaskID, m Method, maxChains int) (*TaskDisparity, error) {
-	ev := a.pairEvalFor(task, maxChains)
-	td := ev.taskDisparity(task)
-	if td.NumPairs == 0 {
-		return td, nil
-	}
-	cs := ev.store.chains(ev.idx)
-	td.Pairs = make([]*PairBound, 0, td.NumPairs)
-	err := ev.forEachPair(m, func(i, j int, v *pairVals) bool {
-		pb := ev.toPairBound(cs[i], cs[j], v)
-		td.Pairs = append(td.Pairs, pb)
-		if pb.Bound > td.Bound || td.ArgMax < 0 {
-			td.Bound = pb.Bound
-			td.ArgMax = len(td.Pairs) - 1
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return td, nil
 }
 
 // pairAt maps a row-major pair rank back to its (i, j) indices.

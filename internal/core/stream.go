@@ -16,11 +16,9 @@ import (
 // The summary mirrors DisparityBound's shape — Pairs holds just the
 // worst pair seen (the first attaining Bound; a private copy, safe to
 // retain), ArgMax is 0, and a full stream's Bound/NumPairs/Truncated
-// match Disparity's. Every streamed value is bit-identical to the
-// corresponding Disparity entry; the streaming mode exists so
-// fleet-scale full-detail consumers (disparity-analyze -pairs above its
-// materialization limit) run in O(1) pair memory instead of allocating
-// NumPairs records.
+// match Disparity's. Disparity is this stream collected into a list;
+// disparity-analyze -pairs prints it as it streams, in O(1) pair
+// memory at any pair count.
 func (a *Analysis) ForEachPairBound(task model.TaskID, m Method, maxChains int, fn func(rank int, pb *PairBound) bool) (*TaskDisparity, error) {
 	ev := a.pairEvalFor(task, maxChains)
 	td := ev.taskDisparity(task)

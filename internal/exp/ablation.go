@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/backward"
 	"repro/internal/core"
-	"repro/internal/methods"
 	"repro/internal/model"
 	"repro/internal/offsetopt"
 	"repro/internal/randgraph"
@@ -38,19 +37,19 @@ import (
 // bounded-worker fan-out leaves every table bit-identical to the old
 // serial loops (pinned by sweep_identity_test.go).
 
-// sdiffBound evaluates the S-diff task bound through methods.SDiff on
-// a throwaway analysis, the common step of the backward/utilization/
-// priority ablations. ok=false rejects the graph.
-func sdiffBound(ctx context.Context, cfg Config, a *core.Analysis, g *model.Graph, task model.TaskID) (methods.Result, bool) {
-	r, err := methods.SDiff.Eval(ctx, &methods.Context{Analysis: a, MaxChains: cfg.MaxChains}, g, task)
+// sdiffBound evaluates the S-diff task bound of a throwaway analysis,
+// the common step of the backward/utilization/priority ablations.
+// ok=false rejects the graph.
+func sdiffBound(cfg Config, a *core.Analysis, task model.TaskID) (*core.TaskDisparity, bool) {
+	td, err := a.DisparityBound(task, core.SDiff, cfg.MaxChains)
 	if err != nil {
-		return methods.Result{}, false
+		return nil, false
 	}
-	if r.Truncated {
+	if td.Truncated {
 		cfg.noteTruncation("ablation")
-		return methods.Result{}, false
+		return nil, false
 	}
-	return r, true
+	return td, true
 }
 
 type backwardResult struct {
@@ -64,7 +63,7 @@ func AblationBackward(cfg Config) (*Table, error) {
 	tbl := &Table{
 		Title:   "Ablation: NP-FP backward bounds (Lemmas 4/5) vs scheduler-agnostic baseline (ms)",
 		XLabel:  "tasks",
-		Columns: []string{methods.SDiff.Name() + "(NP)", methods.SDiff.Name() + "(Duerr)"},
+		Columns: []string{colSDiff + "(NP)", colSDiff + "(Duerr)"},
 	}
 	err := runSweep(cfg, sweepSpec[backwardResult]{
 		prefix: "n=",
@@ -78,15 +77,15 @@ func AblationBackward(cfg Config) (*Table, error) {
 
 			np := core.NewWithBackward(g, backward.NewAnalyzer(g, res, backward.NonPreemptive))
 			du := core.NewWithBackward(g, backward.NewAnalyzer(g, res, backward.Duerr))
-			npTd, ok := sdiffBound(ctx, cfg, np, g, sink)
+			npTd, ok := sdiffBound(cfg, np, sink)
 			if !ok {
 				return backwardResult{}, false, nil
 			}
-			duTd, ok := sdiffBound(ctx, cfg, du, g, sink)
+			duTd, ok := sdiffBound(cfg, du, sink)
 			if !ok {
 				return backwardResult{}, false, nil
 			}
-			if len(npTd.Detail.Pairs) == 0 {
+			if npTd.NumPairs == 0 {
 				return backwardResult{}, false, nil
 			}
 			return backwardResult{
@@ -128,7 +127,7 @@ func AblationTail(cfg Config, totalTasks int) (*Table, error) {
 	tbl := &Table{
 		Title:   fmt.Sprintf("Ablation: shared tail length on %d-task graphs (ms)", totalTasks),
 		XLabel:  "tail",
-		Columns: methods.Names(methods.PDiff, methods.SDiff),
+		Columns: []string{colPDiff, colSDiff},
 	}
 	err := runSweep(cfg, sweepSpec[tailResult]{
 		prefix: "tail=",
@@ -150,13 +149,12 @@ func AblationTail(cfg Config, totalTasks int) (*Table, error) {
 				return tailResult{}, false, nil
 			}
 			sink := g.Sinks()[0]
-			ec := &methods.Context{Analysis: a, MaxChains: cfg.MaxChains}
-			pd, err := methods.PDiff.Eval(ctx, ec, g, sink)
+			pd, err := a.DisparityBound(sink, core.PDiff, cfg.MaxChains)
 			if err != nil {
 				return tailResult{}, false, nil
 			}
-			sd, err := methods.SDiff.Eval(ctx, ec, g, sink)
-			if err != nil || len(pd.Detail.Pairs) == 0 {
+			sd, err := a.DisparityBound(sink, core.SDiff, cfg.MaxChains)
+			if err != nil || pd.NumPairs == 0 {
 				return tailResult{}, false, nil
 			}
 			if pd.Truncated || sd.Truncated {
@@ -192,11 +190,10 @@ type execResult struct {
 // Columns (ms): Sim-wcet, Sim-bcet, Sim-uniform, Sim-extremes, S-diff.
 func AblationExec(cfg Config) (*Table, error) {
 	models := []sim.ExecModel{sim.WCETExec{}, sim.BCETExec{}, sim.UniformExec{}, sim.ExtremesExec{P: 0.5}}
-	simName := methods.Sim.Name()
 	tbl := &Table{
 		Title:   "Ablation: execution-time models vs the S-diff bound (ms)",
 		XLabel:  "tasks",
-		Columns: []string{simName + "-wcet", simName + "-bcet", simName + "-uniform", simName + "-extremes", methods.SDiff.Name()},
+		Columns: []string{colSim + "-wcet", colSim + "-bcet", colSim + "-uniform", colSim + "-extremes", colSDiff},
 	}
 	err := runSweep(cfg, sweepSpec[execResult]{
 		prefix: "n=",
@@ -210,8 +207,8 @@ func AblationExec(cfg Config) (*Table, error) {
 				return execResult{}, false, nil
 			}
 			sink := g.Sinks()[0]
-			sd, ok := sdiffBound(ctx, cfg, a, g, sink)
-			if !ok || len(sd.Detail.Pairs) == 0 {
+			sd, ok := sdiffBound(cfg, a, sink)
+			if !ok || sd.NumPairs == 0 {
 				return execResult{}, false, nil
 			}
 			r := execResult{sd: sd.Bound.Milliseconds()}
@@ -258,11 +255,10 @@ type semanticsResult struct {
 // producer period per hop, so its bounds typically sit higher while its
 // observed disparity is deterministic.
 func AblationSemantics(cfg Config) (*Table, error) {
-	sdName, simName := methods.SDiff.Name(), methods.Sim.Name()
 	tbl := &Table{
 		Title:   "Ablation: implicit communication vs LET (ms)",
 		XLabel:  "tasks",
-		Columns: []string{sdName + "(impl)", simName + "(impl)", sdName + "(LET)", simName + "(LET)"},
+		Columns: []string{colSDiff + "(impl)", colSim + "(impl)", colSDiff + "(LET)", colSim + "(LET)"},
 	}
 	err := runSweep(cfg, sweepSpec[semanticsResult]{
 		prefix: "n=",
@@ -278,8 +274,8 @@ func AblationSemantics(cfg Config) (*Table, error) {
 				if err != nil {
 					return 0, 0, false, nil
 				}
-				sd, ok := sdiffBound(ctx, cfg, a, gr, sink)
-				if !ok || len(sd.Detail.Pairs) == 0 {
+				sd, ok := sdiffBound(cfg, a, sink)
+				if !ok || sd.NumPairs == 0 {
 					return 0, 0, false, nil
 				}
 				v, err := simulateMaxDisparity(ctx, cfg, tk, gr, sink, rng)
@@ -332,11 +328,10 @@ type adversarialResult struct {
 // observed disparity. Columns (ms): Sim(random), Sim(adversarial),
 // S-diff.
 func AblationAdversarial(cfg Config) (*Table, error) {
-	simName := methods.Sim.Name()
 	tbl := &Table{
 		Title:   "Ablation: random vs adversarial offsets on two-chain graphs (ms)",
 		XLabel:  "chainlen",
-		Columns: []string{simName + "(random)", simName + "(adv)", methods.SDiff.Name()},
+		Columns: []string{colSim + "(random)", colSim + "(adv)", colSDiff},
 	}
 	err := runSweep(cfg, sweepSpec[adversarialResult]{
 		prefix: "len=",
@@ -365,7 +360,7 @@ func AblationAdversarial(cfg Config) (*Table, error) {
 			if err != nil {
 				return adversarialResult{}, false, nil
 			}
-			sd, ok := sdiffBound(ctx, cfg, a, g, sink)
+			sd, ok := sdiffBound(cfg, a, sink)
 			if !ok {
 				return adversarialResult{}, false, nil
 			}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/methods"
+	"repro/internal/core"
 	"repro/internal/trace/span"
 )
 
@@ -26,7 +26,7 @@ func BoundsSweep(cfg Config) (*Table, error) {
 	tbl := &Table{
 		Title:   "Bounds sweep: analysis-only disparity bounds vs number of tasks (ms)",
 		XLabel:  "tasks",
-		Columns: methods.Names(methods.PDiff, methods.SDiff, methods.SDiffB),
+		Columns: []string{colPDiff, colSDiff, colSDiffB},
 	}
 	err := runSweep(cfg, sweepSpec[boundsResult]{
 		prefix: "n=",
@@ -83,8 +83,7 @@ func evalGNMBounds(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi in
 			continue
 		}
 		sink := g.Sinks()[0]
-		ec := cfg.boundContext(a)
-		pd, err := methods.PDiff.Eval(ctx, ec, g, sink)
+		pd, err := a.DisparityBound(sink, core.PDiff, cfg.MaxChains)
 		if err != nil {
 			stop()
 			continue
@@ -95,12 +94,12 @@ func evalGNMBounds(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi in
 			cfg.noteTruncation(fmt.Sprintf("n=%d graph %d", n, gi))
 			continue
 		}
-		sd, err := methods.SDiff.Eval(ctx, ec, g, sink)
-		if err != nil || len(pd.Detail.Pairs) == 0 {
+		sd, err := a.DisparityBound(sink, core.SDiff, cfg.MaxChains)
+		if err != nil || pd.NumPairs == 0 {
 			stop()
 			continue
 		}
-		greedy, err := methods.SDiffB.Eval(ctx, ec, g, sink)
+		greedy, err := a.OptimizeTaskGreedy(sink, cfg.MaxChains, greedyRounds)
 		stop()
 		if err != nil {
 			continue
@@ -113,7 +112,7 @@ func evalGNMBounds(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi in
 		return boundsResult{
 			pdiff:  pd.Bound.Milliseconds(),
 			sdiff:  sd.Bound.Milliseconds(),
-			sdiffB: greedy.Bound.Milliseconds(),
+			sdiffB: greedy.After.Milliseconds(),
 			ok:     true,
 		}, nil
 	}

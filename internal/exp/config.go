@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/methods"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/par"
@@ -225,24 +223,16 @@ func (cfg *Config) newAnalysis(g *model.Graph, tk *span.Track) (*core.Analysis, 
 	return a, err == nil
 }
 
-// boundContext builds the method-evaluation context for the analytic
-// bounds on one analyzed graph. The greedy round cap matches the
-// original BoundsSweep/ablation setting.
-func (cfg *Config) boundContext(a *core.Analysis) *methods.Context {
-	return &methods.Context{Analysis: a, MaxChains: cfg.MaxChains, GreedyRounds: 8}
-}
+// greedyRounds caps Algorithm 1's greedy multi-pair loop wherever a
+// sweep computes S-diff-B.
+const greedyRounds = 8
 
-// simContext builds the method-evaluation context for the simulation
-// method: cfg's horizon/warmup/exec with OffsetsPerGraph runs drawn
-// from the caller's rng stream.
-func (cfg *Config) simContext(rng *rand.Rand, tk *span.Track) *methods.Context {
-	return &methods.Context{
-		Horizon:          cfg.Horizon,
-		Warmup:           cfg.Warmup,
-		Runs:             cfg.OffsetsPerGraph,
-		Exec:             cfg.Exec,
-		RNG:              rng,
-		Track:            tk,
-		DisableJumpAhead: cfg.DisableJumpAhead,
-	}
-}
+// Column labels of the paper's four methods: the Theorem 1 and 2
+// bounds under core.Method's names, Algorithm 1's buffered S-diff, and
+// the simulated maximum of Fig. 6.
+const (
+	colPDiff  = "P-diff"
+	colSDiff  = "S-diff"
+	colSDiffB = "S-diff-B"
+	colSim    = "Sim"
+)

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/methods"
 	"repro/internal/sched"
 	"repro/internal/trace/span"
 )
@@ -28,11 +27,10 @@ type priorityResult struct {
 // reflects schedulable systems only. Columns (ms): S-diff(RM),
 // S-diff(topo).
 func AblationPriority(cfg Config) (*Table, error) {
-	sdName := methods.SDiff.Name()
 	tbl := &Table{
 		Title:   "Ablation: rate-monotonic vs topological priorities (ms)",
 		XLabel:  "util%",
-		Columns: []string{sdName + "(RM)", sdName + "(topo)"},
+		Columns: []string{colSDiff + "(RM)", colSDiff + "(topo)"},
 	}
 	err := runSweep(cfg, sweepSpec[priorityResult]{
 		prefix: "util=",
@@ -53,8 +51,8 @@ func AblationPriority(cfg Config) (*Table, error) {
 			if err != nil {
 				return priorityResult{}, false, nil
 			}
-			rmTd, ok := sdiffBound(ctx, cfg, rmA, g, sink)
-			if !ok || len(rmTd.Detail.Pairs) == 0 {
+			rmTd, ok := sdiffBound(cfg, rmA, sink)
+			if !ok || rmTd.NumPairs == 0 {
 				return priorityResult{}, false, nil
 			}
 			topo := g.Clone()
@@ -65,7 +63,7 @@ func AblationPriority(cfg Config) (*Table, error) {
 			if err != nil {
 				return priorityResult{}, false, nil // topological order unschedulable here
 			}
-			topoTd, ok := sdiffBound(ctx, cfg, topoA, topo, sink)
+			topoTd, ok := sdiffBound(cfg, topoA, sink)
 			if !ok {
 				return priorityResult{}, false, nil
 			}
@@ -108,11 +106,10 @@ type greedyResult struct {
 // greedy buffers. Columns (ms): S-diff, S-diff-B1, S-diff-Bg, Sim,
 // Sim-Bg.
 func AblationGreedyBuffers(cfg Config) (*Table, error) {
-	sdName, simName := methods.SDiff.Name(), methods.Sim.Name()
 	tbl := &Table{
 		Title:   "Ablation: single vs greedy Algorithm 1 on fusion graphs (ms)",
 		XLabel:  "tasks",
-		Columns: []string{sdName, sdName + "-B1", sdName + "-Bg", simName, simName + "-Bg"},
+		Columns: []string{colSDiff, colSDiff + "-B1", colSDiff + "-Bg", colSim, colSim + "-Bg"},
 	}
 	err := runSweep(cfg, sweepSpec[greedyResult]{
 		prefix: "n=",
@@ -126,15 +123,15 @@ func AblationGreedyBuffers(cfg Config) (*Table, error) {
 				return greedyResult{}, false, nil
 			}
 			sink := g.Sinks()[0]
-			td, ok := sdiffBound(ctx, cfg, a, g, sink)
-			if !ok || len(td.Detail.Pairs) == 0 {
+			td, ok := sdiffBound(cfg, a, sink)
+			if !ok || td.NumPairs == 0 {
 				return greedyResult{}, false, nil
 			}
 			plan, _, err := a.OptimizeTask(sink, cfg.MaxChains)
 			if err != nil {
 				return greedyResult{}, false, nil
 			}
-			greedy, err := a.OptimizeTaskGreedy(sink, cfg.MaxChains, 8)
+			greedy, err := a.OptimizeTaskGreedy(sink, cfg.MaxChains, greedyRounds)
 			if err != nil {
 				return greedyResult{}, false, nil
 			}
@@ -160,7 +157,7 @@ func AblationGreedyBuffers(cfg Config) (*Table, error) {
 			if err != nil {
 				return r, true, nil
 			}
-			singleTd, err := singleA.Disparity(sink, core.SDiff, cfg.MaxChains)
+			singleTd, err := singleA.DisparityBound(sink, core.SDiff, cfg.MaxChains)
 			if err != nil {
 				return r, true, nil
 			}

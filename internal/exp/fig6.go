@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/methods"
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/randgraph"
-	"repro/internal/timeu"
 	"repro/internal/trace/span"
 	"repro/internal/waters"
 )
@@ -25,7 +24,7 @@ func Fig6a(cfg Config) (*Table, error) {
 	tbl := &Table{
 		Title:   "Fig 6(a): worst-case time disparity vs number of tasks (ms)",
 		XLabel:  "tasks",
-		Columns: methods.Names(methods.Sim, methods.PDiff, methods.SDiff),
+		Columns: []string{colSim, colPDiff, colSDiff},
 	}
 	ratios := &Table{}
 	if err := runFig6ab(cfg, tbl, ratios); err != nil {
@@ -41,7 +40,7 @@ func Fig6b(cfg Config) (*Table, error) {
 	tbl := &Table{
 		Title:   "Fig 6(b): incremental ratio vs number of tasks",
 		XLabel:  "tasks",
-		Columns: methods.Names(methods.PDiff, methods.SDiff),
+		Columns: []string{colPDiff, colSDiff},
 	}
 	if err := runFig6ab(cfg, abs, tbl); err != nil {
 		return nil, err
@@ -55,12 +54,12 @@ func Fig6ab(cfg Config) (abs, ratio *Table, err error) {
 	abs = &Table{
 		Title:   "Fig 6(a): worst-case time disparity vs number of tasks (ms)",
 		XLabel:  "tasks",
-		Columns: methods.Names(methods.Sim, methods.PDiff, methods.SDiff),
+		Columns: []string{colSim, colPDiff, colSDiff},
 	}
 	ratio = &Table{
 		Title:   "Fig 6(b): incremental ratio vs number of tasks",
 		XLabel:  "tasks",
-		Columns: methods.Names(methods.PDiff, methods.SDiff),
+		Columns: []string{colPDiff, colSDiff},
 	}
 	if err := runFig6ab(cfg, abs, ratio); err != nil {
 		return nil, nil, err
@@ -70,11 +69,11 @@ func Fig6ab(cfg Config) (abs, ratio *Table, err error) {
 
 func runFig6ab(cfg Config, abs, ratio *Table) error {
 	if len(abs.Columns) == 0 {
-		abs.Columns = methods.Names(methods.Sim, methods.PDiff, methods.SDiff)
+		abs.Columns = []string{colSim, colPDiff, colSDiff}
 		abs.XLabel = "tasks"
 	}
 	if len(ratio.Columns) == 0 {
-		ratio.Columns = methods.Names(methods.PDiff, methods.SDiff)
+		ratio.Columns = []string{colPDiff, colSDiff}
 		ratio.XLabel = "tasks"
 	}
 	return runSweep(cfg, sweepSpec[graphResult]{
@@ -163,13 +162,12 @@ func evalGNMGraph(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi int
 			continue
 		}
 		sink := g.Sinks()[0]
-		ec := cfg.boundContext(a)
-		pd, err := methods.PDiff.Eval(ctx, ec, g, sink)
+		pd, err := a.DisparityBound(sink, core.PDiff, cfg.MaxChains)
 		if err != nil {
 			stop()
 			continue
 		}
-		sd, err := methods.SDiff.Eval(ctx, ec, g, sink)
+		sd, err := a.DisparityBound(sink, core.SDiff, cfg.MaxChains)
 		stop()
 		if err != nil {
 			continue
@@ -179,7 +177,7 @@ func evalGNMGraph(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi int
 			cfg.noteTruncation(fmt.Sprintf("n=%d graph %d", n, gi))
 			continue
 		}
-		if len(pd.Detail.Pairs) == 0 {
+		if pd.NumPairs == 0 {
 			continue // single-source graph: disparity is trivially 0
 		}
 		simMax, err := simulateMaxDisparity(ctx, cfg, tk, g, sink, rng)
@@ -195,18 +193,6 @@ func evalGNMGraph(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi int
 		}, nil
 	}
 	return graphResult{}, nil
-}
-
-// simulateMaxDisparity wraps methods.Sim with the sweep's stage
-// accounting: cfg.OffsetsPerGraph runs with fresh random offsets,
-// returning the maximum observed disparity of the task.
-func simulateMaxDisparity(ctx context.Context, cfg Config, tk *span.Track, g *model.Graph, task model.TaskID, rng *rand.Rand) (timeu.Time, error) {
-	defer stage(simHist, tk, "simulate")()
-	res, err := methods.Sim.Eval(ctx, cfg.simContext(rng, tk), g, task)
-	if err != nil {
-		return 0, err
-	}
-	return res.Bound, nil
 }
 
 // Fig6c runs the Fig. 6(c) experiment: two independent chains merged at a
@@ -238,12 +224,12 @@ func fig6cd(cfg Config) (*Table, *Table, error) {
 	abs := &Table{
 		Title:   "Fig 6(c): two-chain disparity with buffer optimization (ms)",
 		XLabel:  "chainlen",
-		Columns: []string{methods.Sim.Name(), methods.SDiff.Name(), methods.Sim.Name() + "-B", methods.SDiffB.Name()},
+		Columns: []string{colSim, colSDiff, colSim + "-B", colSDiffB},
 	}
 	ratio := &Table{
 		Title:   "Fig 6(d): incremental ratio with buffer optimization",
 		XLabel:  "chainlen",
-		Columns: methods.Names(methods.SDiff, methods.SDiffB),
+		Columns: []string{colSDiff, colSDiffB},
 	}
 	err := runSweep(cfg, sweepSpec[twoChainResult]{
 		prefix: "len=",

@@ -6,7 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/can"
-	"repro/internal/methods"
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/randgraph"
 	"repro/internal/timeu"
@@ -42,7 +42,7 @@ func FleetSweep(cfg Config) (*Table, error) {
 	tbl := &Table{
 		Title:   "Fleet sweep: analysis-only disparity bounds vs zones (ms)",
 		XLabel:  "zones",
-		Columns: append([]string{"tasks"}, methods.Names(methods.PDiff, methods.SDiff)...),
+		Columns: []string{"tasks", colPDiff, colSDiff},
 	}
 	err := runSweep(cfg, sweepSpec[fleetResult]{
 		prefix: "zones=",
@@ -127,12 +127,11 @@ func evalFleetGraph(ctx context.Context, cfg Config, tk *span.Track, z, pi, gi i
 		return fleetResult{}, nil
 	}
 	sink := g.Sinks()[0]
-	ec := cfg.boundContext(a)
-	pd, err := methods.PDiff.Eval(ctx, ec, g, sink)
+	pd, err := a.DisparityBound(sink, core.PDiff, cfg.MaxChains)
 	if err != nil {
 		return fleetResult{}, err
 	}
-	sd, err := methods.SDiff.Eval(ctx, ec, g, sink)
+	sd, err := a.DisparityBound(sink, core.SDiff, cfg.MaxChains)
 	if err != nil {
 		return fleetResult{}, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/backward"
-	"repro/internal/methods"
 	"repro/internal/trace/span"
 )
 
@@ -33,7 +32,7 @@ func latencyColumns() []string {
 // per point, the mean analytic bound and mean simulated maximum of each
 // metric at the sink. Columns are milliseconds. The simulated values
 // of all four metrics come from one shared simulation pass per graph
-// (methods.SimLatencies), so the sweep costs one Sim-column sweep, not
+// (simulateLatencies), so the sweep costs one Sim-column sweep, not
 // four. Graphs whose chain enumeration truncates are counted and
 // regenerated like every other sweep — truncated bounds cover a partial
 // chain set and never enter the averages.
@@ -122,14 +121,12 @@ func evalGNMLatency(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi i
 			cfg.noteTruncation(fmt.Sprintf("n=%d graph %d", n, gi))
 			continue
 		}
-		simStop := stage(simHist, tk, "simulate")
-		vals, err := methods.SimLatencies(ctx, cfg.simContext(rng, tk), g, sink)
-		simStop()
+		vals, err := simulateLatencies(ctx, cfg, tk, g, sink, rng)
 		if err != nil {
 			return latencyResult{}, err
 		}
 		for _, l := range backward.Latencies() {
-			r.sim[l] = vals.Get(l).Milliseconds()
+			r.sim[l] = vals[l].Milliseconds()
 		}
 		graphsUsed.Inc()
 		r.ok = true

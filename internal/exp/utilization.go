@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/backward"
 	"repro/internal/core"
-	"repro/internal/methods"
 	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/timeu"
@@ -25,11 +24,10 @@ type utilizationResult struct {
 // scaling them up makes response times — and the refinement — visible.
 // Columns (ms): S-diff(NP), S-diff(Duerr).
 func AblationUtilization(cfg Config) (*Table, error) {
-	sdName := methods.SDiff.Name()
 	tbl := &Table{
 		Title:   "Ablation: NP-FP vs baseline backward bounds across utilization (%) (ms)",
 		XLabel:  "util%",
-		Columns: []string{sdName + "(NP)", sdName + "(Duerr)"},
+		Columns: []string{colSDiff + "(NP)", colSDiff + "(Duerr)"},
 	}
 	err := runSweep(cfg, sweepSpec[utilizationResult]{
 		prefix: "util=",
@@ -48,11 +46,11 @@ func AblationUtilization(cfg Config) (*Table, error) {
 			sink := g.Sinks()[0]
 			np := core.NewWithBackward(g, backward.NewAnalyzer(g, res, backward.NonPreemptive))
 			du := core.NewWithBackward(g, backward.NewAnalyzer(g, res, backward.Duerr))
-			npTd, ok := sdiffBound(ctx, cfg, np, g, sink)
-			if !ok || len(npTd.Detail.Pairs) == 0 {
+			npTd, ok := sdiffBound(cfg, np, sink)
+			if !ok || npTd.NumPairs == 0 {
 				return utilizationResult{}, false, nil
 			}
-			duTd, ok := sdiffBound(ctx, cfg, du, g, sink)
+			duTd, ok := sdiffBound(cfg, du, sink)
 			if !ok {
 				return utilizationResult{}, false, nil
 			}

@@ -25,7 +25,9 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/timeu"
 )
@@ -129,6 +131,20 @@ type MethodRecord struct {
 	NumPairs  int64       `json:"num_pairs"`
 	Truncated bool        `json:"truncated,omitempty"`
 	ArgMax    *ArgMaxInfo `json:"argmax,omitempty"`
+}
+
+// MethodFrom records a task bound m computed on g: its value, pair
+// count and truncation, and the pair attaining it when there is one.
+func MethodFrom(g *model.Graph, m core.Method, td *core.TaskDisparity) MethodRecord {
+	mr := MethodRecord{Method: m.String(), BoundNS: td.Bound, NumPairs: int64(td.NumPairs), Truncated: td.Truncated}
+	if td.ArgMax >= 0 {
+		pb := td.Pairs[td.ArgMax]
+		mr.ArgMax = &ArgMaxInfo{
+			Lambda: pb.Lambda.Format(g), Nu: pb.Nu.Format(g),
+			BoundNS: pb.Bound, SameHead: pb.SameHead, X1: pb.X1, Y1: pb.Y1,
+		}
+	}
+	return mr
 }
 
 // SimRecord is one frontend-level simulation activity summary.

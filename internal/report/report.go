@@ -7,7 +7,6 @@
 package report
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/chains"
 	"repro/internal/core"
 	"repro/internal/explain"
-	"repro/internal/methods"
 	"repro/internal/model"
 	"repro/internal/sched"
 )
@@ -208,34 +206,21 @@ func writeTaskAnalysis(b *strings.Builder, g *model.Graph, a *core.Analysis, an 
 		fmt.Fprintf(b, "Fewer than two chains: the time disparity of %s is trivially 0.\n\n", name)
 		return nil
 	}
-	// One row per plain bound, labeled by its name and paper reference.
-	// FullDetail: the worst-pair section below reads Pairs[ArgMax], which
-	// only the complete per-pair analysis materializes.
-	ec := &methods.Context{Analysis: a, MaxChains: opts.MaxChains, FullDetail: true}
+	// One row per plain bound, labeled by its name and paper reference;
+	// the bound-only descent also yields the worst pair read below.
 	var sd *core.TaskDisparity
 	fmt.Fprintf(b, "### Worst-case time disparity\n\n")
 	b.WriteString("| method | bound |\n|---|---|\n")
-	for _, m := range methods.Bounds() {
-		r, err := m.Eval(context.Background(), ec, g, task)
+	for _, m := range []core.Method{core.PDiff, core.SDiff} {
+		td, err := a.DisparityBound(task, m, opts.MaxChains)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(b, "| %s (%s) | %v |\n", m.Name(), m.Ref(), r.Bound)
-		if m == methods.SDiff {
-			sd = r.Detail
+		fmt.Fprintf(b, "| %s (%s) | %v |\n", m, m.Ref(), td.Bound)
+		if m == core.SDiff {
+			sd = td
 		}
-		mr := explain.MethodRecord{Method: m.Name(), BoundNS: r.Bound, Truncated: r.Truncated}
-		if d := r.Detail; d != nil {
-			mr.NumPairs = int64(d.NumPairs)
-			if d.ArgMax >= 0 {
-				pb := d.Pairs[d.ArgMax]
-				mr.ArgMax = &explain.ArgMaxInfo{
-					Lambda: pb.Lambda.Format(g), Nu: pb.Nu.Format(g),
-					BoundNS: pb.Bound, SameHead: pb.SameHead, X1: pb.X1, Y1: pb.Y1,
-				}
-			}
-		}
-		opts.Explain.Method(mr)
+		opts.Explain.Method(explain.MethodFrom(g, m, td))
 	}
 	b.WriteString("\n")
 	worst := sd.Pairs[sd.ArgMax]
