@@ -61,7 +61,16 @@
 #                 every pair, the mask split sums == the decomposition's,
 #                 and U against the recursion it replaces)
 #                 and the ℬ split identity they rest on
-#                 (backward.TestTrieBoundsSplitAtTask), the public
+#                 (backward.TestTrieBoundsSplitAtTask), the tied ranks
+#                 the descent keeps for the greedy == Disparity's pairs
+#                 at the bound, serial and parallel
+#                 (core.TestDescentTiesMatchDisparity), every greedy round
+#                 replayed with a full descent: a buffer moves no pair
+#                 whose chains both start elsewhere, and every round the
+#                 greedy decides from those ties would have lost
+#                 (core.TestGreedyRoundsAreLocal), OptimizeTask's pruned
+#                 worst pair == Disparity's
+#                 (core.TestOptimizeTaskMatchesDisparityArgMax), the public
 #                 GenerateFleet tests, the pinned fleet generator
 #                 golden, ten -race runs of internal/par (the
 #                 atomic-counter dispatcher the parallel descent runs
@@ -146,7 +155,7 @@ verify-scale:
 	$(GO) vet ./internal/bitset/... ./internal/chains/... ./internal/randgraph/... ./internal/waters/...
 	$(GO) test -race ./internal/bitset/... ./internal/chains/... ./internal/randgraph/... ./internal/waters/...
 	$(GO) test -race -run 'TestScale' ./internal/integration/...
-	$(GO) test -race -run 'TestDescentMatchesReference|TestSDiffPrune' ./internal/core/...
+	$(GO) test -race -run 'TestDescentMatchesReference|TestSDiffPrune|TestDescentTiesMatchDisparity|TestGreedyRoundsAreLocal|TestOptimizeTaskMatchesDisparityArgMax' ./internal/core/...
 	$(GO) test -race -run 'TestTrieBoundsSplitAtTask' ./internal/backward/...
 	$(GO) test -run 'TestGenerateFleet' .
 	$(GO) test -run 'TestGoldenGenTopologies/fleet' ./cmd/disparity-gen/...

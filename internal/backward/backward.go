@@ -69,6 +69,9 @@ func (a *Analyzer) Graph() *model.Graph { return a.g }
 // Sched returns the response-time analysis result the bounds read.
 func (a *Analyzer) Sched() *sched.Result { return a.wcrt }
 
+// Method returns the backward-bound method the analyzer applies.
+func (a *Analyzer) Method() Method { return a.method }
+
 // WCRT returns the response-time bound used for a task.
 func (a *Analyzer) WCRT(id model.TaskID) timeu.Time { return a.wcrt.R(id) }
 

@@ -133,15 +133,7 @@ func New(g *model.Graph) (*Analysis, error) {
 		}
 		return nil, fmt.Errorf("core: graph is not schedulable under NP-FP: %v", names)
 	}
-	return newAnalysis(g, res), nil
-}
-
-// newAnalysis builds the NP-FP Analysis of g on an already computed,
-// schedulable WCRT result. New feeds it a fresh fixed point; the greedy
-// optimizer feeds it the parent's, because buffer capacities never
-// enter the response-time analysis.
-func newAnalysis(g *model.Graph, res *sched.Result) *Analysis {
-	return &Analysis{g: g, bw: backward.NewAnalyzer(g, res, backward.NonPreemptive)}
+	return NewWithBackward(g, backward.NewAnalyzer(g, res, backward.NonPreemptive)), nil
 }
 
 // NewWithBackward builds an Analysis on a caller-supplied backward-time
@@ -326,6 +318,11 @@ type TaskDisparity struct {
 	// Cause names which limit truncated the enumeration (chain cap vs
 	// trie node budget); NotTruncated when Truncated is false.
 	Cause TruncationCause
+	// ties holds, on a DisparityBound result, the smallest maxTies
+	// row-major ranks (Disparity's Pairs indices) of the pairs attaining
+	// Bound, ascending. OptimizeTaskGreedy reads them to decide a round
+	// without a descent.
+	ties []int
 }
 
 // TruncationCause re-exports chains.TruncationCause so callers reading

@@ -34,8 +34,9 @@ var (
 	// pairsPruned counts chain pairs the dominance prune skipped (their
 	// cheap upper bound, or their row's in an S-diff cross block, could
 	// not reach the running maximum), the complement of
-	// core.pairs.bounded. Blocks accumulate both counts
-	// locally and bulk-add, so the hot loop stays free of shared atomics.
+	// core.pairs.bounded. A descent's workers accumulate both counts
+	// locally and add them once per descent, so the hot loop stays free
+	// of shared atomics.
 	pairsPruned = metrics.C("core.pairs.pruned")
 	// boundParallelRuns counts DisparityBound evaluations that crossed
 	// parallelPairThreshold and evaluated their blocks on all CPUs.
@@ -588,14 +589,6 @@ func pairAt(n, rank int) (int, int) {
 	}
 }
 
-// blockBest is one block's reduction result: the maximum bound over
-// the block's pair ranks and the first rank attaining it.
-type blockBest struct {
-	bound timeu.Time
-	rank  int
-	err   error
-}
-
 // DisparityBound bounds the worst-case time disparity of the task like
 // Disparity, but materializes only the argmax pair: Pairs is either
 // empty (fewer than two chains) or the single worst PairBound, with
@@ -615,7 +608,8 @@ func (a *Analysis) DisparityBound(task model.TaskID, m Method, maxChains int) (*
 // disparityBound is DisparityBound with a descent cutoff (boundSubtree):
 // once a pair's bound reaches cutoff the search stops, and Bound is
 // then only known to be ≥ cutoff. With noCutoff, or when no pair
-// reaches it, the result is DisparityBound's.
+// reaches it, the result is DisparityBound's, and its ties field holds
+// the descent's tied ranks.
 func (a *Analysis) disparityBound(task model.TaskID, m Method, maxChains int, cutoff timeu.Time) (*TaskDisparity, error) {
 	ev := a.pairEvalFor(task, maxChains)
 	td := ev.taskDisparity(task)
@@ -639,6 +633,7 @@ func (a *Analysis) disparityBound(task model.TaskID, m Method, maxChains int, cu
 	}
 	td.Bound = best.bound
 	td.ArgMax = 0
+	td.ties = best.ties
 	td.Pairs = []*PairBound{ev.toPairBound(ev.idx.Chain(i), ev.idx.Chain(j), &v)}
 	return td, nil
 }

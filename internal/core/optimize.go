@@ -2,10 +2,18 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/backward"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/timeu"
 )
+
+// greedyTieDecided counts OptimizeTaskGreedy rounds decided without a
+// descent: a pair tied at the incumbent bound keeps it after the
+// round's buffer, so the round cannot improve.
+var greedyTieDecided = metrics.C("core.greedy.rounds.tie_decided")
 
 // BufferPlan is the outcome of Algorithm 1 for one chain pair: enlarge the
 // input buffer of Edge's destination (the second task of the chain whose
@@ -86,8 +94,12 @@ func (p *BufferPlan) Apply(g *model.Graph) error {
 // disparity analysis (the pair attaining the S-diff bound after suffix
 // stripping) and returns the plan. This is the paper's intended use: cut
 // the worst-case time disparity of one fusion task.
+//
+// The worst pair comes from DisparityBound, which prunes the pair search
+// and is the same pair as Disparity's Pairs[ArgMax]; the returned
+// TaskDisparity is DisparityBound's, holding only that pair.
 func (a *Analysis) OptimizeTask(task model.TaskID, maxChains int) (*BufferPlan, *TaskDisparity, error) {
-	td, err := a.Disparity(task, SDiff, maxChains)
+	td, err := a.DisparityBound(task, SDiff, maxChains)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -137,6 +149,10 @@ type GreedyResult struct {
 // enters neither the WCRT fixed point nor the chain topology. So a
 // clone's Analysis reuses the parent's WCRT result and chain trie, and
 // the bound that decided a round is the next round's worst pair.
+//
+// A round is lost before it is analyzed when a pair tied at the
+// incumbent bound has neither chain starting with the plan's edge
+// (keepsBound): the buffer leaves that pair's bound where it is.
 func (a *Analysis) OptimizeTaskGreedy(task model.TaskID, maxChains, maxRounds int) (*GreedyResult, error) {
 	if maxRounds <= 0 {
 		maxRounds = 16
@@ -152,6 +168,7 @@ func (a *Analysis) OptimizeTaskGreedy(task model.TaskID, maxChains, maxRounds in
 	if td.ArgMax < 0 {
 		return res, nil
 	}
+	ev := a.pairEvalFor(task, maxChains)
 	cur := a
 	for round := 0; round < maxRounds; round++ {
 		worst := td.Pairs[td.ArgMax]
@@ -159,15 +176,16 @@ func (a *Analysis) OptimizeTaskGreedy(task model.TaskID, maxChains, maxRounds in
 		if err != nil || plan.L <= 0 {
 			break // the worst pair's windows are already aligned
 		}
-		next := res.Graph.Clone()
-		if err := plan.Apply(next); err != nil {
+		// td is an uncut descent's result (the first, or a round that won),
+		// so its ties are every pair at res.After up to maxTies.
+		if slices.ContainsFunc(td.ties, func(rank int) bool { return ev.keepsBound(rank, plan.Edge) }) {
+			greedyTieDecided.Inc()
+			break // a pair tied at the incumbent keeps its bound
+		}
+		nextA, err := cur.withPlan(res.Graph, plan, task, maxChains)
+		if err != nil {
 			return nil, err
 		}
-		nextA := newAnalysis(next, cur.bw.Sched())
-		// The clone inherits the trie (and its LCA/mask tables) with only
-		// the bound prefix sums rebuilt — each round costs O(trie nodes +
-		// pairs), not a fresh enumeration.
-		nextA.adoptEval(task, maxChains, cur.pairEvalFor(task, maxChains).retarget(nextA))
 		// The round only has to beat the incumbent: its descent stops
 		// at the first pair reaching res.After, and a cut round has lost.
 		nextTd, err := nextA.disparityBound(task, SDiff, maxChains, res.After)
@@ -177,10 +195,50 @@ func (a *Analysis) OptimizeTaskGreedy(task model.TaskID, maxChains, maxRounds in
 		if nextTd.Bound >= res.After {
 			break // no global improvement: another pair now dominates
 		}
-		res.Graph = next
+		res.Graph = nextA.g
 		res.After = nextTd.Bound
 		res.Plans = append(res.Plans, plan)
 		cur, td = nextA, nextTd
 	}
 	return res, nil
+}
+
+// withPlan returns the Analysis of a clone of g, a's graph, with the
+// plan applied. It keeps a's backward method and reuses a's WCRT
+// result, because buffer capacities never enter the response-time
+// analysis, and, for the task, a's trie: the clone inherits the trie
+// (and its LCA/mask tables) with only the bound prefix sums rebuilt,
+// so each round costs O(trie nodes + pairs), not a fresh enumeration.
+func (a *Analysis) withPlan(g *model.Graph, plan *BufferPlan, task model.TaskID, maxChains int) (*Analysis, error) {
+	next := g.Clone()
+	if err := plan.Apply(next); err != nil {
+		return nil, err
+	}
+	nextA := NewWithBackward(next, backward.NewAnalyzer(next, a.bw.Sched(), a.bw.Method()))
+	nextA.adoptEval(task, maxChains, a.pairEvalFor(task, maxChains).retarget(nextA))
+	return nextA, nil
+}
+
+// keepsBound reports whether the pair of row-major rank keeps its bound
+// when the buffer of edge e, a plan's head edge, grows: whether neither
+// of its chains starts with e.
+//
+// A plan's edge starts at a chain head, a source, and a source task
+// sits only at childless trie nodes. The capacity enters the bound
+// tables only as the Lemma-6 shift of the nodes whose (task, parent
+// task) is e, and a node's shift reaches only its own prefix sums and
+// its descendants', of which a leaf has none. So it moves exactly the
+// segments that start at such a leaf: the chains that start with e.
+// Periods, the reused WCRT, e(t) and the masks do not depend on
+// capacities, and every other segment bound is unchanged.
+func (ev *pairEval) keepsBound(rank int, e model.Edge) bool {
+	i, j := pairAt(ev.idx.NumChains(), rank)
+	return !ev.startsWith(i, e) && !ev.startsWith(j, e)
+}
+
+// startsWith reports whether chain i's first hop is edge e.
+func (ev *pairEval) startsWith(i int, e model.Edge) bool {
+	u := ev.idx.Leaf(i)
+	p := ev.idx.NodeParent(u)
+	return p >= 0 && ev.idx.NodeTask(u) == e.Src && ev.idx.NodeTask(p) == e.Dst
 }

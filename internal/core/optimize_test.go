@@ -286,3 +286,29 @@ func TestFig4FrequencyParadox(t *testing.T) {
 		t.Errorf("raising τ3's frequency reduced the bound (%v -> %v); the paper's example says it should not", slow, fast)
 	}
 }
+
+// TestOptimizeTaskMatchesDisparityArgMax pins OptimizeTask, which takes
+// its worst pair from DisparityBound, to Algorithm 1 on the worst pair
+// of the full-detail Disparity, on every graph of tieCorpus: the same
+// plan or the same failure, and a TaskDisparity holding only that pair
+// at Disparity's bound.
+func TestOptimizeTaskMatchesDisparityArgMax(t *testing.T) {
+	for _, c := range tieCorpus(t) {
+		plan, td, err := c.a.OptimizeTask(c.sink, 0)
+		all, aerr := c.a.Disparity(c.sink, SDiff, 0)
+		if aerr != nil {
+			t.Fatalf("%s: %v", c.name, aerr)
+		}
+		worst := all.Pairs[all.ArgMax]
+		want, werr := c.a.Optimize(worst.Lambda, worst.Nu)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("%s: OptimizeTask error %v, Optimize on Disparity's worst pair %v", c.name, err, werr)
+		}
+		if err == nil && *plan != *want {
+			t.Errorf("%s: plan %+v, Optimize on Disparity's worst pair %+v", c.name, *plan, *want)
+		}
+		if td.Bound != all.Bound || td.ArgMax != 0 || len(td.Pairs) != 1 || !td.Pairs[0].Lambda.Equal(worst.Lambda) || !td.Pairs[0].Nu.Equal(worst.Nu) {
+			t.Errorf("%s: TaskDisparity bound %v with %d pairs, want %v with the worst pair only", c.name, td.Bound, len(td.Pairs), all.Bound)
+		}
+	}
+}

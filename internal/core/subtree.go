@@ -110,10 +110,28 @@ var (
 // few dozen blocks.
 const subtreeRectCap = 1024
 
+// triangleLeaves caps the leaves of one triangle block (at most 120
+// pairs). A triangle's pairs join at varying nodes, so it has no
+// optimistic bound and each pair pays its own LCA and two segment
+// bounds, where a cross block reads its Q side's bounds once. A
+// subtree with more leaves splits into cross blocks between its
+// children. Larger triangles (up to the 45 leaves subtreeRectCap
+// admits) cost the fusion-dense descent more than the blocks they
+// save, and no triangles at all cost more in dispatch; DESIGN.md §
+// Subtree-level pair pruning has the measurements.
+const triangleLeaves = 16
+
 // ubSentinel marks a block whose optimistic bound is unavailable
-// (triangles with mixed join nodes, S-diff blocks of an index without
-// masks): it is never skipped, only enumerated.
+// (triangles, whose pairs join at varying nodes, and S-diff blocks of
+// an index without masks): it is never skipped, only enumerated, and
+// sorts ahead of every bounded block.
 const ubSentinel = timeu.Time(math.MaxInt64)
+
+// maxTies caps the tied ranks a descent keeps: the smallest maxTies
+// ranks of the pairs attaining its maximum. The greedy optimizer reads
+// them to decide a round without a descent; a dropped tie only costs
+// that round its descent.
+const maxTies = 32
 
 // noCutoff is the cutoff of a descent that runs to the end: pair
 // bounds are never negative, so only a cutoff ≥ 0 can stop a descent.
@@ -122,7 +140,8 @@ const noCutoff = timeu.Time(-1)
 // pairRect is one block of the pair space: the cross product
 // [pLo, pHi) × [qLo, qHi) of chain indices diverging exactly at trie
 // node f, or — when qLo < 0 — the triangle of all pairs inside
-// [pLo, pHi) (join nodes vary; evaluated, never skipped).
+// [pLo, pHi), at most triangleLeaves chains (join nodes vary;
+// evaluated, never skipped).
 type pairRect struct {
 	pLo, pHi int32
 	qLo, qHi int32
@@ -132,7 +151,10 @@ type pairRect struct {
 	// lie in them. wLo = wHi: every pair of the block is c = 1 with
 	// distinct heads.
 	wLo, wHi int32
-	ub       timeu.Time
+	// idx is the block's emission index, the sort's tie-break. It sits
+	// in the padding before ub, so a block stays 40 bytes.
+	idx int32
+	ub  timeu.Time
 }
 
 // pairsFrom counts the block's pairs in rows i and after;
@@ -166,6 +188,9 @@ func (ev *pairEval) collectRects(m Method, cap int) []pairRect {
 		c.sub, c.subStride = ev.idx.SubtreeMasks()
 	}
 	c.within(0)
+	for i := range c.rects {
+		c.rects[i].idx = int32(i)
+	}
 	return c.rects
 }
 
@@ -190,9 +215,10 @@ func (c *rectCollector) nonEmpty(kids []int32) []int32 {
 }
 
 // within emits blocks covering every pair whose two chains both lie in
-// x's subtree: a single triangle when the subtree is small enough,
-// otherwise cross blocks between x's child subtrees (divergence node
-// x) plus recursion into each child.
+// x's subtree: a single triangle when the subtree has at most
+// triangleLeaves leaves and its pairs fit the cap, otherwise cross
+// blocks between x's child subtrees (divergence node x) plus recursion
+// into each child.
 func (c *rectCollector) within(x int32) {
 	idx := c.ev.idx
 	for {
@@ -201,7 +227,7 @@ func (c *rectCollector) within(x int32) {
 		if span < 2 {
 			return
 		}
-		if span*(span-1)/2 <= c.cap {
+		if span <= triangleLeaves && span*(span-1)/2 <= c.cap {
 			c.rects = append(c.rects, pairRect{pLo: lo, pHi: hi, qLo: -1, qHi: -1, f: x, ub: ubSentinel})
 			return
 		}
@@ -393,66 +419,157 @@ type descent struct {
 	cut    atomic.Bool
 }
 
+// descentBest is a descent's result: the maximum bound, the first rank
+// attaining it, and the smallest maxTies ranks attaining it, rank
+// first.
+type descentBest struct {
+	bound timeu.Time
+	rank  int
+	ties  []int
+	err   error
+}
+
 // boundSubtree runs DisparityBound's branch and bound over the n
 // chains: collect blocks of at most cap pairs, order them most-promising
 // first (so the threshold rises early and later blocks die on one
 // comparison), evaluate the first block serially to seed the threshold,
-// then the rest serially or, when parallel, on all CPUs. The (bound,
-// rank) reduction keeps the result independent of evaluation order.
+// then the rest serially or, when parallel, on all CPUs. Each worker
+// reduces the blocks it evaluates into its own rectScratch, and the
+// workers' results merge once at the end by (bound desc, rank asc),
+// which keeps the result independent of evaluation order.
+//
+// The tied ranks are exact for the same reason the argmax is: a pair
+// attaining the maximum is never pruned, because every block, row and
+// pair skip tests strictly below a threshold that never exceeds the
+// maximum. So serial and parallel descents keep the same ties.
 //
 // A descent that takes a pair bound ≥ cutoff stops early: blocks not
 // yet started are skipped and running blocks stop at their next row,
 // the skipped pairs counted as subtree-pruned and pruned. Its result
 // is then only some bound ≥ cutoff, which is all a caller asking "does
-// any pair reach the cutoff?" needs. A descent that never reaches the
-// cutoff, and every descent with noCutoff, returns the exact maximum
-// and its first-attaining rank.
-func (ev *pairEval) boundSubtree(m Method, n, cap int, parallel bool, cutoff timeu.Time) blockBest {
+// any pair reach the cutoff?" needs, and its ties mean nothing. A
+// descent that never reaches the cutoff, and every descent with
+// noCutoff, returns the exact maximum, its first-attaining rank and
+// its ties.
+func (ev *pairEval) boundSubtree(m Method, n, cap int, parallel bool, cutoff timeu.Time) descentBest {
 	rects := ev.collectRects(m, cap)
-	slices.SortStableFunc(rects, func(a, b pairRect) int { return cmp.Compare(b.ub, a.ub) })
+	slices.SortFunc(rects, func(a, b pairRect) int {
+		if c := cmp.Compare(b.ub, a.ub); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
 	d := &descent{cutoff: cutoff}
-	results := make([]blockBest, len(rects))
 	workers := 1
 	if parallel {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	scratch := make([]rectScratch, workers)
-	results[0] = ev.evalRect(m, n, &rects[0], d, &scratch[0])
+	ev.evalRect(m, n, &rects[0], d, &scratch[0])
 	if rest := len(rects) - 1; rest > 0 && parallel {
 		boundParallelRuns.Inc()
 		_ = par.Runner{Workers: workers}.RunIndexed(context.Background(), rest,
 			func(_ context.Context, worker, b int) error {
-				results[b+1] = ev.evalRect(m, n, &rects[b+1], d, &scratch[worker])
+				ev.evalRect(m, n, &rects[b+1], d, &scratch[worker])
 				return nil
 			})
 	} else {
 		for b := 1; b < len(rects); b++ {
-			results[b] = ev.evalRect(m, n, &rects[b], d, &scratch[0])
+			ev.evalRect(m, n, &rects[b], d, &scratch[0])
 		}
 	}
-	best := blockBest{rank: -1}
-	for _, r := range results {
-		if r.err != nil {
-			return blockBest{rank: -1, err: r.err}
+	return mergeWorkers(scratch)
+}
+
+// mergeWorkers flushes every worker's pair counters and reduces their
+// results: the highest bound, and the smallest maxTies of the ranks
+// attaining it across workers. An error, the first in worker order,
+// replaces the result.
+func mergeWorkers(scratch []rectScratch) descentBest {
+	best := descentBest{rank: -1}
+	var err error
+	for i := range scratch {
+		sc := &scratch[i]
+		pairsBounded.Add(sc.evaluated)
+		pairsPruned.Add(sc.pruned)
+		pairsSubtreePruned.Add(sc.subtreePruned)
+		blocksPruned.Add(sc.blocksPruned)
+		if err == nil {
+			err = sc.err
 		}
-		if r.rank < 0 {
-			continue
+		switch {
+		case sc.nTies == 0:
+		case best.ties == nil || sc.bound > best.bound:
+			best.bound = sc.bound
+			best.ties = append(best.ties[:0], sc.ties[:sc.nTies]...)
+		case sc.bound == best.bound:
+			best.ties = append(best.ties, sc.ties[:sc.nTies]...)
 		}
-		if best.rank < 0 || r.bound > best.bound ||
-			(r.bound == best.bound && r.rank < best.rank) {
-			best.bound, best.rank = r.bound, r.rank
-		}
+	}
+	if err != nil {
+		return descentBest{rank: -1, err: err}
+	}
+	if best.ties != nil {
+		slices.Sort(best.ties)
+		best.ties = best.ties[:min(len(best.ties), maxTies)]
+		best.rank = best.ties[0]
 	}
 	return best
 }
 
 // rectScratch is one worker's state, reused across the blocks it
-// evaluates: the decomposition walk's tables and the S-diff cross
-// loop's per-leaf bounds at the join node and union of path masks.
+// evaluates: the decomposition walk's tables, the S-diff cross loop's
+// per-leaf bounds at the join node and union of path masks, and the
+// worker's share of the descent's result — its best bound, the
+// smallest ranks attaining it, its pair counters and its first error —
+// flushed once per descent by mergeWorkers.
 type rectScratch struct {
 	pair   pairScratch
 	wq, bq []timeu.Time
 	orQ    []uint64
+
+	bound timeu.Time
+	// ties[:nTies] are the smallest ranks attaining bound, ascending,
+	// so ties[0] is the worker's first-attaining rank.
+	ties  [maxTies]int
+	nTies int
+
+	evaluated, pruned, subtreePruned, blocksPruned int64
+	err                                            error
+	// The pad keeps adjacent workers' hot fields off one cache line.
+	_ [64]byte
+}
+
+// take folds one evaluated pair into the worker's result: a bound
+// above the worker's best restarts the ties at rank, an equal one
+// joins them.
+func (sc *rectScratch) take(bound timeu.Time, rank int) {
+	switch {
+	case sc.nTies == 0 || bound > sc.bound:
+		sc.bound = bound
+		sc.ties[0], sc.nTies = rank, 1
+	case bound == sc.bound:
+		sc.tie(rank)
+	}
+}
+
+// tie inserts rank into the sorted ties, dropping the largest once
+// maxTies are kept. A block visits its pairs in ascending rank, so the
+// insertion is usually an append.
+func (sc *rectScratch) tie(rank int) {
+	k := sc.nTies
+	if k == maxTies {
+		if rank > sc.ties[k-1] {
+			return
+		}
+		k--
+	} else {
+		sc.nTies++
+	}
+	for ; k > 0 && sc.ties[k-1] > rank; k-- {
+		sc.ties[k] = sc.ties[k-1]
+	}
+	sc.ties[k] = rank
 }
 
 // leafEnv describes the Q leaves of an S-diff cross block at its join
@@ -509,33 +626,36 @@ func (ev *pairEval) rowUB(env *leafEnv, u, f int32, wl, bl timeu.Time) (ub timeu
 	return crossUB(env.minW-bl, env.maxW-bl, env.minB-wl, env.maxB-wl, e, s), shared
 }
 
-// evalRect evaluates one block: skip it outright when the descent was
-// cut or its optimistic bound cannot reach the threshold, otherwise
-// enumerate its pairs with the per-pair dominance prune, stopping at
-// the first row that starts after a cut. S-diff cross blocks test each
-// row's bound before its pairs and each pair's U before evaluating it;
-// pairs sharing nothing below f take the direct c = 1 path, the rest
-// the generic evaluation.
-func (ev *pairEval) evalRect(m Method, n int, r *pairRect, d *descent, sc *rectScratch) blockBest {
-	best := blockBest{rank: -1}
+// evalRect evaluates one block into the worker's scratch: skip it
+// outright when the descent was cut or its optimistic bound cannot
+// reach the threshold, otherwise enumerate its pairs with the per-pair
+// dominance prune, stopping at the first row that starts after a cut.
+// S-diff cross blocks test each row's bound before its pairs and each
+// pair's U before evaluating it; pairs sharing nothing below f take the
+// direct c = 1 path, the rest the generic evaluation. An evaluation
+// error stops the block and is kept in sc.err if it is the worker's
+// first.
+func (ev *pairEval) evalRect(m Method, n int, r *pairRect, d *descent, sc *rectScratch) {
 	threshold := &d.threshold
 	if d.cut.Load() || (r.ub != ubSentinel && r.ub < timeu.Time(threshold.Load())) {
-		pairsSubtreePruned.Add(r.pairsFrom(int(r.pLo)))
-		blocksPruned.Inc()
-		return best
+		sc.subtreePruned += r.pairsFrom(int(r.pLo))
+		sc.blocksPruned++
+		return
 	}
 	var v pairVals
 	var evaluated, prunedCount int64
 	defer func() {
-		pairsBounded.Add(evaluated)
-		pairsPruned.Add(prunedCount)
+		sc.evaluated += evaluated
+		sc.pruned += prunedCount
 	}()
+	fail := func(err error) {
+		if sc.err == nil {
+			sc.err = err
+		}
+	}
 	take := func(rank int) {
 		evaluated++
-		if v.bound > best.bound || best.rank < 0 ||
-			(v.bound == best.bound && rank < best.rank) {
-			best.bound, best.rank = v.bound, rank
-		}
+		sc.take(v.bound, rank)
 		for {
 			cur := threshold.Load()
 			if int64(v.bound) <= cur || threshold.CompareAndSwap(cur, int64(v.bound)) {
@@ -555,8 +675,8 @@ func (ev *pairEval) evalRect(m Method, n int, r *pairRect, d *descent, sc *rectS
 			for j := i + 1; j < int(r.pHi); j++ {
 				ok, err := ev.evalPair(m, i, j, &sc.pair, &v, threshold)
 				if err != nil {
-					best.err = err
-					return best
+					fail(err)
+					return
 				}
 				if !ok {
 					prunedCount++
@@ -565,7 +685,7 @@ func (ev *pairEval) evalRect(m Method, n int, r *pairRect, d *descent, sc *rectS
 				take(pairRank(n, i, j))
 			}
 		}
-		return best
+		return
 	}
 	if m == SDiff && ev.maskStride != 0 {
 		idx := ev.idx
@@ -599,8 +719,8 @@ func (ev *pairEval) evalRect(m Method, n int, r *pairRect, d *descent, sc *rectS
 				}
 				if shared {
 					if err := ev.evalSDiff(i, j, &sc.pair, &v); err != nil {
-						best.err = err
-						return best
+						fail(err)
+						return
 					}
 				} else {
 					ev.sdiffC1(u, w, f, i, laLen, int(idx.NodeDepth(w)-fDepth+1), sameHead, &v)
@@ -608,7 +728,7 @@ func (ev *pairEval) evalRect(m Method, n int, r *pairRect, d *descent, sc *rectS
 				take(pairRank(n, i, j))
 			}
 		}
-		return best
+		return
 	}
 	for i := int(r.pLo); i < int(r.pHi); i++ {
 		if d.cut.Load() {
@@ -618,8 +738,8 @@ func (ev *pairEval) evalRect(m Method, n int, r *pairRect, d *descent, sc *rectS
 		for j := int(r.qLo); j < int(r.qHi); j++ {
 			ok, err := ev.evalPair(m, i, j, &sc.pair, &v, threshold)
 			if err != nil {
-				best.err = err
-				return best
+				fail(err)
+				return
 			}
 			if !ok {
 				prunedCount++
@@ -628,5 +748,4 @@ func (ev *pairEval) evalRect(m Method, n int, r *pairRect, d *descent, sc *rectS
 			take(pairRank(n, i, j))
 		}
 	}
-	return best
 }

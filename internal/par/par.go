@@ -85,6 +85,9 @@ func (r Runner) RunIndexed(ctx context.Context, n int, fn func(ctx context.Conte
 		progressMu.Unlock()
 	}
 
+	// A non-blocking receive on Done tests cancellation without the
+	// mutex ctx.Err takes on every call.
+	stop := ctx.Done()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -95,9 +98,11 @@ func (r Runner) RunIndexed(ctx context.Context, n int, fn func(ctx context.Conte
 				if i >= n {
 					return
 				}
-				if ctx.Err() != nil {
+				select {
+				case <-stop:
 					settle()
 					continue
+				default:
 				}
 				var begin time.Time
 				if r.OnJob != nil {
