@@ -25,14 +25,23 @@
 #                 fast-path unit differentials, the latency observer
 #                 tests, the latency sweep and its simulation loop
 #                 (internal/exp), and the chains fuzz seed corpus
-#   verify-sim-cycle - steady-state jump-ahead tier: the cycle-detection
-#                 and batch unit tests, the latency observer tests and the
-#                 test-only age observer they cross-check against, plus
-#                 the public-API jump on/off determinism test under -race,
-#                 every TestJumpAhead* differential in internal/integration
-#                 (the 200-workload jump-vs-full harness under four
-#                 warm-up regimes) and the end-to-end latency bounds
-#                 against the latency observer (TestE2EBoundsContainSimulation)
+#   verify-sim-cycle - steady-state jump-ahead and engine-core tier: the
+#                 cycle-detection and batch unit tests, the latency
+#                 observer tests and the test-only age observer they
+#                 cross-check against, plus the public-API jump on/off
+#                 determinism test under -race, every TestJumpAhead*
+#                 differential in internal/integration (the 200-workload
+#                 jump-vs-full harness under four warm-up regimes), the
+#                 end-to-end latency bounds against the latency observer
+#                 (TestE2EBoundsContainSimulation), the release calendar's
+#                 and dispatch set's differential against the reference
+#                 engine (TestPooledEngineCalendarMatchesReference: offsets
+#                 over several periods, equal offsets within a period
+#                 class, sporadic tasks inside periodic classes, > 64
+#                 ECUs), then 20 s of FuzzEngineMatchesReference (the
+#                 pooled engine against the reference engine on fuzzed
+#                 graph size, ECU count, those shapes, LET, buffered
+#                 edges, zero BCET and exec model)
 #   verify-explain - decision-telemetry tier: vet + race tests of the
 #                 explain recorder/witness, the metrics registry export
 #                 that the record, the derived telemetry gauges and the
@@ -142,6 +151,8 @@ verify-sim-cycle:
 	$(GO) test -race -run 'TestSimulateJumpAheadDeterministic' .
 	$(GO) test -run 'TestJumpAhead' ./internal/integration/...
 	$(GO) test -run 'TestE2EBoundsContainSimulation' ./internal/integration/...
+	$(GO) test -run 'TestPooledEngineCalendarMatchesReference' ./internal/integration/...
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineMatchesReference$$' -fuzztime 20s ./internal/integration/
 
 verify-explain:
 	$(GO) vet ./internal/explain/... ./tools/bench_compare/...

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	disparity "repro"
+	"repro/internal/metrics"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -115,6 +116,26 @@ func TestAnalyzeMetricsFlag(t *testing.T) {
 			t.Errorf("metrics dump missing %q", name)
 		}
 	}
+}
+
+// TestAnalyzeComputesWCRTOnce pins that the analysis reuses the
+// schedulability table's WCRT result: one run reads sched.analyses 1.
+func TestAnalyzeComputesWCRTOnce(t *testing.T) {
+	path := writeFixture(t)
+	metrics.Reset() // the registry is process-wide
+	var buf bytes.Buffer
+	if err := run([]string{"-graph", path, "-pairs", "-optimize", "-metrics"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "sched.analyses" {
+			if f[1] != "1" {
+				t.Errorf("sched.analyses %s, want 1", f[1])
+			}
+			return
+		}
+	}
+	t.Fatalf("metrics dump has no sched.analyses line:\n%s", buf.String())
 }
 
 // TestAnalyzePprofFlag checks that -pprof writes a non-empty profile.

@@ -130,10 +130,11 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "  ... enumeration truncated at the first %d chains (raise -max-chains)\n", idx.NumChains())
 	}
 
-	a, err := disparity.Analyze(g)
-	if err != nil {
+	// The analysis reuses the schedulability table's WCRT result.
+	if err := core.CheckSemantics(g); err != nil {
 		return err
 	}
+	a := core.NewWithBackward(g, an)
 	// End-to-end latency metric family, off the same chain trie.
 	fmt.Fprintf(stdout, "\nend-to-end latency bounds of %s:\n", g.Task(task).Name)
 	for _, l := range backward.Latencies() {

@@ -112,18 +112,8 @@ type Analysis struct {
 // rejected: the closed-form backward bounds do not compose across a
 // mixed chain.
 func New(g *model.Graph) (*Analysis, error) {
-	seen := false
-	var sem model.Semantics
-	for i := 0; i < g.NumTasks(); i++ {
-		t := g.Task(model.TaskID(i))
-		if t.ECU == model.NoECU {
-			continue
-		}
-		if !seen {
-			sem, seen = t.Sem, true
-		} else if t.Sem != sem {
-			return nil, fmt.Errorf("core: graph mixes %v and %v tasks; the analysis needs uniform semantics", sem, t.Sem)
-		}
+	if err := CheckSemantics(g); err != nil {
+		return nil, err
 	}
 	res := sched.Analyze(g, sched.NonPreemptiveFP)
 	if !res.Schedulable {
@@ -134,6 +124,27 @@ func New(g *model.Graph) (*Analysis, error) {
 		return nil, fmt.Errorf("core: graph is not schedulable under NP-FP: %v", names)
 	}
 	return NewWithBackward(g, backward.NewAnalyzer(g, res, backward.NonPreemptive)), nil
+}
+
+// CheckSemantics returns New's error for a graph whose scheduled tasks
+// mix LET and implicit communication, nil otherwise. Callers building
+// an Analysis with NewWithBackward on a WCRT result they already hold
+// check it first, as New does.
+func CheckSemantics(g *model.Graph) error {
+	seen := false
+	var sem model.Semantics
+	for i := 0; i < g.NumTasks(); i++ {
+		t := g.Task(model.TaskID(i))
+		if t.ECU == model.NoECU {
+			continue
+		}
+		if !seen {
+			sem, seen = t.Sem, true
+		} else if t.Sem != sem {
+			return fmt.Errorf("core: graph mixes %v and %v tasks; the analysis needs uniform semantics", sem, t.Sem)
+		}
+	}
+	return nil
 }
 
 // NewWithBackward builds an Analysis on a caller-supplied backward-time

@@ -28,7 +28,7 @@ type BatchRun struct {
 	// Seed seeds the run's private random source.
 	Seed int64
 	// Offsets, when non-nil, overrides the release offsets for this run
-	// (indexed by task ID, length NumTasks).
+	// (indexed by task ID, length NumTasks, none negative).
 	Offsets []timeu.Time
 	// Exec, when non-nil, overrides the base exec model.
 	Exec ExecModel

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -111,6 +112,38 @@ func TestBatchRunAll(t *testing.T) {
 	}
 	if len(res) != 1 {
 		t.Errorf("got %d completed results before the error, want 1", len(res))
+	}
+}
+
+// TestNegativeOffsetsRejected pins that a per-run offset below zero is
+// an error naming the task, through sim.Run and Batch.Run alike, as a
+// negative graph offset is: the calendar compares (time, seq) keys as
+// unsigned numbers, so a negative release time would fire last instead
+// of first. The engine stays usable after the rejected run.
+func TestNegativeOffsetsRejected(t *testing.T) {
+	g, _, _, _ := pipeline(t)
+	neg := []timeu.Time{0, -ms, 2 * ms}
+	_, err := Run(g, Config{Horizon: 100 * ms, Offsets: neg})
+	if err == nil || !strings.Contains(err.Error(), "task a has negative offset") {
+		t.Fatalf("sim.Run with a negative offset: err %v, want one naming task a", err)
+	}
+	batch, err := NewBatch(g, Config{Horizon: 100 * ms, Exec: WCETExec{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := batch.Run(BatchRun{Seed: 1, Offsets: neg}); err == nil || !strings.Contains(err.Error(), "task a has negative offset") {
+		t.Fatalf("Batch.Run with a negative offset: err %v, want one naming task a", err)
+	}
+	got, err := batch.Run(BatchRun{Seed: 1, Offsets: []timeu.Time{0, ms, 2 * ms}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(g, Config{Horizon: 100 * ms, Exec: WCETExec{}, Seed: 1, Offsets: []timeu.Time{0, ms, 2 * ms}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Stats, want) {
+		t.Errorf("run after the rejected one diverges from a fresh engine:\n%+v\n%+v", got.Stats, want)
 	}
 }
 

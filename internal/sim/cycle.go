@@ -394,9 +394,8 @@ func (e *Engine) encodeCycleState(enc *cycleEnc, b timeu.Time) {
 
 	// Release calendar, in pop order (time, seq). The payload omits the
 	// absolute seq: only the relative order matters for tie-breaking,
-	// and the sort bakes it into the encoding order.
-	c.rels = append(c.rels[:0], e.releases.s...)
-	sortRels(c.rels)
+	// and the merge of the sorted rings bakes it into the encoding order.
+	c.rels = e.releases.appendInOrder(c.rels[:0])
 	for _, r := range c.rels {
 		enc.i64(int64(r.task))
 		enc.time(r.time - b)
@@ -505,9 +504,7 @@ func (e *Engine) applyJump(b timeu.Time, snap *cycleSnap, cycle timeu.Time, m in
 		dk[i] = m * (e.nextK[i] - snap.nextK[i])
 	}
 
-	for i := range e.releases.s {
-		e.releases.s[i].time += dt
-	}
+	e.releases.shift(dt)
 	for i := range e.events.s {
 		e.events.s[i].time += dt
 	}
@@ -595,21 +592,9 @@ func (e *Engine) applyJump(b timeu.Time, snap *cycleSnap, cycle timeu.Time, m in
 }
 
 // Insertion sorts for the fingerprint scratch slices. Live populations
-// are small (≤ tasks entries for the calendar, ≤ ECUs + LET tasks for
-// events, queue depths for readies), so insertion sort beats
-// sort.Slice's interface overhead and allocates nothing.
-
-func sortRels(s []relEntry) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && relLess(v.time, v.seq, s[j].time, s[j].seq) {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
-}
+// are small (≤ ECUs + LET tasks for events, queue depths for readies),
+// so insertion sort beats sort.Slice's interface overhead and allocates
+// nothing.
 
 func sortEvents(s []event) {
 	for i := 1; i < len(s); i++ {

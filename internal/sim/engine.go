@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/model"
@@ -60,8 +61,9 @@ type Config struct {
 	// Observers receive job completions.
 	Observers []Observer
 	// Offsets, when non-nil, overrides every task's release offset for
-	// this run (indexed by task ID, length NumTasks). Batch runs use it
-	// to vary offsets without mutating the shared graph.
+	// this run (indexed by task ID, length NumTasks, none negative).
+	// Batch runs use it to vary offsets without mutating the shared
+	// graph.
 	Offsets []timeu.Time
 	// DisableJumpAhead forces full execution even when steady-state
 	// jump-ahead (see cycle.go) would be sound. Results are identical
@@ -185,6 +187,11 @@ type Engine struct {
 	seq      int64
 
 	ecus []ecuState
+	// touched marks, one bit per ECU, the ECUs a finish or a release
+	// changed since their last dispatch. After a dispatch pass every ECU
+	// runs a job or has an empty ready queue, and only a finish or a
+	// release onto it can change that, so the pass visits these alone.
+	touched []uint64
 	// chans lists all channels in edge order; ins and outs index them
 	// per task.
 	chans     []*channel
@@ -246,6 +253,7 @@ func NewEngine(g *model.Graph) (*Engine, error) {
 	e := &Engine{
 		g:            g,
 		ecus:         make([]ecuState, g.NumECUs()),
+		touched:      make([]uint64, (g.NumECUs()+63)/64),
 		ins:          make([][]*channel, g.NumTasks()),
 		outs:         make([][]*channel, g.NumTasks()),
 		pendingCount: make([]int, g.NumTasks()),
@@ -269,6 +277,7 @@ func NewEngine(g *model.Graph) (*Engine, error) {
 		ti.stimulus = t.ECU == model.NoECU
 		ti.isSource = g.IsSource(model.TaskID(i))
 	}
+	e.releases.init(e.info)
 	for _, edge := range g.Edges() {
 		ch := newChannel(edge.Cap)
 		ch.pool = &e.toks
@@ -307,6 +316,13 @@ func (e *Engine) Run(cfg Config) (*Stats, error) {
 	if cfg.Offsets != nil && len(cfg.Offsets) != e.g.NumTasks() {
 		return nil, fmt.Errorf("sim: %d offsets for %d tasks", len(cfg.Offsets), e.g.NumTasks())
 	}
+	// The calendar orders release times as unsigned numbers (relLess).
+	for i := 0; i < e.g.NumTasks(); i++ {
+		t := e.g.Task(model.TaskID(i))
+		if off := firstRelease(cfg.Offsets, t); off < 0 {
+			return nil, fmt.Errorf("sim: task %s has negative offset %v", t.Name, off)
+		}
+	}
 	runSpan := cfg.Trace.Start("sim.run")
 	e.reset(cfg) // starts the first chunk span, nested under runSpan
 	e.loop()
@@ -339,13 +355,12 @@ func (e *Engine) reset(cfg Config) {
 		e.rng.Seed(cfg.Seed)
 	}
 	e.stats = Stats{}
-	e.seq = 0
 	e.events.clear()
-	e.releases.clear()
 	for i := range e.ecus {
 		e.ecus[i].running = nil
 		e.ecus[i].ready.clear()
 	}
+	clear(e.touched)
 	for _, ch := range e.chans {
 		ch.reset()
 	}
@@ -378,16 +393,22 @@ func (e *Engine) reset(cfg Config) {
 	}
 	// Initial releases consume seq 0..N-1 in task order, exactly like
 	// the reference engine's initial event pushes.
-	for i := 0; i < e.g.NumTasks(); i++ {
-		t := e.g.Task(model.TaskID(i))
-		off := t.Offset
-		if cfg.Offsets != nil {
-			off = cfg.Offsets[i]
-		}
-		e.releases.push(relEntry{time: off, seq: e.seq, task: t.ID})
-		e.seq++
+	for i := range e.releases.ring {
+		r := &e.releases.ring[i]
+		r.time, r.seq = firstRelease(cfg.Offsets, e.g.Task(r.task)), int64(r.task)
 	}
+	e.seq = int64(len(e.releases.ring))
+	e.releases.start()
 	e.cycleInit()
+}
+
+// firstRelease is the task's first release: its per-run offset when the
+// run has them (Config.Offsets), else the graph's.
+func firstRelease(offsets []timeu.Time, t *model.Task) timeu.Time {
+	if offsets != nil {
+		return offsets[t.ID]
+	}
+	return t.Offset
 }
 
 // Run simulates the graph for cfg.Horizon of simulated time and returns
@@ -410,17 +431,20 @@ func (e *Engine) pushEvent(ev event) {
 // loop processes events in batches per time instant: all finishes first
 // (outputs become visible and ECUs turn idle), then LET publishes, then
 // all releases (jobs enqueue, stimuli publish), then one dispatch pass
-// per ECU. This makes priority — not event insertion order — decide
-// among jobs released at the same instant, and lets a job starting at t
-// read every token written at or before t. Zero execution times can
-// produce new finish events at the same instant; the inner loop
-// re-batches until the instant drains.
+// over the touched ECUs. This makes priority — not event insertion
+// order — decide among jobs released at the same instant, and lets a job
+// starting at t read every token written at or before t. Zero execution
+// times can produce new finish events at the same instant; the inner
+// loop re-batches until the instant drains.
 //
 // The batch order equals the reference engine's single-heap pop order:
 // event kinds sort finish < publish < release, and handling an event at
 // time t never creates another event at t (periods and LET intervals
 // are positive) — only dispatch can, and both engines dispatch after
-// draining the instant.
+// draining the instant. The reference engine's pass calls dispatch on
+// every ECU in ascending order; on an untouched ECU that call returns at
+// once, so visiting the touched ECUs in ascending order draws the same
+// rng values in the same order.
 func (e *Engine) loop() {
 	for {
 		var now timeu.Time
@@ -458,8 +482,14 @@ func (e *Engine) loop() {
 			for e.releases.len() > 0 && e.releases.top().time == now {
 				e.release(now)
 			}
-			for i := range e.ecus {
-				e.dispatch(model.ECUID(i), now)
+			for w, word := range e.touched {
+				if word == 0 {
+					continue
+				}
+				e.touched[w] = 0 // dispatch touches no ECU
+				for ; word != 0; word &= word - 1 {
+					e.dispatch(model.ECUID(w<<6|bits.TrailingZeros64(word)), now)
+				}
 			}
 			if e.events.len() == 0 || e.events.top().time != now {
 				break
@@ -521,6 +551,12 @@ func (e *Engine) release(now timeu.Time) {
 		e.pushEvent(event{time: now + t.period, kind: evPublish, task: task})
 	}
 	e.ecus[t.ecu].ready.push(readyJob{job: j, prio: t.prio})
+	e.touch(t.ecu)
+}
+
+// touch queues the ECU for this instant's dispatch pass.
+func (e *Engine) touch(ecu model.ECUID) {
+	e.touched[ecu>>6] |= 1 << (ecu & 63)
 }
 
 // letPublish fires a LET task's deadline: the token assembled at release
@@ -682,6 +718,7 @@ func (e *Engine) finish(ecu model.ECUID, now timeu.Time) {
 	es := &e.ecus[ecu]
 	j := es.running
 	es.running = nil
+	e.touch(ecu)
 	e.pendingCount[j.Task]--
 	if j.let {
 		// The logical job completes at its publish instant, not here; the
