@@ -2,8 +2,9 @@
 #
 #   build       - compile everything
 #   test        - tier 1: the plain test suite
-#   race        - tier 2: vet + the suite (incl. the differential harness
-#                 in internal/integration) under the race detector
+#   race        - tier 2: vet of both modules (the root and bench/) + the
+#                 suite (incl. the differential harness in
+#                 internal/integration) under the race detector
 #   bench       - compile-and-smoke every benchmark (one iteration each)
 #   bench-smoke - quick perf tier: the simulator and analysis benchmarks
 #                 (a few real iterations, -benchmem) + vet of
@@ -38,7 +39,8 @@
 #                 engine (TestPooledEngineCalendarMatchesReference: offsets
 #                 over several periods, equal offsets within a period
 #                 class, sporadic tasks inside periodic classes, > 64
-#                 ECUs), then 20 s of FuzzEngineMatchesReference (the
+#                 ECUs, offsets passed per run through sim.Run and
+#                 sim.Batch), then 20 s of FuzzEngineMatchesReference (the
 #                 pooled engine against the reference engine on fuzzed
 #                 graph size, ECU count, those shapes, LET, buffered
 #                 edges, zero BCET and exec model)
@@ -124,6 +126,7 @@ test: build
 
 race:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 	$(GO) test -race ./...
 
 bench:

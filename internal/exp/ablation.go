@@ -52,10 +52,6 @@ func sdiffBound(cfg Config, a *core.Analysis, task model.TaskID) (*core.TaskDisp
 	return td, true
 }
 
-type backwardResult struct {
-	np, du float64
-}
-
 // AblationBackward compares the S-diff task bound computed with the
 // paper's NP-FP backward bounds against the Dürr-style baseline, per
 // task count. Columns (ms): S-diff(NP), S-diff(Dürr).
@@ -65,12 +61,12 @@ func AblationBackward(cfg Config) (*Table, error) {
 		XLabel:  "tasks",
 		Columns: []string{colSDiff + "(NP)", colSDiff + "(Duerr)"},
 	}
-	err := runSweep(cfg, sweepSpec[backwardResult]{
+	err := runSweep(cfg, sweepSpec{
 		prefix: "n=",
-		eval: func(ctx context.Context, tk *span.Track, n, pi, gi int) (backwardResult, bool, error) {
+		eval: func(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi int) ([]float64, error) {
 			g := genForPoint(cfg, n, pi, gi)
 			if g == nil {
-				return backwardResult{}, false, nil
+				return nil, nil
 			}
 			res := sched.Analyze(g, sched.NonPreemptiveFP)
 			sink := g.Sinks()[0]
@@ -79,43 +75,20 @@ func AblationBackward(cfg Config) (*Table, error) {
 			du := core.NewWithBackward(g, backward.NewAnalyzer(g, res, backward.Duerr))
 			npTd, ok := sdiffBound(cfg, np, sink)
 			if !ok {
-				return backwardResult{}, false, nil
+				return nil, nil
 			}
 			duTd, ok := sdiffBound(cfg, du, sink)
-			if !ok {
-				return backwardResult{}, false, nil
+			if !ok || npTd.NumPairs == 0 {
+				return nil, nil
 			}
-			if npTd.NumPairs == 0 {
-				return backwardResult{}, false, nil
-			}
-			return backwardResult{
-				np: npTd.Bound.Milliseconds(),
-				du: duTd.Bound.Milliseconds(),
-			}, true, nil
+			return []float64{npTd.Bound.Milliseconds(), duTd.Bound.Milliseconds()}, nil
 		},
-		point: func(n int, results []backwardResult) error {
-			var nps, dus []float64
-			for _, r := range results {
-				nps = append(nps, r.np)
-				dus = append(dus, r.du)
-			}
-			tbl.AddRow(n, mean(nps), mean(dus))
-			if cfg.Log != nil {
-				fmt.Fprintf(cfg.Log, "ablation-backward n=%d: NP=%.3f Duerr=%.3f (%d graphs)\n",
-					n, mean(nps), mean(dus), len(nps))
-			}
-			return nil
-		},
-		emptyErr: func(n int) error { return fmt.Errorf("exp: no usable graphs at n=%d", n) },
+		tables: []*Table{tbl},
 	})
 	if err != nil {
 		return nil, err
 	}
 	return tbl, nil
-}
-
-type tailResult struct {
-	pd, sd float64
 }
 
 // AblationTail sweeps the shared-pipeline-tail length (the X axis) on
@@ -129,7 +102,7 @@ func AblationTail(cfg Config, totalTasks int) (*Table, error) {
 		XLabel:  "tail",
 		Columns: []string{colPDiff, colSDiff},
 	}
-	err := runSweep(cfg, sweepSpec[tailResult]{
+	err := runSweep(cfg, sweepSpec{
 		prefix: "tail=",
 		checkPoint: func(tail int) error {
 			if totalTasks-tail < 5 {
@@ -137,52 +110,38 @@ func AblationTail(cfg Config, totalTasks int) (*Table, error) {
 			}
 			return nil
 		},
-		eval: func(ctx context.Context, tk *span.Track, tail, pi, gi int) (tailResult, bool, error) {
+		eval: func(ctx context.Context, cfg Config, tk *span.Track, tail, pi, gi int) ([]float64, error) {
 			sub := cfg
 			sub.TailLen = tail
 			g := genForPoint(sub, totalTasks, pi, gi)
 			if g == nil {
-				return tailResult{}, false, nil
+				return nil, nil
 			}
 			a, err := core.New(g)
 			if err != nil {
-				return tailResult{}, false, nil
+				return nil, nil
 			}
 			sink := g.Sinks()[0]
 			pd, err := a.DisparityBound(sink, core.PDiff, cfg.MaxChains)
 			if err != nil {
-				return tailResult{}, false, nil
+				return nil, nil
 			}
 			sd, err := a.DisparityBound(sink, core.SDiff, cfg.MaxChains)
 			if err != nil || pd.NumPairs == 0 {
-				return tailResult{}, false, nil
+				return nil, nil
 			}
 			if pd.Truncated || sd.Truncated {
 				cfg.noteTruncation(fmt.Sprintf("tail=%d graph %d", tail, gi))
-				return tailResult{}, false, nil
+				return nil, nil
 			}
-			return tailResult{pd: pd.Bound.Milliseconds(), sd: sd.Bound.Milliseconds()}, true, nil
+			return []float64{pd.Bound.Milliseconds(), sd.Bound.Milliseconds()}, nil
 		},
-		point: func(tail int, results []tailResult) error {
-			var pds, sds []float64
-			for _, r := range results {
-				pds = append(pds, r.pd)
-				sds = append(sds, r.sd)
-			}
-			tbl.AddRow(tail, mean(pds), mean(sds))
-			return nil
-		},
-		emptyErr: func(tail int) error { return fmt.Errorf("exp: no usable graphs at tail=%d", tail) },
+		tables: []*Table{tbl},
 	})
 	if err != nil {
 		return nil, err
 	}
 	return tbl, nil
-}
-
-type execResult struct {
-	sims [4]float64
-	sd   float64
 }
 
 // AblationExec compares the maximum disparity observed under the four
@@ -195,57 +154,41 @@ func AblationExec(cfg Config) (*Table, error) {
 		XLabel:  "tasks",
 		Columns: []string{colSim + "-wcet", colSim + "-bcet", colSim + "-uniform", colSim + "-extremes", colSDiff},
 	}
-	err := runSweep(cfg, sweepSpec[execResult]{
+	err := runSweep(cfg, sweepSpec{
 		prefix: "n=",
-		eval: func(ctx context.Context, tk *span.Track, n, pi, gi int) (execResult, bool, error) {
+		eval: func(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi int) ([]float64, error) {
 			g := genForPoint(cfg, n, pi, gi)
 			if g == nil {
-				return execResult{}, false, nil
+				return nil, nil
 			}
 			a, err := core.New(g)
 			if err != nil {
-				return execResult{}, false, nil
+				return nil, nil
 			}
 			sink := g.Sinks()[0]
 			sd, ok := sdiffBound(cfg, a, sink)
 			if !ok || sd.NumPairs == 0 {
-				return execResult{}, false, nil
+				return nil, nil
 			}
-			r := execResult{sd: sd.Bound.Milliseconds()}
+			row := make([]float64, len(models), len(models)+1)
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(pi*31+gi)))
 			for mi, m := range models {
 				sub := cfg
 				sub.Exec = m
 				v, err := simulateMaxDisparity(ctx, sub, tk, g, sink, rng)
 				if err != nil {
-					return execResult{}, false, err
+					return nil, err
 				}
-				r.sims[mi] = v.Milliseconds()
+				row[mi] = v.Milliseconds()
 			}
-			return r, true, nil
+			return append(row, sd.Bound.Milliseconds()), nil
 		},
-		point: func(n int, results []execResult) error {
-			sums := make([][]float64, len(models))
-			var sds []float64
-			for _, r := range results {
-				for mi := range models {
-					sums[mi] = append(sums[mi], r.sims[mi])
-				}
-				sds = append(sds, r.sd)
-			}
-			tbl.AddRow(n, mean(sums[0]), mean(sums[1]), mean(sums[2]), mean(sums[3]), mean(sds))
-			return nil
-		},
-		emptyErr: func(n int) error { return fmt.Errorf("exp: no usable graphs at n=%d", n) },
+		tables: []*Table{tbl},
 	})
 	if err != nil {
 		return nil, err
 	}
 	return tbl, nil
-}
-
-type semanticsResult struct {
-	sdI, simI, sdL, simL float64
 }
 
 // AblationSemantics compares implicit communication against LET on the
@@ -260,12 +203,12 @@ func AblationSemantics(cfg Config) (*Table, error) {
 		XLabel:  "tasks",
 		Columns: []string{colSDiff + "(impl)", colSim + "(impl)", colSDiff + "(LET)", colSim + "(LET)"},
 	}
-	err := runSweep(cfg, sweepSpec[semanticsResult]{
+	err := runSweep(cfg, sweepSpec{
 		prefix: "n=",
-		eval: func(ctx context.Context, tk *span.Track, n, pi, gi int) (semanticsResult, bool, error) {
+		eval: func(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi int) ([]float64, error) {
 			g := genForPoint(cfg, n, pi, gi)
 			if g == nil {
-				return semanticsResult{}, false, nil
+				return nil, nil
 			}
 			sink := g.Sinks()[0]
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(pi*37+gi)))
@@ -286,7 +229,7 @@ func AblationSemantics(cfg Config) (*Table, error) {
 			}
 			bi, si, ok, err := evalOne(g)
 			if err != nil || !ok {
-				return semanticsResult{}, false, err
+				return nil, err
 			}
 			let := g.Clone()
 			for i := 0; i < let.NumTasks(); i++ {
@@ -294,31 +237,16 @@ func AblationSemantics(cfg Config) (*Table, error) {
 			}
 			bl, sl, ok, err := evalOne(let)
 			if err != nil || !ok {
-				return semanticsResult{}, false, err
+				return nil, err
 			}
-			return semanticsResult{sdI: bi, simI: si, sdL: bl, simL: sl}, true, nil
+			return []float64{bi, si, bl, sl}, nil
 		},
-		point: func(n int, results []semanticsResult) error {
-			var sdI, simI, sdL, simL []float64
-			for _, r := range results {
-				sdI = append(sdI, r.sdI)
-				simI = append(simI, r.simI)
-				sdL = append(sdL, r.sdL)
-				simL = append(simL, r.simL)
-			}
-			tbl.AddRow(n, mean(sdI), mean(simI), mean(sdL), mean(simL))
-			return nil
-		},
-		emptyErr: func(n int) error { return fmt.Errorf("exp: no usable graphs at n=%d", n) },
+		tables: []*Table{tbl},
 	})
 	if err != nil {
 		return nil, err
 	}
 	return tbl, nil
-}
-
-type adversarialResult struct {
-	rnd, adv, sd float64
 }
 
 // AblationAdversarial quantifies how much of the Fig. 6(c) bound-vs-Sim
@@ -333,9 +261,9 @@ func AblationAdversarial(cfg Config) (*Table, error) {
 		XLabel:  "chainlen",
 		Columns: []string{colSim + "(random)", colSim + "(adv)", colSDiff},
 	}
-	err := runSweep(cfg, sweepSpec[adversarialResult]{
+	err := runSweep(cfg, sweepSpec{
 		prefix: "len=",
-		eval: func(ctx context.Context, tk *span.Track, n, pi, gi int) (adversarialResult, bool, error) {
+		eval: func(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi int) ([]float64, error) {
 			rng := rand.New(rand.NewSource(cfg.Seed + 43 + int64(pi)*1_000_003 + int64(gi)*7_919))
 			gcfg := randgraph.Config{ECUs: cfg.ECUs, StimulusSources: true}
 			var g *model.Graph
@@ -346,6 +274,7 @@ func AblationAdversarial(cfg Config) (*Table, error) {
 					continue
 				}
 				waters.Populate(gg, rng)
+				graphsGenerated.Inc()
 				if res := sched.Analyze(gg, sched.NonPreemptiveFP); !res.Schedulable {
 					continue
 				}
@@ -353,20 +282,20 @@ func AblationAdversarial(cfg Config) (*Table, error) {
 				break
 			}
 			if g == nil {
-				return adversarialResult{}, false, nil
+				return nil, nil
 			}
 			sink := la.Tail()
 			a, err := core.New(g)
 			if err != nil {
-				return adversarialResult{}, false, nil
+				return nil, nil
 			}
 			sd, ok := sdiffBound(cfg, a, sink)
 			if !ok {
-				return adversarialResult{}, false, nil
+				return nil, nil
 			}
 			random, err := simulateMaxDisparity(ctx, cfg, tk, g, sink, rng)
 			if err != nil {
-				return adversarialResult{}, false, err
+				return nil, err
 			}
 			adv, err := offsetopt.RandomRestarts(g, sink, offsetopt.Config{
 				Direction: offsetopt.Maximize,
@@ -376,29 +305,11 @@ func AblationAdversarial(cfg Config) (*Table, error) {
 				Seeds:     2,
 			}, 2, cfg.Seed+int64(gi))
 			if err != nil {
-				return adversarialResult{}, false, nil
+				return nil, nil
 			}
-			return adversarialResult{
-				rnd: random.Milliseconds(),
-				adv: adv.After.Milliseconds(),
-				sd:  sd.Bound.Milliseconds(),
-			}, true, nil
+			return []float64{random.Milliseconds(), adv.After.Milliseconds(), sd.Bound.Milliseconds()}, nil
 		},
-		point: func(n int, results []adversarialResult) error {
-			var rnds, advs, sds []float64
-			for _, r := range results {
-				rnds = append(rnds, r.rnd)
-				advs = append(advs, r.adv)
-				sds = append(sds, r.sd)
-			}
-			tbl.AddRow(n, mean(rnds), mean(advs), mean(sds))
-			if cfg.Log != nil {
-				fmt.Fprintf(cfg.Log, "adversarial len=%d: rand=%.3f adv=%.3f bound=%.3f\n",
-					n, mean(rnds), mean(advs), mean(sds))
-			}
-			return nil
-		},
-		emptyErr: func(n int) error { return fmt.Errorf("exp: no usable graphs at chain length %d", n) },
+		tables: []*Table{tbl},
 	})
 	if err != nil {
 		return nil, err
@@ -425,6 +336,7 @@ func genForPoint(cfg Config, n, pi, gi int) *model.Graph {
 			continue
 		}
 		waters.Populate(g, rng)
+		graphsGenerated.Inc()
 		if res := sched.Analyze(g, sched.NonPreemptiveFP); !res.Schedulable {
 			continue
 		}

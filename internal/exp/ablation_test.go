@@ -4,13 +4,26 @@ import (
 	"testing"
 )
 
-func TestAblationBackward(t *testing.T) {
-	cfg := tiny()
-	cfg.Points = []int{8, 12}
-	tbl, err := AblationBackward(cfg)
+// runCounted runs one sweep and checks the graph counters it moved:
+// a sweep counts every graph it averages, and never more than it drew.
+func runCounted(t *testing.T, run func() (*Table, error)) *Table {
+	t.Helper()
+	used0, gen0 := graphsUsed.Load(), graphsGenerated.Load()
+	tbl, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	used, gen := graphsUsed.Load()-used0, graphsGenerated.Load()-gen0
+	if used <= 0 || used > gen {
+		t.Errorf("exp.graphs.used rose by %d and exp.graphs.generated by %d, want 0 < used ≤ generated", used, gen)
+	}
+	return tbl
+}
+
+func TestAblationBackward(t *testing.T) {
+	cfg := tiny()
+	cfg.Points = []int{8, 12}
+	tbl := runCounted(t, func() (*Table, error) { return AblationBackward(cfg) })
 	np, _ := tbl.Column("S-diff(NP)")
 	du, _ := tbl.Column("S-diff(Duerr)")
 	for i := range np {
@@ -28,10 +41,7 @@ func TestAblationTail(t *testing.T) {
 	cfg := tiny()
 	cfg.Points = []int{0, 4}
 	cfg.GraphsPerPoint = 4
-	tbl, err := AblationTail(cfg, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runCounted(t, func() (*Table, error) { return AblationTail(cfg, 14) })
 	pd, _ := tbl.Column("P-diff")
 	sd, _ := tbl.Column("S-diff")
 	// tail=0: bounds coincide; tail=4: S-diff strictly tighter.
@@ -51,10 +61,7 @@ func TestAblationTail(t *testing.T) {
 func TestAblationExec(t *testing.T) {
 	cfg := tiny()
 	cfg.Points = []int{8}
-	tbl, err := AblationExec(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runCounted(t, func() (*Table, error) { return AblationExec(cfg) })
 	sd, _ := tbl.Column("S-diff")
 	for _, col := range []string{"Sim-wcet", "Sim-bcet", "Sim-uniform", "Sim-extremes"} {
 		v, err := tbl.Column(col)
@@ -73,10 +80,7 @@ func TestAblationExec(t *testing.T) {
 func TestAblationSemantics(t *testing.T) {
 	cfg := tiny()
 	cfg.Points = []int{8}
-	tbl, err := AblationSemantics(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runCounted(t, func() (*Table, error) { return AblationSemantics(cfg) })
 	sdI, _ := tbl.Column("S-diff(impl)")
 	simI, _ := tbl.Column("Sim(impl)")
 	sdL, _ := tbl.Column("S-diff(LET)")
@@ -96,10 +100,7 @@ func TestAblationAdversarial(t *testing.T) {
 	cfg := tiny()
 	cfg.Points = []int{3}
 	cfg.GraphsPerPoint = 2
-	tbl, err := AblationAdversarial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runCounted(t, func() (*Table, error) { return AblationAdversarial(cfg) })
 	rnd, _ := tbl.Column("Sim(random)")
 	adv, _ := tbl.Column("Sim(adv)")
 	sd, _ := tbl.Column("S-diff")
@@ -118,10 +119,7 @@ func TestAblationUtilization(t *testing.T) {
 	cfg := tiny()
 	cfg.Points = []int{5, 40}
 	cfg.GraphsPerPoint = 3
-	tbl, err := AblationUtilization(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runCounted(t, func() (*Table, error) { return AblationUtilization(cfg) })
 	np, _ := tbl.Column("S-diff(NP)")
 	du, _ := tbl.Column("S-diff(Duerr)")
 	for i := range np {
@@ -143,10 +141,7 @@ func TestAblationPriority(t *testing.T) {
 	cfg := tiny()
 	cfg.Points = []int{30}
 	cfg.GraphsPerPoint = 4
-	tbl, err := AblationPriority(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runCounted(t, func() (*Table, error) { return AblationPriority(cfg) })
 	rm, _ := tbl.Column("S-diff(RM)")
 	topo, _ := tbl.Column("S-diff(topo)")
 	if rm[0] <= 0 || topo[0] <= 0 {
@@ -167,10 +162,7 @@ func TestAblationGreedyBuffers(t *testing.T) {
 	cfg := tiny()
 	cfg.Points = []int{10}
 	cfg.GraphsPerPoint = 3
-	tbl, err := AblationGreedyBuffers(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runCounted(t, func() (*Table, error) { return AblationGreedyBuffers(cfg) })
 	sd, _ := tbl.Column("S-diff")
 	b1, _ := tbl.Column("S-diff-B1")
 	bg, _ := tbl.Column("S-diff-Bg")

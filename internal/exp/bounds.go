@@ -8,12 +8,6 @@ import (
 	"repro/internal/trace/span"
 )
 
-// boundsResult carries the per-graph analysis bounds of BoundsSweep.
-type boundsResult struct {
-	pdiff, sdiff, sdiffB float64 // milliseconds
-	ok                   bool
-}
-
 // BoundsSweep runs the analysis side of the Fig. 6(a) experiment without
 // any simulation: per point it generates the same GNM workloads as Fig6a
 // (same seeds, same graphs) and reports the mean P-diff and S-diff task
@@ -28,28 +22,7 @@ func BoundsSweep(cfg Config) (*Table, error) {
 		XLabel:  "tasks",
 		Columns: []string{colPDiff, colSDiff, colSDiffB},
 	}
-	err := runSweep(cfg, sweepSpec[boundsResult]{
-		prefix: "n=",
-		eval: func(ctx context.Context, tk *span.Track, n, pi, gi int) (boundsResult, bool, error) {
-			r, err := evalGNMBounds(ctx, cfg, tk, n, pi, gi)
-			return r, r.ok, err
-		},
-		point: func(n int, results []boundsResult) error {
-			var pds, sds, sbs []float64
-			for _, r := range results {
-				pds = append(pds, r.pdiff)
-				sds = append(sds, r.sdiff)
-				sbs = append(sbs, r.sdiffB)
-			}
-			tbl.AddRow(n, mean(pds), mean(sds), mean(sbs))
-			if cfg.Log != nil {
-				fmt.Fprintf(cfg.Log, "n=%d: P-diff=%.3fms S-diff=%.3fms S-diff-B=%.3fms (%d graphs)\n",
-					n, mean(pds), mean(sds), mean(sbs), len(pds))
-			}
-			return nil
-		},
-		emptyErr: func(n int) error { return fmt.Errorf("exp: no usable graphs at point n=%d", n) },
-	})
+	err := runSweep(cfg, sweepSpec{prefix: "n=", eval: evalGNMBounds, tables: []*Table{tbl}})
 	if err != nil {
 		return nil, err
 	}
@@ -59,18 +32,11 @@ func BoundsSweep(cfg Config) (*Table, error) {
 // evalGNMBounds mirrors evalGNMGraph's generation (identical rng stream:
 // the simulation draws it skips all happen after generation) but stops
 // at the analysis: P-diff, S-diff, and the greedy-buffered S-diff.
-func evalGNMBounds(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi int) (boundsResult, error) {
-	if failGraphHook != nil {
-		if err := failGraphHook(pi, gi); err != nil {
-			return boundsResult{}, err
-		}
-	}
-	ws := tk.Start("workload")
-	defer ws.End(span.Int("n", int64(n)), span.Int("graph", int64(gi)))
+func evalGNMBounds(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi int) ([]float64, error) {
 	rng := newGraphRNG(cfg.Seed, pi, gi)
 	for attempt := 0; attempt < 60; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return boundsResult{}, err
+			return nil, err
 		}
 		g := generateGNM(cfg, tk, n, rng)
 		if g == nil {
@@ -108,13 +74,7 @@ func evalGNMBounds(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi in
 			cfg.noteTruncation(fmt.Sprintf("n=%d graph %d", n, gi))
 			continue
 		}
-		graphsUsed.Inc()
-		return boundsResult{
-			pdiff:  pd.Bound.Milliseconds(),
-			sdiff:  sd.Bound.Milliseconds(),
-			sdiffB: greedy.After.Milliseconds(),
-			ok:     true,
-		}, nil
+		return []float64{pd.Bound.Milliseconds(), sd.Bound.Milliseconds(), greedy.After.Milliseconds()}, nil
 	}
-	return boundsResult{}, nil
+	return nil, nil
 }

@@ -2,7 +2,7 @@ package exp
 
 import (
 	"context"
-	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/core"
@@ -14,10 +14,6 @@ import (
 // paper's optimization: how priority assignment and multi-pair (greedy)
 // buffer insertion move the S-diff bound on general fusion graphs, where
 // the paper's evaluation only treats two-chain topologies.
-
-type priorityResult struct {
-	rm, topo float64
-}
 
 // AblationPriority compares rate-monotonic against topological (flow-
 // ordered) priority assignment on utilization-scaled workloads, per
@@ -32,71 +28,44 @@ func AblationPriority(cfg Config) (*Table, error) {
 		XLabel:  "util%",
 		Columns: []string{colSDiff + "(RM)", colSDiff + "(topo)"},
 	}
-	err := runSweep(cfg, sweepSpec[priorityResult]{
-		prefix: "util=",
-		checkPoint: func(upct int) error {
-			if upct <= 0 || upct >= 100 {
-				return fmt.Errorf("exp: utilization %d%% out of (0, 100)", upct)
-			}
-			return nil
-		},
-		eval: func(ctx context.Context, tk *span.Track, upct, pi, gi int) (priorityResult, bool, error) {
+	err := runSweep(cfg, sweepSpec{
+		prefix:     "util=",
+		checkPoint: checkUtilization,
+		eval: func(ctx context.Context, cfg Config, tk *span.Track, upct, pi, gi int) ([]float64, error) {
 			g := genUtilization(cfg, 16, float64(upct)/100, pi, gi)
 			if g == nil {
-				return priorityResult{}, false, nil
+				return nil, nil
 			}
 			sink := g.Sinks()[0]
 			// RM is how genUtilization's populator left the graph.
 			rmA, err := core.New(g)
 			if err != nil {
-				return priorityResult{}, false, nil
+				return nil, nil
 			}
 			rmTd, ok := sdiffBound(cfg, rmA, sink)
 			if !ok || rmTd.NumPairs == 0 {
-				return priorityResult{}, false, nil
+				return nil, nil
 			}
 			topo := g.Clone()
 			if err := sched.AssignTopological(topo); err != nil {
-				return priorityResult{}, false, nil
+				return nil, nil
 			}
 			topoA, err := core.New(topo)
 			if err != nil {
-				return priorityResult{}, false, nil // topological order unschedulable here
+				return nil, nil // topological order unschedulable here
 			}
 			topoTd, ok := sdiffBound(cfg, topoA, sink)
 			if !ok {
-				return priorityResult{}, false, nil
+				return nil, nil
 			}
-			return priorityResult{
-				rm:   rmTd.Bound.Milliseconds(),
-				topo: topoTd.Bound.Milliseconds(),
-			}, true, nil
+			return []float64{rmTd.Bound.Milliseconds(), topoTd.Bound.Milliseconds()}, nil
 		},
-		point: func(upct int, results []priorityResult) error {
-			var rms, topos []float64
-			for _, r := range results {
-				rms = append(rms, r.rm)
-				topos = append(topos, r.topo)
-			}
-			tbl.AddRow(upct, mean(rms), mean(topos))
-			return nil
-		},
-		emptyErr: func(upct int) error { return fmt.Errorf("exp: no usable graphs at %d%% utilization", upct) },
+		tables: []*Table{tbl},
 	})
 	if err != nil {
 		return nil, err
 	}
 	return tbl, nil
-}
-
-// greedyResult mirrors the original loop's asymmetric aggregation: a
-// graph whose single-application path fails after the greedy path
-// succeeded still contributes its S-diff value (full=false), so the
-// S-diff column can average more graphs than the others.
-type greedyResult struct {
-	sd                 float64
-	b1, bg, sim, simBg float64
-	full               bool
 }
 
 // AblationGreedyBuffers extends the paper's Fig. 6(c) beyond two chains:
@@ -111,83 +80,66 @@ func AblationGreedyBuffers(cfg Config) (*Table, error) {
 		XLabel:  "tasks",
 		Columns: []string{colSDiff, colSDiff + "-B1", colSDiff + "-Bg", colSim, colSim + "-Bg"},
 	}
-	err := runSweep(cfg, sweepSpec[greedyResult]{
+	err := runSweep(cfg, sweepSpec{
 		prefix: "n=",
-		eval: func(ctx context.Context, tk *span.Track, n, pi, gi int) (greedyResult, bool, error) {
+		eval: func(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi int) ([]float64, error) {
 			g := genForPoint(cfg, n, pi, gi)
 			if g == nil {
-				return greedyResult{}, false, nil
+				return nil, nil
 			}
 			a, err := core.New(g)
 			if err != nil {
-				return greedyResult{}, false, nil
+				return nil, nil
 			}
 			sink := g.Sinks()[0]
 			td, ok := sdiffBound(cfg, a, sink)
 			if !ok || td.NumPairs == 0 {
-				return greedyResult{}, false, nil
+				return nil, nil
 			}
 			plan, _, err := a.OptimizeTask(sink, cfg.MaxChains)
 			if err != nil {
-				return greedyResult{}, false, nil
+				return nil, nil
 			}
 			greedy, err := a.OptimizeTaskGreedy(sink, cfg.MaxChains, greedyRounds)
 			if err != nil {
-				return greedyResult{}, false, nil
+				return nil, nil
 			}
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(pi*41+gi)))
 			simPlain, err := simulateMaxDisparity(ctx, cfg, tk, g, sink, rng)
 			if err != nil {
-				return greedyResult{}, false, err
+				return nil, err
 			}
 			simGreedy, err := simulateMaxDisparity(ctx, cfg, tk, greedy.Graph, sink, rng)
 			if err != nil {
-				return greedyResult{}, false, err
+				return nil, err
 			}
 
-			r := greedyResult{sd: td.Bound.Milliseconds()}
+			// A graph whose single application fails still counts in the
+			// S-diff column; its other four cells stay out of their means.
+			nan := math.NaN()
+			row := []float64{td.Bound.Milliseconds(), nan, nan, nan, nan}
 			// A single application's After bounds only the optimized pair;
 			// the task-level bound is the max over pairs of the re-analyzed
 			// buffered graph. Recompute for honesty.
 			single := g.Clone()
 			if err := plan.Apply(single); err != nil {
-				return r, true, nil
+				return row, nil
 			}
 			singleA, err := core.New(single)
 			if err != nil {
-				return r, true, nil
+				return row, nil
 			}
 			singleTd, err := singleA.DisparityBound(sink, core.SDiff, cfg.MaxChains)
 			if err != nil {
-				return r, true, nil
+				return row, nil
 			}
-			r.b1 = singleTd.Bound.Milliseconds()
-			r.bg = greedy.After.Milliseconds()
-			r.sim = simPlain.Milliseconds()
-			r.simBg = simGreedy.Milliseconds()
-			r.full = true
-			return r, true, nil
+			row[1] = singleTd.Bound.Milliseconds()
+			row[2] = greedy.After.Milliseconds()
+			row[3] = simPlain.Milliseconds()
+			row[4] = simGreedy.Milliseconds()
+			return row, nil
 		},
-		point: func(n int, results []greedyResult) error {
-			var sds, b1s, bgs, sims, simBgs []float64
-			for _, r := range results {
-				sds = append(sds, r.sd)
-				if !r.full {
-					continue
-				}
-				b1s = append(b1s, r.b1)
-				bgs = append(bgs, r.bg)
-				sims = append(sims, r.sim)
-				simBgs = append(simBgs, r.simBg)
-			}
-			tbl.AddRow(n, mean(sds), mean(b1s), mean(bgs), mean(sims), mean(simBgs))
-			if cfg.Log != nil {
-				fmt.Fprintf(cfg.Log, "greedy n=%d: S=%.3f B1=%.3f Bg=%.3f Sim=%.3f SimBg=%.3f\n",
-					n, mean(sds), mean(b1s), mean(bgs), mean(sims), mean(simBgs))
-			}
-			return nil
-		},
-		emptyErr: func(n int) error { return fmt.Errorf("exp: no usable graphs at n=%d", n) },
+		tables: []*Table{tbl},
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -64,12 +65,29 @@ func TestTableAddRowPanicsOnArity(t *testing.T) {
 	tbl.AddRow(1, 1.0, 2.0)
 }
 
-func TestMean(t *testing.T) {
-	if mean(nil) != 0 {
-		t.Error("mean(nil) != 0")
+// TestColumnMeans checks the sweep aggregation: nil rows (abandoned
+// graphs) and NaN cells stay out of a column's mean, and a column
+// with no number averages to 0.
+func TestColumnMeans(t *testing.T) {
+	nan := math.NaN()
+	rows := [][]float64{
+		{1, nan, nan},
+		nil,
+		{2, 4, nan},
+		{3, 8, nan},
+		nil,
 	}
-	if mean([]float64{1, 2, 3}) != 2 {
-		t.Error("mean broken")
+	got := columnMeans(rows, 3)
+	want := []float64{2, 6, 0}
+	for c := range want {
+		if got[c] != want[c] {
+			t.Errorf("column %d mean = %v, want %v (all means %v)", c, got[c], want[c], got)
+		}
+	}
+	for c, m := range columnMeans([][]float64{nil, nil}, 2) {
+		if m != 0 {
+			t.Errorf("all-nil rows: column %d mean = %v, want 0", c, m)
+		}
 	}
 }
 

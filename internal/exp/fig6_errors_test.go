@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/timeu"
+	"repro/internal/trace/span"
 )
 
 func tableText(t *testing.T, tbl *Table) string {
@@ -36,7 +38,7 @@ func errTestConfig() Config {
 // worker loops, which ran each graph in a bare goroutine and dropped
 // failures on the floor (a failed graph silently became ok=false and
 // vanished from the averages). A failure injected mid-sweep must now
-// abort the sweep and carry the graph's identity.
+// abort every sweep entry point and carry the graph's identity.
 func TestSweepPropagatesGraphErrors(t *testing.T) {
 	injected := errors.New("injected graph failure")
 	failGraphHook = func(point, gi int) error {
@@ -47,10 +49,27 @@ func TestSweepPropagatesGraphErrors(t *testing.T) {
 	}
 	defer func() { failGraphHook = nil }()
 
+	table := func(run func(Config) (*Table, error)) func(Config) error {
+		return func(cfg Config) error { _, err := run(cfg); return err }
+	}
 	for name, run := range map[string]func(Config) error{
-		"fig6ab": func(cfg Config) error { _, err := Fig6a(cfg); return err },
-		"fig6cd": func(cfg Config) error { _, _, err := Fig6cd(cfg); return err },
-		"bounds": func(cfg Config) error { _, err := BoundsSweep(cfg); return err },
+		"fig6ab":  func(cfg Config) error { _, _, err := Fig6ab(cfg); return err },
+		"fig6cd":  func(cfg Config) error { _, _, err := Fig6cd(cfg); return err },
+		"bounds":  table(BoundsSweep),
+		"latency": table(LatencySweep),
+		"fleet": func(cfg Config) error {
+			cfg.Points = []int{1, 2}
+			_, err := FleetSweep(cfg)
+			return err
+		},
+		"backward":    table(AblationBackward),
+		"tail":        func(cfg Config) error { _, err := AblationTail(cfg, 14); return err },
+		"exec":        table(AblationExec),
+		"semantics":   table(AblationSemantics),
+		"adversarial": table(AblationAdversarial),
+		"utilization": table(AblationUtilization),
+		"priority":    table(AblationPriority),
+		"greedy":      table(AblationGreedyBuffers),
 	} {
 		err := run(errTestConfig())
 		if !errors.Is(err, injected) {
@@ -86,5 +105,34 @@ func TestSweepCancelsAfterError(t *testing.T) {
 	// is picked up; at most the in-flight dispatch slips through.
 	if n := calls.Load(); n > 2 {
 		t.Errorf("%d graphs evaluated after mid-sweep failure, want <= 2", n)
+	}
+}
+
+// TestSweepRowErrors checks runSweep's two errors of its own: a row
+// whose length does not match the spec's columns aborts the sweep with
+// an error naming it, and a point where every graph was abandoned
+// reports that point.
+func TestSweepRowErrors(t *testing.T) {
+	for _, tc := range []struct {
+		row  []float64
+		want string
+	}{
+		{[]float64{1}, "short rows: row has 1 cells for 2 columns"},
+		{nil, "exp: no usable graphs at n=6"},
+	} {
+		tbl := &Table{Title: "short rows", Columns: []string{"a", "b"}}
+		err := runSweep(errTestConfig(), sweepSpec{
+			prefix: "n=",
+			eval: func(context.Context, Config, *span.Track, int, int, int) ([]float64, error) {
+				return tc.row, nil
+			},
+			tables: []*Table{tbl},
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("row %v: error %v, want one containing %q", tc.row, err, tc.want)
+		}
+		if len(tbl.Rows) != 0 {
+			t.Errorf("row %v: table filled despite the error: %v", tc.row, tbl.Rows)
+		}
 	}
 }

@@ -25,13 +25,6 @@ const (
 	fleetTailLen     = 2
 )
 
-// fleetResult carries the per-graph values of FleetSweep.
-type fleetResult struct {
-	tasks        float64
-	pdiff, sdiff float64 // milliseconds
-	ok           bool
-}
-
 // FleetSweep scales the zonal fleet topology by zone count and reports
 // the analysis-only P-diff and S-diff bounds at the pipeline sink,
 // plus the post-split task count per point. Execution times are
@@ -44,7 +37,7 @@ func FleetSweep(cfg Config) (*Table, error) {
 		XLabel:  "zones",
 		Columns: []string{"tasks", colPDiff, colSDiff},
 	}
-	err := runSweep(cfg, sweepSpec[fleetResult]{
+	err := runSweep(cfg, sweepSpec{
 		prefix: "zones=",
 		checkPoint: func(z int) error {
 			if z < 1 {
@@ -52,25 +45,8 @@ func FleetSweep(cfg Config) (*Table, error) {
 			}
 			return nil
 		},
-		eval: func(ctx context.Context, tk *span.Track, z, pi, gi int) (fleetResult, bool, error) {
-			r, err := evalFleetGraph(ctx, cfg, tk, z, pi, gi)
-			return r, r.ok, err
-		},
-		point: func(z int, results []fleetResult) error {
-			var ts, pds, sds []float64
-			for _, r := range results {
-				ts = append(ts, r.tasks)
-				pds = append(pds, r.pdiff)
-				sds = append(sds, r.sdiff)
-			}
-			tbl.AddRow(z, mean(ts), mean(pds), mean(sds))
-			if cfg.Log != nil {
-				fmt.Fprintf(cfg.Log, "zones=%d: tasks=%.0f P-diff=%.3fms S-diff=%.3fms (%d graphs)\n",
-					z, mean(ts), mean(pds), mean(sds), len(pds))
-			}
-			return nil
-		},
-		emptyErr: func(z int) error { return fmt.Errorf("exp: no usable graphs at point zones=%d", z) },
+		eval:   evalFleetGraph,
+		tables: []*Table{tbl},
 	})
 	if err != nil {
 		return nil, err
@@ -104,46 +80,33 @@ func generateFleet(tk *span.Track, z int, rng *rand.Rand) *model.Graph {
 // deterministic and the budget populator cannot produce unschedulable
 // draws, so a failure here is structural and marks the graph unusable
 // rather than masking it with regeneration.
-func evalFleetGraph(ctx context.Context, cfg Config, tk *span.Track, z, pi, gi int) (fleetResult, error) {
-	if failGraphHook != nil {
-		if err := failGraphHook(pi, gi); err != nil {
-			return fleetResult{}, err
-		}
-	}
-	ws := tk.Start("workload")
-	defer ws.End(span.Int("zones", int64(z)), span.Int("graph", int64(gi)))
+func evalFleetGraph(ctx context.Context, cfg Config, tk *span.Track, z, pi, gi int) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
-		return fleetResult{}, err
+		return nil, err
 	}
 	rng := newGraphRNG(cfg.Seed, pi, gi)
 	g := generateFleet(tk, z, rng)
 	if g == nil {
-		return fleetResult{}, nil
+		return nil, nil
 	}
 	stop := stage(analysisHist, tk, "analysis")
 	defer stop()
 	a, ok := cfg.newAnalysis(g, tk)
 	if !ok {
-		return fleetResult{}, nil
+		return nil, nil
 	}
 	sink := g.Sinks()[0]
 	pd, err := a.DisparityBound(sink, core.PDiff, cfg.MaxChains)
 	if err != nil {
-		return fleetResult{}, err
+		return nil, err
 	}
 	sd, err := a.DisparityBound(sink, core.SDiff, cfg.MaxChains)
 	if err != nil {
-		return fleetResult{}, err
+		return nil, err
 	}
 	if pd.Truncated || sd.Truncated {
 		cfg.noteTruncation(fmt.Sprintf("zones=%d graph %d (%v)", z, gi, sd.Cause))
-		return fleetResult{}, nil
+		return nil, nil
 	}
-	graphsUsed.Inc()
-	return fleetResult{
-		tasks: float64(g.NumTasks()),
-		pdiff: pd.Bound.Milliseconds(),
-		sdiff: sd.Bound.Milliseconds(),
-		ok:    true,
-	}, nil
+	return []float64{float64(g.NumTasks()), pd.Bound.Milliseconds(), sd.Bound.Milliseconds()}, nil
 }

@@ -8,15 +8,6 @@ import (
 	"repro/internal/trace/span"
 )
 
-// latencyResult carries the per-graph values of LatencySweep: per
-// metric, the analytic bound and the simulated ground truth at the
-// sink, in milliseconds.
-type latencyResult struct {
-	bound [4]float64 // indexed by backward.Latency
-	sim   [4]float64
-	ok    bool
-}
-
 // latencyColumns interleaves per-metric column pairs: MRT, MRT-sim,
 // MRRT, MRRT-sim, MDA, MDA-sim, MRDA, MRDA-sim.
 func latencyColumns() []string {
@@ -42,31 +33,7 @@ func LatencySweep(cfg Config) (*Table, error) {
 		XLabel:  "tasks",
 		Columns: latencyColumns(),
 	}
-	err := runSweep(cfg, sweepSpec[latencyResult]{
-		prefix: "n=",
-		eval: func(ctx context.Context, tk *span.Track, n, pi, gi int) (latencyResult, bool, error) {
-			r, err := evalGNMLatency(ctx, cfg, tk, n, pi, gi)
-			return r, r.ok, err
-		},
-		point: func(n int, results []latencyResult) error {
-			cells := make([]float64, 0, 8)
-			for _, l := range backward.Latencies() {
-				var bs, ss []float64
-				for _, r := range results {
-					bs = append(bs, r.bound[l])
-					ss = append(ss, r.sim[l])
-				}
-				cells = append(cells, mean(bs), mean(ss))
-			}
-			tbl.AddRow(n, cells...)
-			if cfg.Log != nil {
-				fmt.Fprintf(cfg.Log, "n=%d: MRT=%.3fms MRT-sim=%.3fms MDA=%.3fms MDA-sim=%.3fms (%d graphs)\n",
-					n, cells[0], cells[1], cells[4], cells[5], len(results))
-			}
-			return nil
-		},
-		emptyErr: func(n int) error { return fmt.Errorf("exp: no usable graphs at point n=%d", n) },
-	})
+	err := runSweep(cfg, sweepSpec{prefix: "n=", eval: evalGNMLatency, tables: []*Table{tbl}})
 	if err != nil {
 		return nil, err
 	}
@@ -76,19 +43,13 @@ func LatencySweep(cfg Config) (*Table, error) {
 // evalGNMLatency mirrors evalGNMGraph's generation (identical rng
 // stream) but evaluates the latency metric family: four analytic
 // bounds off the shared trie tables plus one simulation pass measuring
-// all four ground truths.
-func evalGNMLatency(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi int) (latencyResult, error) {
-	if failGraphHook != nil {
-		if err := failGraphHook(pi, gi); err != nil {
-			return latencyResult{}, err
-		}
-	}
-	ws := tk.Start("workload")
-	defer ws.End(span.Int("n", int64(n)), span.Int("graph", int64(gi)))
+// all four ground truths. Its row follows latencyColumns: per metric,
+// the bound, then the simulated value.
+func evalGNMLatency(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi int) ([]float64, error) {
 	rng := newGraphRNG(cfg.Seed, pi, gi)
 	for attempt := 0; attempt < 60; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return latencyResult{}, err
+			return nil, err
 		}
 		g := generateGNM(cfg, tk, n, rng)
 		if g == nil {
@@ -101,19 +62,19 @@ func evalGNMLatency(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi i
 			continue
 		}
 		sink := g.Sinks()[0]
-		var r latencyResult
+		row := make([]float64, 2*len(backward.Latencies()))
 		truncated := false
-		for _, l := range backward.Latencies() {
+		for i, l := range backward.Latencies() {
 			tl, err := a.Latency(sink, l, cfg.MaxChains)
 			if err != nil {
 				stop()
-				return latencyResult{}, err
+				return nil, err
 			}
 			if tl.Truncated {
 				truncated = true
 				break
 			}
-			r.bound[l] = tl.Bound.Milliseconds()
+			row[2*i] = tl.Bound.Milliseconds()
 		}
 		stop()
 		if truncated {
@@ -123,14 +84,12 @@ func evalGNMLatency(ctx context.Context, cfg Config, tk *span.Track, n, pi, gi i
 		}
 		vals, err := simulateLatencies(ctx, cfg, tk, g, sink, rng)
 		if err != nil {
-			return latencyResult{}, err
+			return nil, err
 		}
-		for _, l := range backward.Latencies() {
-			r.sim[l] = vals[l].Milliseconds()
+		for i, l := range backward.Latencies() {
+			row[2*i+1] = vals[l].Milliseconds()
 		}
-		graphsUsed.Inc()
-		r.ok = true
-		return r, nil
+		return row, nil
 	}
-	return latencyResult{}, nil
+	return nil, nil
 }

@@ -163,6 +163,16 @@ func TestSweepIdentity(t *testing.T) {
 			}
 			return []*Table{tbl}
 		}},
+		{"sweep_fleet", func(t *testing.T) []*Table {
+			cfg := identityConfig()
+			cfg.Points = []int{1, 2}
+			cfg.GraphsPerPoint = 2
+			tbl, err := FleetSweep(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []*Table{tbl}
+		}},
 	}
 	for _, s := range sweeps {
 		s := s

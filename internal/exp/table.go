@@ -118,15 +118,3 @@ func (t *Table) Column(name string) ([]float64, error) {
 	}
 	return nil, fmt.Errorf("exp: no column %q", name)
 }
-
-// mean returns the arithmetic mean of xs (0 for an empty slice).
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}

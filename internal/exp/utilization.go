@@ -12,10 +12,6 @@ import (
 	"repro/internal/trace/span"
 )
 
-type utilizationResult struct {
-	np, du float64
-}
-
 // AblationUtilization sweeps the per-ECU WCET utilization (X axis in
 // percent) on fixed-topology workloads and reports the mean S-diff task
 // bound under the paper's NP-FP backward bounds (Lemmas 4/5) and under
@@ -29,18 +25,13 @@ func AblationUtilization(cfg Config) (*Table, error) {
 		XLabel:  "util%",
 		Columns: []string{colSDiff + "(NP)", colSDiff + "(Duerr)"},
 	}
-	err := runSweep(cfg, sweepSpec[utilizationResult]{
-		prefix: "util=",
-		checkPoint: func(upct int) error {
-			if upct <= 0 || upct >= 100 {
-				return fmt.Errorf("exp: utilization %d%% out of (0, 100)", upct)
-			}
-			return nil
-		},
-		eval: func(ctx context.Context, tk *span.Track, upct, pi, gi int) (utilizationResult, bool, error) {
+	err := runSweep(cfg, sweepSpec{
+		prefix:     "util=",
+		checkPoint: checkUtilization,
+		eval: func(ctx context.Context, cfg Config, tk *span.Track, upct, pi, gi int) ([]float64, error) {
 			g := genUtilization(cfg, 16, float64(upct)/100, pi, gi)
 			if g == nil {
-				return utilizationResult{}, false, nil
+				return nil, nil
 			}
 			res := sched.Analyze(g, sched.NonPreemptiveFP)
 			sink := g.Sinks()[0]
@@ -48,38 +39,28 @@ func AblationUtilization(cfg Config) (*Table, error) {
 			du := core.NewWithBackward(g, backward.NewAnalyzer(g, res, backward.Duerr))
 			npTd, ok := sdiffBound(cfg, np, sink)
 			if !ok || npTd.NumPairs == 0 {
-				return utilizationResult{}, false, nil
+				return nil, nil
 			}
 			duTd, ok := sdiffBound(cfg, du, sink)
 			if !ok {
-				return utilizationResult{}, false, nil
+				return nil, nil
 			}
-			return utilizationResult{
-				np: npTd.Bound.Milliseconds(),
-				du: duTd.Bound.Milliseconds(),
-			}, true, nil
+			return []float64{npTd.Bound.Milliseconds(), duTd.Bound.Milliseconds()}, nil
 		},
-		point: func(upct int, results []utilizationResult) error {
-			var nps, dus []float64
-			for _, r := range results {
-				nps = append(nps, r.np)
-				dus = append(dus, r.du)
-			}
-			tbl.AddRow(upct, mean(nps), mean(dus))
-			if cfg.Log != nil {
-				fmt.Fprintf(cfg.Log, "util=%d%%: NP=%.3f Duerr=%.3f (%d graphs)\n",
-					upct, mean(nps), mean(dus), len(nps))
-			}
-			return nil
-		},
-		emptyErr: func(upct int) error {
-			return fmt.Errorf("exp: no schedulable graphs at %d%% utilization", upct)
-		},
+		tables: []*Table{tbl},
 	})
 	if err != nil {
 		return nil, err
 	}
 	return tbl, nil
+}
+
+// checkUtilization rejects a utilization point outside (0, 100) percent.
+func checkUtilization(upct int) error {
+	if upct <= 0 || upct >= 100 {
+		return fmt.Errorf("exp: utilization %d%% out of (0, 100)", upct)
+	}
+	return nil
 }
 
 // genUtilization builds a schedulable workload whose per-ECU WCET

@@ -43,6 +43,11 @@ const (
 	shapeMixedLET
 	shapeBuffered
 	shapeZeroBCET
+	// shapeRunOffsets passes the drawn offsets per run (Config.Offsets,
+	// and BatchRun.Offsets as sim.Batch's callers do) and gives the
+	// graph a different draw, so an engine that releases at the graph's
+	// offsets diverges.
+	shapeRunOffsets
 )
 
 // calendarGraph builds a WATERS-parameterized GNM graph of n tasks on
@@ -50,8 +55,9 @@ const (
 // both to 65 or more, 66–89 tasks on 65–96 ECUs, so that tasks run on
 // ECUs past 63 (GNM deals tasks to ECUs round-robin). The graph is not
 // checked for schedulability: an overloaded one counts overruns, which
-// both engines must agree on too.
-func calendarGraph(rng *rand.Rand, n, ecus, shape int) (*model.Graph, error) {
+// both engines must agree on too. The offsets are nil unless the shape
+// has shapeRunOffsets.
+func calendarGraph(rng *rand.Rand, n, ecus, shape int) (*model.Graph, []timeu.Time, error) {
 	if shape&shapeManyECUs != 0 {
 		n = 66 + n%24
 		ecus = 65 + ecus%32
@@ -59,7 +65,7 @@ func calendarGraph(rng *rand.Rand, n, ecus, shape int) (*model.Graph, error) {
 	m := min(2*n, n*(n-1)/2)
 	g, err := randgraph.GNM(n, m, randgraph.Config{ECUs: ecus, StimulusSources: true}, rng)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	waters.Populate(g, rng)
 	for i := 0; i < g.NumTasks(); i++ {
@@ -78,7 +84,7 @@ func calendarGraph(rng *rand.Rand, n, ecus, shape int) (*model.Graph, error) {
 	if shape&shapeBuffered != 0 {
 		for _, edge := range g.Edges() {
 			if err := g.SetBuffer(edge.Src, edge.Dst, 1+rng.Intn(3)); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
@@ -100,7 +106,14 @@ func calendarGraph(rng *rand.Rand, n, ecus, shape int) (*model.Graph, error) {
 		}
 		task.Offset = off
 	}
-	return g, g.Validate()
+	var offsets []timeu.Time
+	if shape&shapeRunOffsets != 0 {
+		for i := 0; i < g.NumTasks(); i++ {
+			offsets = append(offsets, g.Task(model.TaskID(i)).Offset)
+		}
+		waters.RandomOffsets(g, rng)
+	}
+	return g, offsets, g.Validate()
 }
 
 // schedulesAbove64 reports whether a task of g runs on ECU 64 or later.
@@ -114,42 +127,65 @@ func schedulesAbove64(g *model.Graph) bool {
 }
 
 // matchReference runs the pooled and the reference engine on g and
-// fails unless their Stats and observer traces are identical.
+// fails unless their Stats and observer traces are identical. A config
+// with per-run offsets also runs through sim.Batch with the offsets in
+// BatchRun.
 func matchReference(t *testing.T, label string, g *model.Graph, cfg sim.Config) {
 	t.Helper()
-	fastObs, refObs := &simTraceObserver{}, &simTraceObserver{}
-	fastCfg := cfg
-	fastCfg.Observers = []sim.Observer{fastObs}
+	refObs := &simTraceObserver{}
 	refCfg := cfg
 	refCfg.Observers = []sim.Observer{refObs}
-	fast, err := sim.Run(g, fastCfg)
-	if err != nil {
-		t.Fatalf("%s: pooled engine: %v", label, err)
-	}
 	ref, err := sim.RunReference(g, refCfg)
 	if err != nil {
 		t.Fatalf("%s: reference engine: %v", label, err)
 	}
-	for i := 0; i < min(len(fastObs.lines), len(refObs.lines)); i++ {
-		if fastObs.lines[i] != refObs.lines[i] {
-			t.Fatalf("%s (exec %s): traces diverge at event %d:\npooled:    %s\nreference: %s",
-				label, cfg.Exec.Name(), i, fastObs.lines[i], refObs.lines[i])
+	check := func(engine string, got *sim.Stats, obs *simTraceObserver) {
+		t.Helper()
+		for i := 0; i < min(len(obs.lines), len(refObs.lines)); i++ {
+			if obs.lines[i] != refObs.lines[i] {
+				t.Fatalf("%s (exec %s): traces diverge at event %d:\n%-10s %s\nreference: %s",
+					label, cfg.Exec.Name(), i, engine+":", obs.lines[i], refObs.lines[i])
+			}
+		}
+		if len(obs.lines) != len(refObs.lines) {
+			t.Fatalf("%s: trace lengths diverge: %s %d vs reference %d", label, engine, len(obs.lines), len(refObs.lines))
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("%s (exec %s): stats diverge\n%-10s %+v\nreference: %+v", label, cfg.Exec.Name(), engine+":", got, ref)
 		}
 	}
-	if len(fastObs.lines) != len(refObs.lines) {
-		t.Fatalf("%s: trace lengths diverge: pooled %d vs reference %d", label, len(fastObs.lines), len(refObs.lines))
+
+	fastObs := &simTraceObserver{}
+	fastCfg := cfg
+	fastCfg.Observers = []sim.Observer{fastObs}
+	fast, err := sim.Run(g, fastCfg)
+	if err != nil {
+		t.Fatalf("%s: pooled engine: %v", label, err)
 	}
-	if !reflect.DeepEqual(fast, ref) {
-		t.Fatalf("%s (exec %s): stats diverge\npooled:    %+v\nreference: %+v", label, cfg.Exec.Name(), fast, ref)
+	check("pooled", fast, fastObs)
+	if cfg.Offsets == nil {
+		return
 	}
+	base := cfg
+	base.Offsets = nil
+	batch, err := sim.NewBatch(g, base)
+	if err != nil {
+		t.Fatalf("%s: batch: %v", label, err)
+	}
+	batchObs := &simTraceObserver{}
+	res, err := batch.Run(sim.BatchRun{Seed: cfg.Seed, Offsets: cfg.Offsets, Observers: []sim.Observer{batchObs}})
+	if err != nil {
+		t.Fatalf("%s: batch run: %v", label, err)
+	}
+	check("batch", res.Stats, batchObs)
 }
 
 // TestPooledEngineCalendarMatchesReference is the differential harness
 // of the calendar's rings and the dispatch set: on workloads with
 // offsets over several periods, equal offsets within a class, sporadic
 // tasks inside periodic classes and more than 64 ECUs, alone and
-// combined, under every exec model, the pooled engine must match the
-// reference engine. Runs with a deterministic exec model also replay
+// combined, and with offsets passed per run, under every exec model,
+// the pooled engine must match the reference engine. Runs with a deterministic exec model also replay
 // with jump-ahead armed against full execution, so the calendar's
 // fingerprint (a merge of the rings) and its shift are checked on
 // states the insertion step has reordered.
@@ -161,6 +197,8 @@ func TestPooledEngineCalendarMatchesReference(t *testing.T) {
 		shapeManyECUs,
 		shapeWideOffsets | shapeSporadicMix | shapeManyECUs,
 		shapeEqualOffsets | shapeWideOffsets | shapeManyECUs,
+		shapeRunOffsets,
+		shapeRunOffsets | shapeWideOffsets | shapeSporadicMix,
 	}
 	rng := rand.New(rand.NewSource(2029))
 	engaged := 0
@@ -171,7 +209,7 @@ func TestPooledEngineCalendarMatchesReference(t *testing.T) {
 			trials = 8
 		}
 		for trial := 0; trial < trials; trial++ {
-			g, err := calendarGraph(rng, 6+rng.Intn(24), 2+rng.Intn(4), shape)
+			g, offsets, err := calendarGraph(rng, 6+rng.Intn(24), 2+rng.Intn(4), shape)
 			if err != nil {
 				t.Fatalf("shape %#x trial %d: %v", shape, trial, err)
 			}
@@ -180,7 +218,7 @@ func TestPooledEngineCalendarMatchesReference(t *testing.T) {
 			}
 			label := fmt.Sprintf("shape %#x trial %d", shape, trial)
 			exec := execModels[(si+trial)%len(execModels)]
-			cfg := sim.Config{Horizon: timeu.Second, Exec: exec, Seed: rng.Int63()}
+			cfg := sim.Config{Horizon: timeu.Second, Exec: exec, Seed: rng.Int63(), Offsets: offsets}
 			matchReference(t, label, g, cfg)
 
 			if _, ok := exec.(sim.DeterministicExec); !ok {
@@ -205,12 +243,14 @@ func TestPooledEngineCalendarMatchesReference(t *testing.T) {
 
 // FuzzEngineMatchesReference drives the pooled engine against the
 // reference engine on fuzzed graphs: size, ECU count, shape flags (the
-// calendar edges plus LET, mixed semantics, buffered edges and zero
-// BCET) and exec model all come from the input.
+// calendar edges plus LET, mixed semantics, buffered edges, zero BCET
+// and per-run offsets) and exec model all come from the input.
 func FuzzEngineMatchesReference(f *testing.F) {
 	seeds := []struct {
-		seed                 int64
-		n, ecus, shape, exec uint8
+		seed    int64
+		n, ecus uint8
+		shape   uint16
+		exec    uint8
 	}{
 		{1, 12, 3, shapeWideOffsets, 0},
 		{2, 15, 4, shapeEqualOffsets, 1},
@@ -224,13 +264,16 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		{10, 16, 4, shapeBuffered | shapeWideOffsets, 4},
 		{11, 35, 90, shapeManyECUs | shapeZeroBCET | shapeBuffered | shapeMixedLET, 1},
 		{12, 10, 1, shapeLET | shapeZeroBCET | shapeEqualOffsets, 1},
+		{13, 14, 3, shapeRunOffsets, 2},
+		{14, 18, 4, shapeRunOffsets | shapeWideOffsets | shapeEqualOffsets, 3},
+		{15, 16, 3, shapeRunOffsets | shapeMixedLET | shapeBuffered, 0},
 	}
 	for _, s := range seeds {
 		f.Add(s.seed, s.n, s.ecus, s.shape, s.exec)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, n, ecus, shape, exec uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, n, ecus uint8, shape uint16, exec uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		g, err := calendarGraph(rng, 3+int(n%40), 1+int(ecus%96), int(shape))
+		g, offsets, err := calendarGraph(rng, 3+int(n%40), 1+int(ecus%96), int(shape))
 		if err != nil {
 			t.Skip(err)
 		}
@@ -238,6 +281,7 @@ func FuzzEngineMatchesReference(f *testing.F) {
 			Horizon: 300 * timeu.Millisecond,
 			Exec:    execModels[int(exec)%len(execModels)],
 			Seed:    seed,
+			Offsets: offsets,
 		}
 		matchReference(t, fmt.Sprintf("seed %d n %d ecus %d shape %#x", seed, n, ecus, shape), g, cfg)
 	})

@@ -13,6 +13,11 @@
 // built from one Export. CLI frontends dump the registry after a run
 // (behind a default-off flag, keeping golden outputs stable); tests
 // reset it.
+//
+// A counter is one atomic word. The hot loops — the pair descent, the
+// pair streams, the WCRT fixed point — count in locals and add once per
+// descent, stream or task, so concurrent sweep workers seldom write the
+// same counter.
 package metrics
 
 import (
@@ -22,60 +27,25 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
 
-// counterShards is the number of independent accumulation slots per
-// counter (power of two). Hot counters are incremented once per chain
-// pair or per simulated run by every sweep worker concurrently; a single
-// atomic word turns into a cross-core cache-line ping-pong that showed
-// up at ~10% of a parallel Fig. 6 sweep. Each shard is padded to its own
-// cache line, and writers pick a shard from their stack address, so
-// workers on different goroutines rarely contend.
-const counterShards = 8
-
-type counterShard struct {
-	v atomic.Int64
-	_ [56]byte // pad to a cache line so shards don't false-share
-}
-
-// shardIndex spreads goroutines across shards. Goroutine stacks are
-// distinct allocations of at least a kilobyte, so bits above the low
-// page of a stack address distinguish goroutines cheaply. Any index is
-// correct — this only steers contention.
-func shardIndex() int {
-	var x byte
-	return int(uintptr(unsafe.Pointer(&x)) >> 10 & (counterShards - 1))
-}
-
 // Counter is a monotonically increasing (well, Add accepts any delta)
-// sharded atomic counter.
+// atomic counter.
 type Counter struct {
-	shards [counterShards]counterShard
+	v atomic.Int64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.shards[shardIndex()].v.Add(1) }
+func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
-func (c *Counter) Add(n int64) { c.shards[shardIndex()].v.Add(n) }
+func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// Load returns the current value: the sum over shards. Concurrent adds
-// may or may not be included, as with a single atomic word.
-func (c *Counter) Load() int64 {
-	var sum int64
-	for i := range c.shards {
-		sum += c.shards[i].v.Load()
-	}
-	return sum
-}
+// Load returns the current value.
+func (c *Counter) Load() int64 { return c.v.Load() }
 
-// reset zeroes all shards.
-func (c *Counter) reset() {
-	for i := range c.shards {
-		c.shards[i].v.Store(0)
-	}
-}
+// reset zeroes the counter.
+func (c *Counter) reset() { c.v.Store(0) }
 
 // Registry is a named collection of instruments. The zero value is not
 // usable; use NewRegistry or the package-level Default.

@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Runner executes jobs with at most Workers running concurrently.
@@ -29,19 +28,6 @@ type Runner struct {
 	// skipped job with the number of settled jobs and the total. Calls
 	// are serialized; done increases by one per call up to total.
 	OnProgress func(done, total int)
-	// OnJob, when non-nil, is called after every executed job with the
-	// worker slot that ran it, the job index, its wall-clock duration,
-	// and its error. Skipped jobs (cancelled before start) are not
-	// reported. Calls may be concurrent across workers.
-	OnJob func(worker, i int, d time.Duration, err error)
-}
-
-// Run invokes fn(ctx, i) for every i in [0, n); it delegates to
-// RunIndexed, discarding the worker slot.
-func (r Runner) Run(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	return r.RunIndexed(ctx, n, func(ctx context.Context, _, i int) error {
-		return fn(ctx, i)
-	})
 }
 
 // RunIndexed invokes fn(ctx, worker, i) for every i in [0, n), where
@@ -104,15 +90,7 @@ func (r Runner) RunIndexed(ctx context.Context, n int, fn func(ctx context.Conte
 					continue
 				default:
 				}
-				var begin time.Time
-				if r.OnJob != nil {
-					begin = time.Now()
-				}
-				err := fn(ctx, worker, i)
-				if r.OnJob != nil {
-					r.OnJob(worker, i, time.Since(begin), err)
-				}
-				if err != nil {
+				if err := fn(ctx, worker, i); err != nil {
 					errs[i] = err
 					cancel()
 				}

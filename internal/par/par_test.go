@@ -13,7 +13,7 @@ import (
 
 func TestRunAllJobs(t *testing.T) {
 	var hit [50]atomic.Int64
-	err := Runner{Workers: 4}.Run(context.Background(), len(hit), func(_ context.Context, i int) error {
+	err := Runner{Workers: 4}.RunIndexed(context.Background(), len(hit), func(_ context.Context, _, i int) error {
 		hit[i].Add(1)
 		return nil
 	})
@@ -30,7 +30,7 @@ func TestRunAllJobs(t *testing.T) {
 func TestBoundedConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int64
-	err := Runner{Workers: workers}.Run(context.Background(), 40, func(_ context.Context, i int) error {
+	err := Runner{Workers: workers}.RunIndexed(context.Background(), 40, func(_ context.Context, _, i int) error {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -56,7 +56,7 @@ func TestBoundedConcurrency(t *testing.T) {
 func TestFirstErrorCancels(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
-	err := Runner{Workers: 1}.Run(context.Background(), 10, func(ctx context.Context, i int) error {
+	err := Runner{Workers: 1}.RunIndexed(context.Background(), 10, func(ctx context.Context, _, i int) error {
 		ran.Add(1)
 		if i == 3 {
 			return fmt.Errorf("job %d: %w", i, boom)
@@ -85,7 +85,7 @@ func TestProgressSettlesEveryJobAfterError(t *testing.T) {
 		OnProgress: func(done, total int) {
 			lastDone, lastTotal = done, total
 		},
-	}.Run(context.Background(), n, func(ctx context.Context, i int) error {
+	}.RunIndexed(context.Background(), n, func(ctx context.Context, _, i int) error {
 		ran.Add(1)
 		if i == 3 {
 			return errors.New("boom")
@@ -113,7 +113,7 @@ func TestAllErrorsJoinedInOrder(t *testing.T) {
 		started    int
 		allStarted = make(chan struct{})
 	)
-	err := Runner{Workers: n}.Run(context.Background(), n, func(ctx context.Context, i int) error {
+	err := Runner{Workers: n}.RunIndexed(context.Background(), n, func(ctx context.Context, _, i int) error {
 		// Hold every job until all have started, so cancellation from
 		// one failure cannot skip the others.
 		mu.Lock()
@@ -150,7 +150,7 @@ func TestParentCancellation(t *testing.T) {
 	gate := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- Runner{Workers: 2}.Run(ctx, 100, func(ctx context.Context, i int) error {
+		done <- Runner{Workers: 2}.RunIndexed(ctx, 100, func(ctx context.Context, _, i int) error {
 			ran.Add(1)
 			<-gate
 			return nil
@@ -179,7 +179,7 @@ func TestProgressReported(t *testing.T) {
 				t.Errorf("total = %d, want 25", total)
 			}
 		},
-	}.Run(context.Background(), 25, func(_ context.Context, i int) error { return nil })
+	}.RunIndexed(context.Background(), 25, func(_ context.Context, _, i int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestProgressReported(t *testing.T) {
 }
 
 func TestZeroJobs(t *testing.T) {
-	if err := (Runner{}).Run(context.Background(), 0, nil); err != nil {
+	if err := (Runner{}).RunIndexed(context.Background(), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -230,43 +230,6 @@ func TestRunIndexedWorkerSlots(t *testing.T) {
 	}
 	if total != n {
 		t.Errorf("jobs executed = %d, want %d", total, n)
-	}
-}
-
-func TestOnJobReportsDurationAndError(t *testing.T) {
-	boom := errors.New("boom")
-	var mu sync.Mutex
-	var calls int
-	var sawErr bool
-	r := Runner{
-		Workers: 2,
-		OnJob: func(worker, i int, d time.Duration, err error) {
-			mu.Lock()
-			defer mu.Unlock()
-			calls++
-			if d < 0 {
-				t.Errorf("job %d: negative duration %v", i, d)
-			}
-			if err != nil {
-				sawErr = true
-			}
-		},
-	}
-	err := r.Run(context.Background(), 8, func(_ context.Context, i int) error {
-		if i == 3 {
-			return boom
-		}
-		time.Sleep(time.Millisecond)
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if !sawErr {
-		t.Error("OnJob never saw the failing job")
-	}
-	if calls == 0 {
-		t.Error("OnJob never called")
 	}
 }
 

@@ -307,21 +307,11 @@ func NewEngine(g *model.Graph) (*Engine, error) {
 // aggregate statistics. Observers in cfg collect everything else. The
 // returned Stats is a fresh value; it stays valid across further Runs.
 func (e *Engine) Run(cfg Config) (*Stats, error) {
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("sim: non-positive horizon %v", cfg.Horizon)
+	if err := checkRun(e.g, cfg); err != nil {
+		return nil, err
 	}
 	if cfg.Exec == nil {
 		cfg.Exec = WCETExec{}
-	}
-	if cfg.Offsets != nil && len(cfg.Offsets) != e.g.NumTasks() {
-		return nil, fmt.Errorf("sim: %d offsets for %d tasks", len(cfg.Offsets), e.g.NumTasks())
-	}
-	// The calendar orders release times as unsigned numbers (relLess).
-	for i := 0; i < e.g.NumTasks(); i++ {
-		t := e.g.Task(model.TaskID(i))
-		if off := firstRelease(cfg.Offsets, t); off < 0 {
-			return nil, fmt.Errorf("sim: task %s has negative offset %v", t.Name, off)
-		}
 	}
 	runSpan := cfg.Trace.Start("sim.run")
 	e.reset(cfg) // starts the first chunk span, nested under runSpan
@@ -400,6 +390,26 @@ func (e *Engine) reset(cfg Config) {
 	e.seq = int64(len(e.releases.ring))
 	e.releases.start()
 	e.cycleInit()
+}
+
+// checkRun rejects a run either engine would get wrong: a non-positive
+// horizon, per-run offsets that are not one per task, or a negative
+// first release (the pooled calendar orders release times as unsigned
+// numbers, relLess).
+func checkRun(g *model.Graph, cfg Config) error {
+	if cfg.Horizon <= 0 {
+		return fmt.Errorf("sim: non-positive horizon %v", cfg.Horizon)
+	}
+	if cfg.Offsets != nil && len(cfg.Offsets) != g.NumTasks() {
+		return fmt.Errorf("sim: %d offsets for %d tasks", len(cfg.Offsets), g.NumTasks())
+	}
+	for i := 0; i < g.NumTasks(); i++ {
+		t := g.Task(model.TaskID(i))
+		if off := firstRelease(cfg.Offsets, t); off < 0 {
+			return fmt.Errorf("sim: task %s has negative offset %v", t.Name, off)
+		}
+	}
+	return nil
 }
 
 // firstRelease is the task's first release: its per-run offset when the

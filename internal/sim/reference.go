@@ -114,8 +114,8 @@ func RunReference(g *model.Graph, cfg Config) (*Stats, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("sim: non-positive horizon %v", cfg.Horizon)
+	if err := checkRun(g, cfg); err != nil {
+		return nil, err
 	}
 	if cfg.Exec == nil {
 		cfg.Exec = WCETExec{}
@@ -147,7 +147,7 @@ func RunReference(g *model.Graph, cfg Config) (*Stats, error) {
 	}
 	for i := 0; i < g.NumTasks(); i++ {
 		t := g.Task(model.TaskID(i))
-		e.push(event{time: t.Offset, kind: evRelease, task: t.ID})
+		e.push(event{time: firstRelease(cfg.Offsets, t), kind: evRelease, task: t.ID})
 	}
 	e.loop()
 	for i, ch := range e.chans {
