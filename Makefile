@@ -88,7 +88,13 @@
 #                 its blocks on) and the greedy optimizer against its
 #                 oracle under -race (TestDifferentialGreedyVsOracle,
 #                 whose rounds stop their descent at the incumbent
-#                 bound)
+#                 bound), and the WCRT analysis against its per-task
+#                 oracle under -race (every TestAnalyzeMatchesOracle*:
+#                 WCRTs, verdicts and fixed-point iteration counts
+#                 equal on the WATERS and default fleet corpora, ECUs
+#                 with 20+ distinct periods or one period per task,
+#                 overload, the 2^20-period busy-period guard, the
+#                 maxIterations cap and sums that leave int64)
 #   verify-model - graph loader tier: vet + race tests of internal/model
 #                 and internal/timeu (the schema decoder == the reference
 #                 encoding/json decoder on 300 random graphs and on fleet
@@ -175,6 +181,7 @@ verify-scale:
 	$(GO) test -run 'TestGoldenGenTopologies/fleet' ./cmd/disparity-gen/...
 	$(GO) test -race -count=10 ./internal/par/...
 	$(GO) test -race -run 'TestDifferentialGreedyVsOracle' ./internal/integration/...
+	$(GO) test -race -run 'TestAnalyzeMatchesOracle' ./internal/sched/...
 
 verify-model:
 	$(GO) vet ./internal/model/... ./internal/timeu/...

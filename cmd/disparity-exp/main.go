@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/cli"
@@ -89,10 +90,20 @@ var sweeps = map[string]sweepCmd{
 
 func tailSweep(cfg exp.Config) (*exp.Table, error) { return exp.AblationTail(cfg, 20) }
 
+// figUsage lists every -fig value: the sweeps' keys in order, then all.
+func figUsage() string {
+	figs := make([]string, 0, len(sweeps)+1)
+	for fig := range sweeps {
+		figs = append(figs, fig)
+	}
+	slices.Sort(figs)
+	return strings.Join(append(figs, "all"), "|")
+}
+
 func run(args []string, stdout io.Writer) error {
 	app := cli.New("disparity-exp")
 	fs := app.FlagSet()
-	fig := fs.String("fig", "all", "which panel: 6a|6b|6c|6d|bounds|all")
+	fig := fs.String("fig", "all", "which panel: "+figUsage())
 	paper := fs.Bool("paper", false, "use the paper's full scale (10-minute horizons)")
 	horizonStr := fs.String("horizon", "", "override simulation horizon (e.g. 30s)")
 	graphs := fs.Int("graphs", 0, "override graphs per point")

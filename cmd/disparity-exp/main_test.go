@@ -4,13 +4,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
 func tinyArgs(extra ...string) []string {
 	base := []string{
 		"-points", "5,8", "-graphs", "1", "-offsets", "1",
-		"-horizon", "300ms", "-quiet",
+		"-horizon", "1300ms", "-quiet",
 	}
 	return append(base, extra...)
 }
@@ -27,7 +29,7 @@ func TestRunAblations(t *testing.T) {
 	if err := run(tinyArgs("-fig", "ablation-backward"), io.Discard); err != nil {
 		t.Errorf("ablation-backward: %v", err)
 	}
-	if err := run([]string{"-fig", "ablation-tail", "-graphs", "1", "-offsets", "1", "-horizon", "300ms", "-quiet"}, io.Discard); err != nil {
+	if err := run([]string{"-fig", "ablation-tail", "-graphs", "1", "-offsets", "1", "-horizon", "1300ms", "-quiet"}, io.Discard); err != nil {
 		t.Errorf("ablation-tail: %v", err)
 	}
 	if err := run(tinyArgs("-fig", "ablation-exec"), io.Discard); err != nil {
@@ -69,5 +71,29 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-horizon", "bogus"}, io.Discard); err == nil {
 		t.Error("bad horizon accepted")
+	}
+	// The 1 s warm-up would discard every job of a 300 ms run; the
+	// bounds sweep never simulates, so the same horizon is fine there.
+	short := []string{"-points", "5", "-graphs", "1", "-offsets", "1", "-horizon", "300ms", "-quiet"}
+	if err := run(append([]string{"-fig", "6a"}, short...), io.Discard); err == nil {
+		t.Error("warm-up beyond the horizon accepted")
+	}
+	if err := run(append([]string{"-fig", "bounds"}, short...), io.Discard); err != nil {
+		t.Errorf("bounds sweep under a 300 ms horizon: %v", err)
+	}
+}
+
+// TestFigUsageListsEverySweep checks that -fig's usage names every key
+// of the sweeps map, and all.
+func TestFigUsageListsEverySweep(t *testing.T) {
+	usage := figUsage()
+	values := strings.Split(usage, "|")
+	for fig := range sweeps {
+		if !slices.Contains(values, fig) {
+			t.Errorf("-fig usage %q lacks %q", usage, fig)
+		}
+	}
+	if !slices.Contains(values, "all") {
+		t.Errorf("-fig usage %q lacks all", usage)
 	}
 }

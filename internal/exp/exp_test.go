@@ -118,6 +118,25 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestWarmupCheckedWhereSimulated checks that a simulating sweep
+// rejects a warm-up outside [0, Horizon), which would discard every
+// observation, and that an analysis-only sweep, which never reads the
+// warm-up, accepts it.
+func TestWarmupCheckedWhereSimulated(t *testing.T) {
+	for _, w := range []timeu.Time{tiny().Horizon, -1} {
+		cfg := tiny()
+		cfg.Points = []int{5}
+		cfg.GraphsPerPoint = 1
+		cfg.Warmup = w
+		if _, _, err := Fig6ab(cfg); err == nil || !strings.Contains(err.Error(), "warm-up") {
+			t.Errorf("Fig6ab with warm-up %v: err = %v, want a warm-up error", w, err)
+		}
+		if _, err := BoundsSweep(cfg); err != nil {
+			t.Errorf("BoundsSweep with warm-up %v: %v", w, err)
+		}
+	}
+}
+
 func TestFig6abSmall(t *testing.T) {
 	cfg := tiny()
 	var log strings.Builder

@@ -33,8 +33,14 @@ var (
 // indexing) and the pools' steady-state populations are amortized over
 // the runs. A simulator validation failure is a programming error
 // upstream; it is returned so the sweep aborts loudly instead of
-// skewing results silently.
+// skewing results silently. A warm-up outside [0, Horizon) is an
+// error too, since it would discard every observation and read 0; it
+// is checked here rather than in validate because only the simulating
+// sweeps read it.
 func (cfg *Config) simRunner(g *model.Graph, task model.TaskID, rng *rand.Rand, tk *span.Track) (func(offsets []timeu.Time, obs sim.Observer) error, error) {
+	if cfg.Warmup < 0 || cfg.Warmup >= cfg.Horizon {
+		return nil, fmt.Errorf("exp: warm-up %v outside [0, horizon %v)", cfg.Warmup, cfg.Horizon)
+	}
 	fail := func(err error) error {
 		return fmt.Errorf("exp: simulation of task %s's graph failed: %w", g.Task(task).Name, err)
 	}

@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"fmt"
+	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"testing"
@@ -130,19 +133,6 @@ func TestNPUnschedulableDetected(t *testing.T) {
 	}
 }
 
-func TestPreemptiveClassic(t *testing.T) {
-	// Classic example: hi W=1 T=4, lo W=2 T=6.
-	// R(lo) = 2 + ceil(r/4)*1: r=3 -> 2+1=3 fixed. R=3.
-	g := twoTaskGraph(1*ms, 4*ms, 2*ms, 6*ms)
-	res := Analyze(g, PreemptiveFP)
-	if got := res.R(0); got != 1*ms {
-		t.Errorf("R(hi) = %v, want 1ms", got)
-	}
-	if got := res.R(1); got != 3*ms {
-		t.Errorf("R(lo) = %v, want 3ms", got)
-	}
-}
-
 func TestSourceTasksGetZero(t *testing.T) {
 	g := model.Fig2Graph()
 	res := Analyze(g, NonPreemptiveFP)
@@ -155,28 +145,18 @@ func TestSourceTasksGetZero(t *testing.T) {
 	}
 }
 
-func TestNPFPDominatedByPreemptiveForHighest(t *testing.T) {
-	// The highest-priority task can be blocked under NP but not under P.
-	g := twoTaskGraph(2*ms, 10*ms, 5*ms, 20*ms)
-	np := Analyze(g, NonPreemptiveFP)
-	p := Analyze(g, PreemptiveFP)
-	if np.R(0) <= p.R(0) {
-		t.Errorf("NP highest task should suffer blocking: np=%v p=%v", np.R(0), p.R(0))
-	}
-}
-
 func TestUtilization(t *testing.T) {
 	g := twoTaskGraph(2*ms, 10*ms, 4*ms, 20*ms)
 	if got := Utilization(g)[0]; got != 0.4 {
 		t.Errorf("Utilization = %v, want 0.4", got)
 	}
-	if got := TotalUtilization(g); got != 0.4 {
-		t.Errorf("TotalUtilization = %v, want 0.4", got)
-	}
 	// Sources don't contribute.
-	fig2 := model.Fig2Graph()
-	if got, want := TotalUtilization(fig2), 2.0/10+3.0/20+4.0/30+5.0/30; !almost(got, want) {
-		t.Errorf("TotalUtilization(fig2) = %v, want %v", got, want)
+	var got float64
+	for _, u := range Utilization(model.Fig2Graph()) {
+		got += u
+	}
+	if want := 2.0/10 + 3.0/20 + 4.0/30 + 5.0/30; !almost(got, want) {
+		t.Errorf("Σ Utilization(fig2) = %v, want %v", got, want)
 	}
 }
 
@@ -209,45 +189,6 @@ func TestAssignRateMonotonicTieBreak(t *testing.T) {
 	AssignRateMonotonic(g)
 	if g.Task(a).Prio != 0 || g.Task(b).Prio != 1 {
 		t.Error("equal periods must tie-break by ID")
-	}
-}
-
-func TestAssignByID(t *testing.T) {
-	g := model.NewGraph()
-	ecu := g.AddECU("e", model.Compute)
-	a := g.AddTask(model.Task{Name: "a", WCET: ms, BCET: ms, Period: 100 * ms, Prio: 9, ECU: ecu})
-	b := g.AddTask(model.Task{Name: "b", WCET: ms, BCET: ms, Period: 5 * ms, Prio: 3, ECU: ecu})
-	AssignByID(g)
-	if g.Task(a).Prio != 0 || g.Task(b).Prio != 1 {
-		t.Error("AssignByID must order by insertion")
-	}
-}
-
-func TestAudsleyFindsAssignment(t *testing.T) {
-	// A set where RM fails under NP blocking but Audsley succeeds:
-	// fast task with tight deadline blocked by a long low task is the
-	// classic NP trouble case. Construct a schedulable-by-some-order set.
-	g := model.NewGraph()
-	ecu := g.AddECU("e", model.Compute)
-	g.AddTask(model.Task{Name: "a", WCET: 2 * ms, BCET: ms, Period: 10 * ms, ECU: ecu})
-	g.AddTask(model.Task{Name: "b", WCET: 3 * ms, BCET: ms, Period: 20 * ms, ECU: ecu})
-	g.AddTask(model.Task{Name: "c", WCET: 5 * ms, BCET: ms, Period: 50 * ms, ECU: ecu})
-	if !AssignAudsley(g) {
-		t.Fatal("Audsley failed on a schedulable set")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatalf("invalid priorities after Audsley: %v", err)
-	}
-	res := Analyze(g, NonPreemptiveFP)
-	if !res.Schedulable {
-		t.Errorf("Audsley's assignment not schedulable: %v", res.Unschedulable)
-	}
-}
-
-func TestAudsleyFailsOnOverload(t *testing.T) {
-	g := twoTaskGraph(4*ms, 5*ms, 4*ms, 10*ms)
-	if AssignAudsley(g) {
-		t.Error("Audsley succeeded on an overloaded set")
 	}
 }
 
@@ -288,7 +229,7 @@ func TestNPRandomProperties(t *testing.T) {
 }
 
 func TestPolicyString(t *testing.T) {
-	if NonPreemptiveFP.String() != "np-fp" || PreemptiveFP.String() != "p-fp" {
+	if NonPreemptiveFP.String() != "np-fp" {
 		t.Error("Policy.String broken")
 	}
 	if Policy(9).String() != "Policy(9)" {
@@ -369,29 +310,6 @@ func TestDeadlineValidation(t *testing.T) {
 	}
 }
 
-func TestAssignDeadlineMonotonic(t *testing.T) {
-	g := model.NewGraph()
-	ecu := g.AddECU("e", model.Compute)
-	// Same periods, different constrained deadlines: DM must order by
-	// deadline where RM cannot distinguish.
-	loose := g.AddTask(model.Task{Name: "loose", WCET: ms, BCET: ms, Period: 20 * ms, ECU: ecu})
-	tight := g.AddTask(model.Task{Name: "tight", WCET: ms, BCET: ms, Period: 20 * ms, Deadline: 5 * ms, ECU: ecu})
-	implicit := g.AddTask(model.Task{Name: "implicit", WCET: ms, BCET: ms, Period: 10 * ms, ECU: ecu})
-	AssignDeadlineMonotonic(g)
-	if g.Task(tight).Prio != 0 {
-		t.Errorf("tightest deadline should rank first: prio %d", g.Task(tight).Prio)
-	}
-	if g.Task(implicit).Prio != 1 {
-		t.Errorf("10ms implicit deadline should rank second: prio %d", g.Task(implicit).Prio)
-	}
-	if g.Task(loose).Prio != 2 {
-		t.Errorf("20ms implicit deadline should rank last: prio %d", g.Task(loose).Prio)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestNPLongPeriodGuard runs a set with periods above the ~2.4 h where
 // 2^20·T overflows int64, including a 3 h task. The overload guard must
 // not cut the busy period short on this schedulable set: the WCRTs equal
@@ -423,12 +341,16 @@ func TestNPLongPeriodGuard(t *testing.T) {
 }
 
 // The response-time analysis as formulated before the per-ECU priority
-// index: hp and lp rebuilt for every task by scanning its ECU. It is the
-// oracle Analyze and AssignAudsley are pinned to; the recurrences
-// themselves are shared, so it checks the set membership the index
-// derives.
+// index and the period classes: hp and lp rebuilt for every task by
+// scanning its ECU, and the recurrences summed task by task. It is the
+// oracle Analyze is pinned to, in WCRTs, verdicts and fixed-point
+// iterations.
 
-func refInterferers(g *model.Graph, id model.TaskID) (hp []demand, blk timeu.Time) {
+// refDemand is one higher-priority task as the per-task recurrences read
+// it.
+type refDemand struct{ wcet, period timeu.Time }
+
+func refInterferers(g *model.Graph, id model.TaskID) (hp []refDemand, blk timeu.Time) {
 	task := g.Task(id)
 	for _, other := range g.TasksOnECU(task.ECU) {
 		if other == id {
@@ -436,7 +358,7 @@ func refInterferers(g *model.Graph, id model.TaskID) (hp []demand, blk timeu.Tim
 		}
 		o := g.Task(other)
 		if o.Prio < task.Prio {
-			hp = append(hp, demandOf(o))
+			hp = append(hp, refDemand{o.WCET, o.Period})
 		} else {
 			blk = timeu.Max(blk, o.WCET)
 		}
@@ -444,7 +366,112 @@ func refInterferers(g *model.Graph, id model.TaskID) (hp []demand, blk timeu.Tim
 	return hp, blk
 }
 
-func refAnalyze(g *model.Graph, policy Policy) *Result {
+// refStats counts what the oracle's recurrences did over a corpus, so a
+// test can check that the corpus reached the guards it is meant to.
+type refStats struct {
+	iters       int64 // w(q) fixed-point iterations (sched.fixedpoint.iterations)
+	periodGuard int   // busy periods cut at 2^20 periods of the task
+	busyCap     int   // busy periods cut at maxIterations
+	wCap        int   // w(q) iterations cut at maxIterations
+	overflow    int   // tasks whose terms left int64
+	unsched     int   // tasks listed as unschedulable
+	tasks       int   // scheduled tasks analysed
+}
+
+// refSum returns base + Σ_{j ∈ hp} n(T_j)·W_j, term by term, and whether
+// it fits in int64. Every term is non-negative, so the first partial sum
+// that overflows decides.
+func refSum(base timeu.Time, hp []refDemand, n func(period timeu.Time) int64) (timeu.Time, bool) {
+	sum, ok := base, true
+	for _, o := range hp {
+		if sum, ok = mulAdd(sum, n(o.period), o.wcet); !ok {
+			break
+		}
+	}
+	return sum, ok
+}
+
+// refNPResponseTime is npResponseTime over the individual hp tasks.
+func refNPResponseTime(task *model.Task, hp []refDemand, blk timeu.Time, st *refStats) (timeu.Time, bool) {
+	overflow := func() (timeu.Time, bool) {
+		st.overflow++
+		return math.MaxInt64, false
+	}
+	one := func(timeu.Time) int64 { return 1 }
+	busy, ok := mulAdd(blk, 1, task.WCET)
+	if ok {
+		busy, ok = refSum(busy, hp, one)
+	}
+	if !ok {
+		return overflow()
+	}
+	if busy == 0 {
+		return task.WCET, true
+	}
+	for iter := 0; ; iter++ {
+		ceil := func(p timeu.Time) int64 { return timeu.CeilDiv(busy, p) }
+		next, ok := mulAdd(blk, ceil(task.Period), task.WCET)
+		if ok {
+			next, ok = refSum(next, hp, ceil)
+		}
+		if !ok {
+			return overflow()
+		}
+		if next == busy {
+			break
+		}
+		busy = next
+		if iter >= maxIterations {
+			st.busyCap++
+			break
+		}
+		if (busy-1)/task.Period >= 1<<20 {
+			st.periodGuard++
+			break
+		}
+	}
+	var worst timeu.Time
+	for k := int64(0); k < timeu.CeilDiv(busy, task.Period); k++ {
+		base, ok := mulAdd(blk, k, task.WCET)
+		w := base
+		if ok {
+			w, ok = refSum(base, hp, one)
+		}
+		if !ok {
+			return overflow()
+		}
+		converged := false
+		for iter := 0; iter < maxIterations; iter++ {
+			st.iters++
+			next, ok := refSum(base, hp, func(p timeu.Time) int64 { return timeu.FloorDiv(w, p) + 1 })
+			if !ok {
+				return overflow()
+			}
+			if next == w {
+				converged = true
+				break
+			}
+			w = next
+			if w-timeu.Time(k)*task.Period > task.Period {
+				break
+			}
+		}
+		if !converged && w-timeu.Time(k)*task.Period <= task.Period {
+			st.wCap++
+		}
+		r, ok := mulAdd(w-timeu.Time(k)*task.Period, 1, task.WCET)
+		if !ok {
+			return overflow()
+		}
+		worst = timeu.Max(worst, r)
+		if !converged {
+			return worst, false
+		}
+	}
+	return worst, true
+}
+
+func refAnalyze(g *model.Graph, st *refStats) *Result {
 	res := &Result{WCRT: make([]timeu.Time, g.NumTasks()), Schedulable: true}
 	for i := 0; i < g.NumTasks(); i++ {
 		id := model.TaskID(i)
@@ -452,75 +479,48 @@ func refAnalyze(g *model.Graph, policy Policy) *Result {
 		if task.ECU == model.NoECU {
 			continue
 		}
+		st.tasks++
 		hp, blk := refInterferers(g, id)
-		var r timeu.Time
-		var ok bool
-		if policy == NonPreemptiveFP {
-			r, ok = npResponseTime(task, hp, blk)
-		} else {
-			r, ok = pResponseTime(task, hp)
-		}
+		r, ok := refNPResponseTime(task, hp, blk, st)
 		res.WCRT[i] = r
 		if !ok || r > task.EffectiveDeadline() {
 			res.Schedulable = false
 			res.Unschedulable = append(res.Unschedulable, id)
+			st.unsched++
 		}
 	}
 	return res
 }
 
-// refAudsley is AssignAudsley as it was: rewrite the Prio fields of a
-// clone for every candidate and analyze the candidate with the scan.
-func refAudsley(g *model.Graph) bool {
-	work := g.Clone()
-	for _, ecu := range work.ECUs() {
-		ids := work.TasksOnECU(ecu.ID)
-		unassigned := append([]model.TaskID(nil), ids...)
-		for level := len(ids) - 1; level >= 0; level-- {
-			placed := false
-			for i, cand := range unassigned {
-				work.Task(cand).Prio = level
-				rank := 0
-				for _, other := range unassigned {
-					if other != cand {
-						work.Task(other).Prio = rank
-						rank++
-					}
-				}
-				hp, blk := refInterferers(work, cand)
-				if r, ok := npResponseTime(work.Task(cand), hp, blk); ok && r <= work.Task(cand).EffectiveDeadline() {
-					unassigned = append(unassigned[:i], unassigned[i+1:]...)
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				return false
-			}
-		}
-	}
-	for i := 0; i < g.NumTasks(); i++ {
-		g.Task(model.TaskID(i)).Prio = work.Task(model.TaskID(i)).Prio
-	}
-	return true
-}
-
-// compareWithOracle checks Analyze against refAnalyze field by field
-// under both policies.
-func compareWithOracle(t *testing.T, label string, g *model.Graph) {
+// compareWithOracle checks Analyze against refAnalyze field by field,
+// including the sched.fixedpoint.iterations the two runs add, and adds
+// the oracle's counts to st.
+func compareWithOracle(t *testing.T, label string, g *model.Graph, st *refStats) {
 	t.Helper()
-	for _, policy := range []Policy{NonPreemptiveFP, PreemptiveFP} {
-		got, want := Analyze(g, policy), refAnalyze(g, policy)
-		for id := range want.WCRT {
-			if got.WCRT[id] != want.WCRT[id] {
-				t.Fatalf("%s %v: R(%s) = %v, oracle %v", label, policy, g.Task(model.TaskID(id)).Name, got.WCRT[id], want.WCRT[id])
-			}
-		}
-		if got.Schedulable != want.Schedulable || !slices.Equal(got.Unschedulable, want.Unschedulable) {
-			t.Fatalf("%s %v: schedulable %v %v, oracle %v %v", label, policy,
-				got.Schedulable, got.Unschedulable, want.Schedulable, want.Unschedulable)
+	before := fpIters.Load()
+	got := Analyze(g, NonPreemptiveFP)
+	gotIters := fpIters.Load() - before
+	var ref refStats
+	want := refAnalyze(g, &ref)
+	for id := range want.WCRT {
+		if got.WCRT[id] != want.WCRT[id] {
+			t.Fatalf("%s: R(%s) = %v, oracle %v", label, g.Task(model.TaskID(id)).Name, got.WCRT[id], want.WCRT[id])
 		}
 	}
+	if got.Schedulable != want.Schedulable || !slices.Equal(got.Unschedulable, want.Unschedulable) {
+		t.Fatalf("%s: schedulable %v %v, oracle %v %v", label,
+			got.Schedulable, got.Unschedulable, want.Schedulable, want.Unschedulable)
+	}
+	if gotIters != ref.iters {
+		t.Fatalf("%s: %d fixed-point iterations, oracle %d", label, gotIters, ref.iters)
+	}
+	st.iters += ref.iters
+	st.periodGuard += ref.periodGuard
+	st.busyCap += ref.busyCap
+	st.wCap += ref.wCap
+	st.overflow += ref.overflow
+	st.unsched += ref.unsched
+	st.tasks += ref.tasks
 }
 
 // watersGraph draws one graph of the WATERS corpus: a GNM DAG over four
@@ -547,16 +547,13 @@ func overload(g *model.Graph, factor timeu.Time) {
 
 func TestAnalyzeMatchesOracleWaters(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	unschedulable := 0
+	var st refStats
 	for trial := 0; trial < 100; trial++ {
 		g := watersGraph(t, rng, 5+rng.Intn(30))
 		overload(g, timeu.Time(1+trial%4))
-		compareWithOracle(t, "waters", g)
-		if !Analyze(g, NonPreemptiveFP).Schedulable {
-			unschedulable++
-		}
+		compareWithOracle(t, "waters", g, &st)
 	}
-	if unschedulable == 0 {
+	if st.unsched == 0 {
 		t.Error("corpus never exercised the Unschedulable list")
 	}
 }
@@ -577,7 +574,7 @@ func TestAnalyzeMatchesOracleFleet(t *testing.T) {
 	if g.NumTasks() < 2000 {
 		t.Fatalf("fleet has %d tasks, want ≥ 2000", g.NumTasks())
 	}
-	compareWithOracle(t, "fleet", g)
+	compareWithOracle(t, "fleet", g, new(refStats))
 }
 
 // TestAnalyzeMatchesOracleHandBuilt covers what generated graphs never
@@ -599,7 +596,7 @@ func TestAnalyzeMatchesOracleHandBuilt(t *testing.T) {
 	}
 	g.AddTask(model.Task{Name: "o1", WCET: 4 * ms, BCET: ms, Period: 5 * ms, Prio: 0, ECU: over})
 	g.AddTask(model.Task{Name: "o2", WCET: 4 * ms, BCET: ms, Period: 10 * ms, Prio: 1, ECU: over})
-	compareWithOracle(t, "hand-built", g)
+	compareWithOracle(t, "hand-built", g, new(refStats))
 
 	res := Analyze(g, NonPreemptiveFP)
 	if res.R(src) != 0 {
@@ -635,35 +632,236 @@ func TestAnalyzeMatchesOracleHandBuilt(t *testing.T) {
 			}
 			g.AddTask(model.Task{WCET: w, BCET: w, Period: period, Prio: rng.Intn(3), ECU: ecu})
 		}
-		compareWithOracle(t, "ties", g)
+		compareWithOracle(t, "ties", g, new(refStats))
 	}
 }
 
-// TestAudsleyMatchesOracle compares AssignAudsley with the clone-and-
-// rewrite formulation on random WATERS graphs: the same verdict, and on
-// success the same priorities.
-func TestAudsleyMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	found := 0
-	for trial := 0; trial < 100; trial++ {
-		g := watersGraph(t, rng, 5+rng.Intn(20))
-		overload(g, timeu.Time(1+trial%4))
-		want := g.Clone()
-		okWant := refAudsley(want)
-		if ok := AssignAudsley(g); ok != okWant {
-			t.Fatalf("trial %d: AssignAudsley = %v, oracle %v", trial, ok, okWant)
+// randomECUs builds ecus ECUs of n tasks each. period(i) gives the i-th
+// task's period; the WCETs split a utilization drawn from [0.2, 1.4) at
+// random (at least 1 ns, at most the period), so a corpus holds
+// overloaded ECUs too. Priorities are rate-monotonic on odd trials and a
+// random permutation otherwise.
+func randomECUs(rng *rand.Rand, trial, ecus, n int, period func(i int) timeu.Time) *model.Graph {
+	g := model.NewGraph()
+	for e := 0; e < ecus; e++ {
+		ecu := g.AddECU("", model.Compute)
+		u := 0.2 + 1.2*rng.Float64()
+		weights := make([]float64, n)
+		var total float64
+		for i := range weights {
+			weights[i] = rng.Float64()
+			total += weights[i]
 		}
-		if okWant {
-			found++
-		}
-		for i := range g.Tasks() {
-			id := model.TaskID(i)
-			if g.Task(id).Prio != want.Task(id).Prio {
-				t.Fatalf("trial %d: Prio(%d) = %d, oracle %d", trial, i, g.Task(id).Prio, want.Task(id).Prio)
-			}
+		prio := rng.Perm(n)
+		for i := 0; i < n; i++ {
+			p := period(i)
+			w := min(max(timeu.Time(u*weights[i]/total*float64(p)), 1), p)
+			g.AddTask(model.Task{WCET: w, BCET: w, Period: p, Prio: prio[i], ECU: ecu})
 		}
 	}
-	if found == 0 || found == 100 {
-		t.Errorf("oracle succeeded on %d of 100 graphs; the corpus must exercise both verdicts", found)
+	if trial%2 == 1 {
+		AssignRateMonotonic(g)
+	}
+	return g
+}
+
+// distinctPeriods counts the periods of the tasks on one ECU.
+func distinctPeriods(g *model.Graph, ecu model.ECUID) int {
+	seen := map[timeu.Time]bool{}
+	for _, id := range g.TasksOnECU(ecu) {
+		seen[g.Task(id).Period] = true
+	}
+	return len(seen)
+}
+
+// TestAnalyzeMatchesOracleManyPeriods runs ECUs of 20–60 tasks over 20 or
+// more distinct periods, far more period classes than the WATERS (8) and
+// fleet (≤ 4) corpora hold.
+func TestAnalyzeMatchesOracleManyPeriods(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var st refStats
+	for trial := 0; trial < 60; trial++ {
+		pool := make([]timeu.Time, 20+rng.Intn(20))
+		for i := range pool {
+			pool[i] = timeu.Time(i+1)*ms + timeu.Time(rng.Intn(1000))*timeu.Microsecond
+		}
+		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+		period := func(i int) timeu.Time {
+			if i < 20 {
+				return pool[i]
+			}
+			return pool[rng.Intn(len(pool))]
+		}
+		g := randomECUs(rng, trial, 1+rng.Intn(2), 20+rng.Intn(41), period)
+		for e := range g.ECUs() {
+			if d := distinctPeriods(g, model.ECUID(e)); d < 20 {
+				t.Fatalf("trial %d: ECU %d has %d distinct periods, want ≥ 20", trial, e, d)
+			}
+		}
+		compareWithOracle(t, "many-periods", g, &st)
+	}
+	if st.unsched == 0 || st.unsched == st.tasks {
+		t.Errorf("%d of %d tasks unschedulable; the corpus must hold both verdicts", st.unsched, st.tasks)
+	}
+}
+
+// TestAnalyzeMatchesOracleDistinctPeriods gives every task its own period,
+// so each task's hp set has as many period classes as tasks.
+func TestAnalyzeMatchesOracleDistinctPeriods(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var st refStats
+	for trial := 0; trial < 100; trial++ {
+		n := 2 + rng.Intn(39)
+		base := timeu.Time(1+rng.Intn(5)) * ms
+		step := timeu.Time(1+rng.Intn(997)) * timeu.Microsecond
+		g := randomECUs(rng, trial, 1+rng.Intn(3), n, func(i int) timeu.Time { return base + timeu.Time(i)*step })
+		for e := range g.ECUs() {
+			if d := distinctPeriods(g, model.ECUID(e)); d != n {
+				t.Fatalf("trial %d: ECU %d has %d distinct periods over %d tasks", trial, e, d, n)
+			}
+		}
+		compareWithOracle(t, "distinct-periods", g, &st)
+	}
+	if st.unsched == 0 || st.unsched == st.tasks {
+		t.Errorf("%d of %d tasks unschedulable; the corpus must hold both verdicts", st.unsched, st.tasks)
+	}
+}
+
+// TestAnalyzeMatchesOracleGuards drives the recurrences into their
+// guards: a busy period cut at 2^20 periods of the task, busy-period and
+// w(q) iterations cut at maxIterations, and sums that leave int64.
+func TestAnalyzeMatchesOracleGuards(t *testing.T) {
+	task := func(g *model.Graph, ecu model.ECUID, w, p timeu.Time, prio int) {
+		g.AddTask(model.Task{WCET: w, BCET: w, Period: p, Prio: prio, ECU: ecu})
+	}
+	var st refStats
+
+	// A 1 ns task at utilization 1 under a 50% task: the busy period grows
+	// by half each step until it spans 2^20 of the task's periods.
+	g := model.NewGraph()
+	e := g.AddECU("guard", model.Compute)
+	task(g, e, 1, 2, 0)
+	task(g, e, 1, 1, 1)
+	compareWithOracle(t, "period-guard", g, &st)
+	if st.periodGuard == 0 {
+		t.Fatal("period-guard input never cut its busy period at 2^20 periods")
+	}
+
+	// A 1 s task under a 2 ns task at utilization 1: every step adds 2 ns,
+	// so both the busy period and w(0) run into maxIterations.
+	g = model.NewGraph()
+	e = g.AddECU("cap", model.Compute)
+	task(g, e, 2, 2, 0)
+	task(g, e, 1, timeu.Second, 1)
+	compareWithOracle(t, "iteration-cap", g, &st)
+	if st.busyCap == 0 || st.wCap == 0 {
+		t.Fatalf("iteration-cap input: busy cap %d, w(q) cap %d; want both hit", st.busyCap, st.wCap)
+	}
+	if res := Analyze(g, NonPreemptiveFP); !slices.Contains(res.Unschedulable, 1) {
+		t.Errorf("Unschedulable = %v, want the capped task 1 listed", res.Unschedulable)
+	}
+
+	// Five tasks share a period of MaxInt64 at WCET 2^62, and every busy
+	// period passes 2^63. The lowest task's one class sums to 2^64, which
+	// a plain uint64 sum would wrap to 0, leaving it schedulable.
+	g = model.NewGraph()
+	e = g.AddECU("class-sum", model.Compute)
+	for prio := 0; prio < 5; prio++ {
+		task(g, e, 1<<62, math.MaxInt64, prio)
+	}
+	st = refStats{}
+	compareWithOracle(t, "class-sum", g, &st)
+	if st.overflow != 5 {
+		t.Errorf("class-sum input: %d overflows, want all 5 tasks", st.overflow)
+	}
+
+	// Random nanosecond periods at up to 150% utilization, and random
+	// periods near 2^62 ns whose sums leave int64.
+	rng := rand.New(rand.NewSource(23))
+	st = refStats{}
+	for trial := 0; trial < 200; trial++ {
+		huge := trial%2 == 1
+		g := randomECUs(rng, trial, 1+rng.Intn(2), 1+rng.Intn(8), func(int) timeu.Time {
+			if huge {
+				return 1<<62 + timeu.Time(rng.Int63n(1<<62))
+			}
+			return timeu.Time(1 + rng.Intn(64))
+		})
+		compareWithOracle(t, "guards", g, &st)
+	}
+	if st.periodGuard == 0 || st.overflow == 0 {
+		t.Errorf("random guard corpus: %d period guards, %d overflows; want both", st.periodGuard, st.overflow)
+	}
+}
+
+// TestNPWrappedSumsUnschedulable pins a graph that Validate accepts but
+// whose busy-period sums pass 2^63: four tasks of WCET 2^61 and period
+// 2^62 (utilization 2). Only the top task fits; the others' sums do not
+// fit in int64, so they are unschedulable with a saturated WCRT instead
+// of a wrapped (zero or negative) one.
+func TestNPWrappedSumsUnschedulable(t *testing.T) {
+	g := model.NewGraph()
+	ecu := g.AddECU("e", model.Compute)
+	for prio := 0; prio < 4; prio++ {
+		g.AddTask(model.Task{WCET: 1 << 61, BCET: 1 << 61, Period: 1 << 62, Prio: prio, ECU: ecu})
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	res := Analyze(g, NonPreemptiveFP)
+	want := []timeu.Time{1 << 62, math.MaxInt64, math.MaxInt64, math.MaxInt64}
+	if !slices.Equal(res.WCRT, want) {
+		t.Errorf("WCRT = %v, want %v", res.WCRT, want)
+	}
+	if res.Schedulable || !slices.Equal(res.Unschedulable, []model.TaskID{1, 2, 3}) {
+		t.Errorf("Unschedulable = %v, want [1 2 3]", res.Unschedulable)
+	}
+	compareWithOracle(t, "wrap", g, new(refStats))
+}
+
+// TestCheckedSumsMatchBig checks mulAdd and demand against math/big on
+// operands around the int64 boundary: the value whenever it fits, and
+// the overflow verdict always.
+func TestCheckedSumsMatchBig(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	edge := func() int64 {
+		switch rng.Intn(4) {
+		case 0:
+			return rng.Int63n(1 << 20)
+		case 1:
+			return math.MaxInt64 - rng.Int63n(1<<20)
+		case 2:
+			return 1<<(rng.Intn(62)+1) + rng.Int63n(3) - 1
+		}
+		return rng.Int63()
+	}
+	limit := big.NewInt(math.MaxInt64)
+	check := func(label string, want *big.Int, got timeu.Time, ok bool) {
+		t.Helper()
+		if fits := want.Cmp(limit) <= 0; ok != fits || fits && int64(got) != want.Int64() {
+			t.Fatalf("%s = %d (fits %v), want %v (fits %v)", label, got, ok, want, fits)
+		}
+	}
+	for trial := 0; trial < 20000; trial++ {
+		a, n, b := edge(), edge(), edge()
+		want := new(big.Int).Mul(big.NewInt(n), big.NewInt(b))
+		want.Add(want, big.NewInt(a))
+		got, ok := mulAdd(timeu.Time(a), n, timeu.Time(b))
+		check(fmt.Sprintf("mulAdd(%d, %d, %d)", a, n, b), want, got, ok)
+
+		base, x := edge(), edge()
+		hp := make([]class, rng.Intn(4))
+		want.SetInt64(base)
+		for i := range hp {
+			p, w := uint64(max(edge(), 1)), uint64(edge())
+			if i == 0 && rng.Intn(8) == 0 {
+				w = 1 << 63 // a saturated class sum
+			}
+			hp[i] = class{p, w}
+			term := new(big.Int).SetUint64(uint64(x)/p + 1)
+			want.Add(want, term.Mul(term, new(big.Int).SetUint64(w)))
+		}
+		got, ok = demand(timeu.Time(base), timeu.Time(x), hp)
+		check(fmt.Sprintf("demand(%d, %d, %v)", base, x, hp), want, got, ok)
 	}
 }

@@ -25,6 +25,10 @@ func TestBatchMatchesFreshEngines(t *testing.T) {
 		{Seed: 3, Exec: ExtremesExec{P: 0.5}},
 		{Seed: 4, Exec: UniformExec{}, Offsets: []timeu.Time{0, 5 * ms, 5 * ms}},
 		{Seed: 1}, // repeat of the first: engine reuse must not leak state
+		// A WCET run leaves the rng unseeded; the random run after it
+		// with the same seed must still draw a fresh engine's stream.
+		{Seed: 5},
+		{Seed: 5, Exec: UniformExec{}},
 	}
 	for i, r := range runs {
 		r.Observers = []Observer{NewDisparityObserver(0)}

@@ -259,11 +259,9 @@ func (e *Engine) cycleInit() {
 		reason("random-exec", "exec model "+e.cfg.Exec.Name()+" draws random execution times")
 		return
 	}
-	for i := range e.info {
-		if e.info[i].sporadicSpan > 0 {
-			reason("sporadic-tasks", "graph has sporadic tasks")
-			return
-		}
+	if e.sporadic {
+		reason("sporadic-tasks", "graph has sporadic tasks")
+		return
 	}
 	c.wmax = 0
 	for _, obs := range e.cfg.Observers {

@@ -178,6 +178,9 @@ type Engine struct {
 	g   *model.Graph
 	cfg Config
 	rng *rand.Rand
+	// sporadic reports a sporadic task in the graph: its inter-arrival
+	// draws read rng whatever the exec model.
+	sporadic bool
 
 	// events holds only finish and LET-publish events — O(ECUs + LET
 	// tasks) live entries. Releases, which the reference engine also
@@ -270,6 +273,7 @@ func NewEngine(g *model.Graph) (*Engine, error) {
 		e.cyc.periods[i] = t.Period
 		if t.Sporadic() {
 			ti.sporadicSpan = int64(t.MaxPeriod-t.Period) + 1
+			e.sporadic = true
 		}
 		ti.prio = t.Prio
 		ti.ecu = t.ECU
@@ -338,11 +342,15 @@ func (e *Engine) Run(cfg Config) (*Stats, error) {
 // initial releases from the graph's current offsets.
 func (e *Engine) reset(cfg Config) {
 	e.cfg = cfg
-	if e.rng == nil {
-		e.rng = rand.New(rand.NewSource(cfg.Seed))
-	} else {
-		// Reseeding restarts the exact stream a fresh source would draw.
-		e.rng.Seed(cfg.Seed)
+	// Only a random exec model and sporadic arrivals read the rng; a run
+	// with neither skips seeding, which refills the source's 607 words.
+	if _, det := cfg.Exec.(DeterministicExec); !det || e.sporadic {
+		if e.rng == nil {
+			e.rng = rand.New(rand.NewSource(cfg.Seed))
+		} else {
+			// Reseeding restarts the exact stream a fresh source would draw.
+			e.rng.Seed(cfg.Seed)
+		}
 	}
 	e.stats = Stats{}
 	e.events.clear()
